@@ -241,9 +241,12 @@ class PositiveOrthantMap:
         return np.einsum("...mm->...m", np.asarray(M, dtype=float)).copy()
 
 
-def make_map(kind: str, d: int):
-    if kind == "entropic_simplex":
+def make_map(domain: str, d: int):
+    """The mirror map of a domain kind; None for the box, which no map covers."""
+    if domain == "simplex":
         return EntropicSimplexMap(d)
-    if kind == "positive_orthant":
+    if domain == "orthant":
         return PositiveOrthantMap(d)
-    raise ValueError(f"unknown mirror map kind {kind!r}")
+    if domain == "box":
+        return None
+    raise ValueError(f"unknown domain kind {domain!r}")

@@ -22,11 +22,15 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .errors import ConfigError, Unsupported
-from .geometry import EntropicSimplexMap, PositiveOrthantMap
-from .kernels import KernelConfig
-from .mied import MIED_SAMPLERS, MollifierConfig, run_mied
+from .geometry import make_map
+from .kernels import FAMILIES, KernelConfig
+from .mied import MOLLIFIERS, MollifierConfig
 from .rng import substream
 from .samplers import (
+    COIN_STEPPERS,
+    GRAD_STEPPERS,
+    INIT_PARAMS,
+    MIRRORED_SAMPLERS,
     SAMPLERS,
     InitSpec,
     StepperConfig,
@@ -43,7 +47,6 @@ from .targets import (
     UniformBox,
 )
 
-ALL_SAMPLERS = SAMPLERS + MIED_SAMPLERS
 METRIC_NAMES = ("energy", "ksd", "mean_x1")
 TARGET_KINDS = ("sparse_dirichlet", "quadratic_simplex", "uniform_box",
                 "exp_orthant", "lognormal_orthant", "selective_lasso")
@@ -185,7 +188,6 @@ class RunPlan:
     stepper: StepperConfig | None
     kernel: KernelConfig
     mollifier: MollifierConfig
-    reparam: str | None
     spectral_terms: int
     init: InitSpec | None
     metric_names: tuple
@@ -271,8 +273,7 @@ def _build_target(r: _Reader):
 
 
 def _build_stepper(r: _Reader, sampler):
-    kind = r.str_("stepper.kind",
-                  choices=("fixed_lr", "rmsprop", "coin_kt", "coin_adaptive"))
+    kind = r.str_("stepper.kind", choices=GRAD_STEPPERS + COIN_STEPPERS)
     lr = r.float_("stepper.lr")
     guard = r.bool_("stepper.guard", False)
     if kind is None:
@@ -296,7 +297,7 @@ def build_plan(raw: dict) -> RunPlan:
     r = _Reader(raw, problems)
 
     seed = r.int_("seed", 0)
-    sampler = r.str_("sampler.kind", choices=ALL_SAMPLERS)
+    sampler = r.str_("sampler.kind", choices=SAMPLERS)
     r.require(sampler, "sampler.kind")
     n_particles = r.require(r.int_("sampler.n_particles"), "sampler.n_particles")
     n_iters = r.require(r.int_("sampler.n_iters"), "sampler.n_iters")
@@ -308,7 +309,7 @@ def build_plan(raw: dict) -> RunPlan:
 
     stepper = _build_stepper(r, sampler)
 
-    family = r.str_("kernel.family", "imq", choices=("imq", "rbf"))
+    family = r.str_("kernel.family", "imq", choices=FAMILIES)
     bw_raw = r.raw.pop("kernel.bandwidth", "median")
     bandwidth = bw_raw if bw_raw == "median" else _to_float(
         bw_raw, "kernel.bandwidth", problems)
@@ -320,8 +321,7 @@ def build_plan(raw: dict) -> RunPlan:
             problems.extend(f"kernel: {v}" for v in exc.violations)
 
     mollifier = MollifierConfig()
-    mkind = r.str_("mollifier.kind", "riesz",
-                   choices=("riesz", "gaussian", "laplace"))
+    mkind = r.str_("mollifier.kind", "riesz", choices=MOLLIFIERS)
     meps = r.float_("mollifier.eps", 1e-8)
     ms = r.float_("mollifier.s")
     if mkind is not None and meps is not None:
@@ -330,20 +330,16 @@ def build_plan(raw: dict) -> RunPlan:
         except ConfigError as exc:
             problems.extend(f"mollifier: {v}" for v in exc.violations)
 
-    reparam = r.str_("reparam", None, choices=("tanh", "none"))
     spectral_terms = r.int_("spectral.terms", 30)
     if spectral_terms is not None and spectral_terms < 1:
         problems.append("spectral.terms must be >= 1")
 
+    # read only the init.* keys the init kind uses; the rest are unknown keys
     init = None
-    ikind = r.str_("init.kind", None,
-                   choices=("dirichlet", "lognormal", "box_uniform"))
-    ia = r.float_("init.alpha", 5.0)
-    imu = r.float_("init.mu", 0.0)
-    isig = r.float_("init.sigma", 1.0)
-    iscale = r.float_("init.scale", 0.5)
-    if ikind is not None and None not in (ia, imu, isig, iscale):
-        init = InitSpec(ikind, alpha=ia, mu=imu, sigma=isig, scale=iscale)
+    ikind = r.str_("init.kind", None, choices=tuple(INIT_PARAMS))
+    if ikind is not None:
+        params = {p: r.float_(f"init.{p}") for p in INIT_PARAMS[ikind]}
+        init = InitSpec(ikind, **{p: v for p, v in params.items() if v is not None})
 
     names_raw = r.str_("metrics.names", "")
     metric_names = tuple(
@@ -360,21 +356,15 @@ def build_plan(raw: dict) -> RunPlan:
     sweep_lrs = r.floats("sweep.lrs", [])
     sweep_seeds = r.ints("sweep.seeds", [])
     sweep_metric = r.str_("sweep.metric", "energy", choices=("energy", "ksd"))
-    sweep_coin = r.str_("sweep.coin_stepper", "coin_adaptive",
-                        choices=("coin_kt", "coin_adaptive"))
+    sweep_coin = r.str_("sweep.coin_stepper", "coin_adaptive", choices=COIN_STEPPERS)
 
     r.leftover_check()
 
     # cross-field checks that need the target in hand
     mmap = None
     if target is not None:
-        if target.domain == "simplex":
-            mmap = EntropicSimplexMap(target.d)
-        elif target.domain == "orthant":
-            mmap = PositiveOrthantMap(target.d)
-        if "ksd" in metric_names and (
-                sampler in MIED_SAMPLERS or sampler in ("svgd_proj", "coin_svgd_proj")
-                or mmap is None):
+        mmap = make_map(target.domain, target.d)
+        if "ksd" in metric_names and (sampler not in MIRRORED_SAMPLERS or mmap is None):
             problems.append("metrics.names: ksd needs a mirrored sampler")
 
     if n_particles is not None and n_particles < 1:
@@ -390,7 +380,7 @@ def build_plan(raw: dict) -> RunPlan:
     return RunPlan(
         raw=dict(raw), seed=seed, sampler=sampler, n_particles=n_particles,
         n_iters=n_iters, metric_every=metric_every, target=target, mmap=mmap,
-        stepper=stepper, kernel=kernel, mollifier=mollifier, reparam=reparam,
+        stepper=stepper, kernel=kernel, mollifier=mollifier,
         spectral_terms=spectral_terms, init=init, metric_names=metric_names,
         gt_n=gt_n, sweep_lrs=sweep_lrs or [], sweep_seeds=sweep_seeds or [],
         sweep_metric=sweep_metric, sweep_coin_stepper=sweep_coin,
@@ -425,20 +415,10 @@ def _build_hooks(plan: RunPlan):
 
 def execute_plan(plan: RunPlan, hooks=None):
     hooks = _build_hooks(plan) if hooks is None else hooks
-    if plan.sampler in MIED_SAMPLERS:
-        kwargs = {}
-        if plan.reparam is not None:
-            kwargs["reparam"] = plan.reparam
-        return run_mied(
-            target=plan.target, sampler=plan.sampler,
-            n_particles=plan.n_particles, n_iters=plan.n_iters,
-            seed=plan.seed, mollifier=plan.mollifier, stepper=plan.stepper,
-            init=plan.init, metric_every=plan.metric_every, hooks=hooks,
-            **kwargs)
     return run_sampler(
         target=plan.target, sampler=plan.sampler,
         n_particles=plan.n_particles, n_iters=plan.n_iters, seed=plan.seed,
-        mmap=plan.mmap, stepper=plan.stepper, kernel=plan.kernel,
+        stepper=plan.stepper, kernel=plan.kernel, mollifier=plan.mollifier,
         spectral_terms=plan.spectral_terms, init=plan.init,
         metric_every=plan.metric_every, hooks=hooks)
 
@@ -553,8 +533,7 @@ def run_sweep(raw: dict, out_dir: str, lrs=None, seeds=None,
     # probe the config before any work; the lr comes from the grid, so feed
     # a placeholder when the stepper would otherwise demand one
     probe_raw = dict(raw)
-    if "stepper.lr" not in probe_raw and \
-            raw.get("stepper.kind") not in ("coin_kt", "coin_adaptive"):
+    if "stepper.lr" not in probe_raw and raw.get("stepper.kind") not in COIN_STEPPERS:
         probe_raw["stepper.lr"] = "0.1"
     probe = build_plan(probe_raw)
     lrs = list(lrs) if lrs else list(probe.sweep_lrs)
@@ -567,7 +546,7 @@ def run_sweep(raw: dict, out_dir: str, lrs=None, seeds=None,
     if probe.sampler.startswith("coin_"):
         problems.append("sweep wants the gradient sampler; its coin twin "
                         "runs automatically")
-    if probe.stepper is not None and probe.stepper.kind not in ("fixed_lr", "rmsprop"):
+    if probe.stepper is not None and probe.stepper.kind not in GRAD_STEPPERS:
         problems.append("sweep requires a gradient stepper kind")
     if probe.sweep_metric == "ksd" and probe.mmap is None:
         problems.append("sweep.metric ksd needs a mirrored sampler")

@@ -1,4 +1,4 @@
-"""Base kernels, bandwidth selection, and the mirrored (dual-space) kernel.
+"""Base kernels and bandwidth selection.
 
 Radial kernels are written as k(x, x') = f(r^2) with r^2 = ||x - x'||^2, and
 :func:`radial_profile` returns f together with its first three derivatives in
@@ -7,10 +7,6 @@ r^2.  Those derivatives are what every downstream gradient needs:
     grad_x k = 2 f'(r^2) (x - x')
 
 and similarly for the second- and third-order terms of the Stein kernel.
-
-The mirrored kernel evaluates the base kernel on primal images of dual
-points, k_phi(y, y') = k(x, x') with x = dual_to_primal(y); its dual-space
-gradients chain through the inverse mirror Hessian.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import DegenerateCloud
+from .errors import ConfigError, DegenerateCloud
 
 FAMILIES = ("imq", "rbf")
 
@@ -38,13 +34,16 @@ class KernelConfig:
     bandwidth: float | str = "median"
 
     def __post_init__(self):
+        problems = []
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
+            problems.append(f"unknown kernel family {self.family!r}")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "median":
-                raise ValueError(f"unknown bandwidth rule {self.bandwidth!r}")
+                problems.append(f"unknown bandwidth rule {self.bandwidth!r}")
         elif not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+            problems.append("bandwidth must be positive")
+        if problems:
+            raise ConfigError(problems)
 
 
 def median_bandwidth(points: np.ndarray) -> float:
@@ -64,9 +63,19 @@ def median_bandwidth(points: np.ndarray) -> float:
 
 
 def resolve_bandwidth(config: KernelConfig, points: np.ndarray) -> float:
-    if config.bandwidth == "median":
+    """The configured bandwidth, or the median heuristic on ``points``.
+
+    A singleton or fully collapsed cloud has no usable spread; at zero
+    separation the kernel value is 1 and its gradient 0 for any bandwidth,
+    so the direction does not depend on the choice.  Use 1.0 and keep going
+    rather than aborting the run.
+    """
+    if config.bandwidth != "median":
+        return float(config.bandwidth)
+    try:
         return median_bandwidth(points)
-    return float(config.bandwidth)
+    except DegenerateCloud:
+        return 1.0
 
 
 def radial_profile(family: str, r2: np.ndarray, h: float):
@@ -88,45 +97,3 @@ def radial_profile(family: str, r2: np.ndarray, h: float):
         f = np.exp(-r2 / h2)
         return f, -f / h2, f / h2**2, -f / h2**3
     raise ValueError(f"unknown kernel family {family!r}")
-
-
-def base_eval_grad(family: str, h: float, x: np.ndarray, x2: np.ndarray):
-    """Kernel value and gradient in the first argument, for point pairs.
-
-    Inputs broadcast over leading axes; the last axis is the coordinate
-    axis.  Returns (k, grad_x) with shapes (...,) and (..., d).
-    """
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    diff = x - x2
-    r2 = (diff * diff).sum(axis=-1)
-    f, f1, _, _ = radial_profile(family, r2, h)
-    return f, 2.0 * f1[..., None] * diff
-
-
-def gram(family: str, h: float, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Kernel matrix K[i, j] = k(xa_i, xb_j)."""
-    xa = np.atleast_2d(np.asarray(xa, dtype=float))
-    xb = np.atleast_2d(np.asarray(xb, dtype=float))
-    diff = xa[:, None, :] - xb[None, :, :]
-    r2 = (diff * diff).sum(axis=-1)
-    f, _, _, _ = radial_profile(family, r2, h)
-    return f
-
-
-def mirrored_eval_grad(mmap, family: str, h: float, y: np.ndarray, y2: np.ndarray):
-    """Mirrored kernel value and both dual-space gradients for a point pair.
-
-    k_phi(y, y') = k(x, x') at primal images; the chain rule contributes one
-    inverse mirror Hessian per argument:
-
-        grad_y k_phi = [grad^2 phi(x)]^-1 grad_x k.
-
-    Returns (k, grad_y, grad_y2), broadcasting over leading axes.
-    """
-    x = mmap.dual_to_primal(np.asarray(y, dtype=float))
-    x2 = mmap.dual_to_primal(np.asarray(y2, dtype=float))
-    k, gx = base_eval_grad(family, h, x, x2)
-    grad_y = mmap.hessian_inverse_apply(x, gx)
-    grad_y2 = mmap.hessian_inverse_apply(x2, -gx)
-    return k, grad_y, grad_y2

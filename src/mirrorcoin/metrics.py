@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .kernels import KernelConfig
-from .samplers import _bandwidth_or_fallback, stein_vstat
+from .kernels import KernelConfig, resolve_bandwidth
+from .samplers import stein_vstat
 
 
 def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -29,7 +29,7 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def ksd_vstat(Y: np.ndarray, md, kernel: KernelConfig = KernelConfig()) -> float:
     """Squared kernel Stein discrepancy (V-statistic) of a dual cloud."""
-    h = _bandwidth_or_fallback(kernel, Y)
+    h = resolve_bandwidth(kernel, Y)
     return stein_vstat(Y, md, kernel.family, h)
 
 

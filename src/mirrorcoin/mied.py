@@ -6,30 +6,18 @@ Particles minimize the log of a pairwise interaction energy
 
 computed stably as a logsumexp over the N x N matrix of log terms, diagonal
 included.  Box constraints are handled by optimizing unconstrained
-coordinates ``w`` with ``x = mid + half * tanh(w)``; coin-betting steppers
-consume the negative gradient as their outcome sequence.
+coordinates ``w`` with ``x = mid + half * tanh(w)`` (:class:`TanhBox`); the
+run loop lives in :func:`mirrorcoin.samplers.run_sampler`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConfigError
-from .samplers import (
-    RunRecord,
-    StepperConfig,
-    default_init,
-    domain_of,
-    draw_init,
-    make_stepper,
-)
-from .rng import substream
-
-MIED_SAMPLERS = ("mied", "coin_mied")
 
 MOLLIFIERS = ("riesz", "gaussian", "laplace")
 
@@ -113,13 +101,11 @@ def mie_gradient(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# reparameterizations
+# box reparameterization
 
 
 class TanhBox:
     """x = mid + half * tanh(w), a bijection from R^d onto the open box."""
-
-    kind = "tanh"
 
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
@@ -138,91 +124,3 @@ class TanhBox:
     def jacobian_diag(self, w):
         t = np.tanh(w)
         return self.half * (1.0 - t * t)
-
-
-class Identity:
-    kind = "none"
-
-    def to_x(self, w):
-        return np.asarray(w, dtype=float)
-
-    def from_x(self, x):
-        return np.asarray(x, dtype=float)
-
-    def jacobian_diag(self, w):
-        return np.ones_like(np.asarray(w, dtype=float))
-
-
-def make_reparam(kind: str, domain):
-    if kind == "tanh":
-        if domain.kind != "box":
-            raise ConfigError("tanh reparameterization requires a box domain")
-        return TanhBox(domain.lo, domain.hi)
-    if kind == "none":
-        return Identity()
-    raise ConfigError(f"unknown reparameterization {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# run loop
-
-
-def run_mied(
-    *,
-    target,
-    sampler: str = "coin_mied",
-    n_particles: int,
-    n_iters: int,
-    seed: int,
-    mollifier: MollifierConfig = MollifierConfig(),
-    stepper: StepperConfig | None = None,
-    reparam: str | None = None,
-    init=None,
-    metric_every: int = 10,
-    hooks: dict | None = None,
-) -> RunRecord:
-    """Run (coin) MIED.  The record's ``y_final`` holds the unconstrained
-    reparameterized coordinates."""
-    if sampler not in MIED_SAMPLERS:
-        raise ConfigError(f"unknown mied sampler {sampler!r}")
-    if stepper is None:
-        stepper = StepperConfig("coin_adaptive") if sampler == "coin_mied" \
-            else StepperConfig("fixed_lr", lr=0.1)
-    is_coin = sampler == "coin_mied"
-    if is_coin and stepper.kind not in ("coin_kt", "coin_adaptive"):
-        raise ConfigError(f"{sampler} requires a coin stepper, got {stepper.kind!r}")
-    if not is_coin and stepper.kind in ("coin_kt", "coin_adaptive"):
-        raise ConfigError(f"{sampler} requires a gradient stepper, got {stepper.kind!r}")
-    hooks = hooks or {}
-
-    domain = domain_of(target)
-    if reparam is None:
-        reparam = "tanh" if domain.kind == "box" else "none"
-    rep = make_reparam(reparam, domain)
-
-    rng_init = substream(seed, "init")
-    X = draw_init(init or default_init(domain), domain, n_particles,
-                  target.d, rng_init)
-    W = rep.from_x(X)
-
-    record = RunRecord(sampler, n_particles, n_iters, seed)
-    t0 = time.perf_counter()
-
-    def observe(it, x, w):
-        if hooks and (it == 0 or it == n_iters or it % metric_every == 0):
-            ms = (time.perf_counter() - t0) * 1e3
-            for name, fn in hooks.items():
-                record.trace.append((it, name, float(fn(x, w)), ms))
-
-    engine = make_stepper(stepper, W)
-    observe(0, X, W)
-    for it in range(1, n_iters + 1):
-        X = rep.to_x(W)
-        c = -rep.jacobian_diag(W) * mie_gradient(X, target, mollifier)
-        W = engine.step(W, c)
-        X = rep.to_x(W)
-        observe(it, X, W)
-
-    record.x_final = X
-    record.y_final = W
-    return record

@@ -9,7 +9,8 @@ Mirrored samplers (msvgd / mksdd / mlawgd / mla and their coin twins) move
 dual-space particles ``Y`` and read off primal particles ``X`` through the
 mirror map every iteration.  Projected baselines (svgd_proj and its coin
 twin) move primal particles directly and re-project onto the domain after
-every step.
+every step.  MIED (mied and its coin twin) moves the tanh coordinates of a
+box.  One loop, :func:`run_sampler`, runs them all.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coin import make_coin
-from .errors import ConfigError, DegenerateCloud, DomainViolation
-from .geometry import INTERIOR_TOL
+from .errors import ConfigError, DomainViolation
+from .geometry import INTERIOR_TOL, make_map
 from .kernels import KernelConfig, radial_profile, resolve_bandwidth
+from .mied import MollifierConfig, TanhBox, mie_gradient
 from .rng import substream
 from .targets import MirroredDensity
 
@@ -32,7 +34,7 @@ COIN_STEPPERS = ("coin_kt", "coin_adaptive")
 MIRRORED_SAMPLERS = ("msvgd", "coin_msvgd", "mksdd", "coin_mksdd",
                      "mlawgd", "coin_mlawgd", "mla")
 PROJECTED_SAMPLERS = ("svgd_proj", "coin_svgd_proj")
-SAMPLERS = MIRRORED_SAMPLERS + PROJECTED_SAMPLERS
+SAMPLERS = MIRRORED_SAMPLERS + PROJECTED_SAMPLERS + ("mied", "coin_mied")
 
 _COIN_TWINS = {
     "msvgd": "coin_msvgd",
@@ -98,6 +100,17 @@ class _RMSProp:
         return y + self.lr * c / np.sqrt(self.nu + 1e-8)
 
 
+class _Langevin:
+    """Unadjusted Langevin: y + lr c + sqrt(2 lr) xi, xi standard normal."""
+
+    def __init__(self, lr: float, rng: np.random.Generator):
+        self.lr = lr
+        self.rng = rng
+
+    def step(self, y, c):
+        return y + self.lr * c + np.sqrt(2.0 * self.lr) * self.rng.standard_normal(y.shape)
+
+
 class _CoinStepper:
     def __init__(self, kind: str, y0, guard: bool):
         self.engine = make_coin(kind, y0, guard=guard)
@@ -130,6 +143,11 @@ class InitSpec:
     mu: float = 0.0          # lognormal location
     sigma: float = 1.0       # lognormal scale
     scale: float = 0.5       # box_uniform: central fraction of the box
+
+
+# the InitSpec fields each init kind reads
+INIT_PARAMS = {"dirichlet": ("alpha",), "lognormal": ("mu", "sigma"),
+               "box_uniform": ("scale",)}
 
 
 @dataclass(frozen=True)
@@ -363,15 +381,6 @@ def hermite_features(y: np.ndarray, n_terms: int) -> np.ndarray:
     return F
 
 
-def hermite_kernel(ya: np.ndarray, yb: np.ndarray, n_terms: int) -> np.ndarray:
-    """Truncated inverse-generator kernel of the 1-D standard Gaussian:
-    k(a, b) = sum_{k=1..K} He_k(a) He_k(b) / (k * k!)."""
-    Fa = hermite_features(ya, n_terms)[:, 1:]
-    Fb = hermite_features(yb, n_terms)[:, 1:]
-    inv_eig = 1.0 / np.arange(1.0, n_terms + 1.0)
-    return (Fa * inv_eig) @ Fb.T
-
-
 def mlawgd_direction(Y: np.ndarray, n_terms: int) -> np.ndarray:
     """Row i = -(1/N) sum_j d/dy_i k(y_i, y_j) for the Hermite kernel."""
     n = Y.shape[0]
@@ -386,20 +395,6 @@ def mlawgd_direction(Y: np.ndarray, n_terms: int) -> np.ndarray:
 # run loop
 
 
-def _bandwidth_or_fallback(kernel: KernelConfig, cloud: np.ndarray) -> float:
-    """Median heuristic with a defined fallback for degenerate clouds.
-
-    A singleton or fully collapsed cloud has no usable spread; at zero
-    separation the kernel value is 1 and its gradient 0 for any bandwidth,
-    so the direction does not depend on the choice.  Use 1.0 and keep going
-    rather than aborting the run.
-    """
-    try:
-        return resolve_bandwidth(kernel, cloud)
-    except DegenerateCloud:
-        return 1.0
-
-
 @dataclass
 class RunRecord:
     sampler: str
@@ -411,7 +406,7 @@ class RunRecord:
     y_final: np.ndarray | None = None
 
 
-def _validate_run(target, sampler, stepper, mmap):
+def _validate_run(target, sampler, stepper):
     problems = []
     if sampler not in SAMPLERS:
         problems.append(f"unknown sampler {sampler!r}")
@@ -423,11 +418,11 @@ def _validate_run(target, sampler, stepper, mmap):
         problems.append(f"{sampler} requires a gradient stepper, got {stepper.kind!r}")
     if sampler == "mla" and stepper.kind != "fixed_lr":
         problems.append("mla uses a fixed step size (stepper fixed_lr)")
-    if sampler in MIRRORED_SAMPLERS:
-        if mmap is None:
-            problems.append(f"{sampler} requires a mirror map")
-        elif target.domain == "box":
-            problems.append("no mirror map covers a box domain; use svgd_proj or mied")
+    if sampler in MIRRORED_SAMPLERS and target.domain == "box":
+        problems.append("no mirror map covers a box domain; use svgd_proj or mied")
+    if sampler in ("mied", "coin_mied") and target.domain != "box":
+        problems.append(f"{sampler} reparameterizes box domains only, "
+                        f"not the {target.domain}; use a mirrored sampler")
     if sampler in ("mlawgd", "coin_mlawgd") and target.d != 1:
         problems.append("the spectral kernel flow ships only for d = 1")
     if problems:
@@ -441,15 +436,22 @@ def run_sampler(
     n_particles: int,
     n_iters: int,
     seed: int,
-    mmap=None,
     stepper: StepperConfig | None = None,
     kernel: KernelConfig = KernelConfig(),
+    mollifier: MollifierConfig = MollifierConfig(),
     spectral_terms: int = 30,
     init: InitSpec | None = None,
     metric_every: int = 10,
     hooks: dict | None = None,
 ) -> RunRecord:
     """Run one sampler for ``n_iters`` iterations and return its record.
+
+    The stepper moves coordinates that follow from the sampler family and
+    ``target.domain``: the dual coordinates of the domain's mirror map for
+    mirrored samplers, the tanh coordinates of the box for MIED, and the
+    primal coordinates, projected onto the domain after every step, for
+    projected samplers.  The record's ``y_final`` holds those coordinates
+    (None for projected samplers).
 
     ``hooks`` maps metric names to callables ``(x_cloud, y_cloud) -> float``
     evaluated at iteration 0, every ``metric_every`` iterations, and at the
@@ -458,64 +460,78 @@ def run_sampler(
     if stepper is None:
         stepper = StepperConfig("coin_adaptive") if sampler.startswith("coin_") \
             else StepperConfig("fixed_lr", lr=0.1)
-    _validate_run(target, sampler, stepper, mmap)
+    _validate_run(target, sampler, stepper)
     hooks = hooks or {}
+    base = sampler.removeprefix("coin_")
+    projected = base == "svgd_proj"
 
     domain = domain_of(target)
-    init = init or default_init(domain)
-    rng_init = substream(seed, "init")
-    X = draw_init(init, domain, n_particles, target.d, rng_init)
+    X = draw_init(init or default_init(domain), domain, n_particles, target.d,
+                  substream(seed, "init"))
 
+    # Z is what the stepper moves; settle maps a stepped Z to (Z, X).
+    mmap = None
+    if projected:
+        def direction(x):
+            return svgd_direction(x, target, kernel.family,
+                                  resolve_bandwidth(kernel, x))
+
+        def settle(z):
+            x = project_to_domain(domain, z)
+            return x, x
+
+        Z = X = project_to_domain(domain, X)
+    elif base == "mied":
+        rep = TanhBox(target.lo, target.hi)
+
+        # x is recomputed from w, so the first step sees to_x(from_x(x0))
+        def direction(w):
+            return -rep.jacobian_diag(w) * mie_gradient(rep.to_x(w), target, mollifier)
+
+        def settle(w):
+            return w, rep.to_x(w)
+
+        Z = rep.from_x(X)
+    else:
+        mmap = make_map(target.domain, target.d)
+        md = MirroredDensity(target, mmap)
+        direction = {
+            "msvgd": lambda y: msvgd_direction(y, md, kernel.family,
+                                               resolve_bandwidth(kernel, y)),
+            "mksdd": lambda y: mksdd_direction(y, md, kernel.family,
+                                               resolve_bandwidth(kernel, y)),
+            "mlawgd": lambda y: mlawgd_direction(y, spectral_terms),
+            "mla": md.dual_score,
+        }[base]
+
+        def settle(y):
+            return y, mmap.dual_to_primal(y)
+
+        mmap.assert_interior(X)
+        Z = mmap.primal_to_dual(X)
+
+    if base == "mla":
+        engine = _Langevin(stepper.lr, substream(seed, "mla_noise"))
+    else:
+        engine = make_stepper(stepper, Z)
     record = RunRecord(sampler, n_particles, n_iters, seed)
     t0 = time.perf_counter()
 
-    def observe(it, x, y):
+    def observe(it, x, z):
         if hooks and (it == 0 or it == n_iters or it % metric_every == 0):
             ms = (time.perf_counter() - t0) * 1e3
             for name, fn in hooks.items():
-                record.trace.append((it, name, float(fn(x, y)), ms))
+                record.trace.append((it, name, float(fn(x, None if projected else z)), ms))
 
-    if sampler in PROJECTED_SAMPLERS:
-        X = project_to_domain(domain, X)
-        engine = make_stepper(stepper, X)
-        observe(0, X, None)
-        for it in range(1, n_iters + 1):
-            h = _bandwidth_or_fallback(kernel, X)
-            c = svgd_direction(X, target, kernel.family, h)
-            X = project_to_domain(domain, engine.step(X, c))
-            observe(it, X, None)
-        record.x_final = X
-        return record
-
-    md = MirroredDensity(target, mmap)
-    mmap.assert_interior(X)
-    Y = mmap.primal_to_dual(X)
-    engine = make_stepper(stepper, Y)
-    noise_rng = substream(seed, "mla_noise") if sampler == "mla" else None
-    observe(0, X, Y)
-
+    observe(0, X, Z)
     for it in range(1, n_iters + 1):
-        if sampler == "mla":
-            c = md.dual_score(Y)
-            Y = Y + stepper.lr * c \
-                + np.sqrt(2.0 * stepper.lr) * noise_rng.standard_normal(Y.shape)
-        else:
-            if sampler in ("mlawgd", "coin_mlawgd"):
-                c = mlawgd_direction(Y, spectral_terms)
-            else:
-                h = _bandwidth_or_fallback(kernel, Y)
-                if sampler in ("msvgd", "coin_msvgd"):
-                    c = msvgd_direction(Y, md, kernel.family, h)
-                else:
-                    c = mksdd_direction(Y, md, kernel.family, h)
-            Y = engine.step(Y, c)
-        X = mmap.dual_to_primal(Y)
-        if not np.all(mmap.is_interior(X)):
+        Z, X = settle(engine.step(Z, direction(Z)))
+        if mmap is not None and not np.all(mmap.is_interior(X)):
             raise DomainViolation(
                 f"{sampler}: particle left the open domain at iteration {it}"
             )
-        observe(it, X, Y)
+        observe(it, X, Z)
 
     record.x_final = X
-    record.y_final = Y
+    record.y_final = None if projected else Z
     return record

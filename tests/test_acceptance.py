@@ -17,7 +17,7 @@ from scipy import integrate
 from mirrorcoin.coin import AdaptiveCoin, KTCoin
 from mirrorcoin.geometry import EntropicSimplexMap, PositiveOrthantMap
 from mirrorcoin.metrics import energy_distance, ksd_vstat
-from mirrorcoin.mied import MollifierConfig, run_mied
+from mirrorcoin.mied import MollifierConfig
 from mirrorcoin.rng import substream
 from mirrorcoin.samplers import (
     StepperConfig,
@@ -77,7 +77,7 @@ def initial_cloud(target, seed, n):
 def coin_msvgd_final_ed(seed, ref):
     t = sparse_dirichlet()
     rec = run_sampler(target=t, sampler="coin_msvgd", n_particles=DIR_N,
-                      n_iters=DIR_T, seed=seed, mmap=EntropicSimplexMap(DIR_D))
+                      n_iters=DIR_T, seed=seed)
     return energy_distance(rec.x_final, ref), rec
 
 
@@ -261,7 +261,6 @@ class TestSparseDirichletReproduction:
     def test_05_learning_rate_robustness_vs_coin(self):
         t0 = time.perf_counter()
         t = sparse_dirichlet()
-        mmap = EntropicSimplexMap(DIR_D)
         details = []
         ok = True
         for seed in SEEDS:
@@ -271,7 +270,7 @@ class TestSparseDirichletReproduction:
             for lr in LR_GRID:
                 rec = run_sampler(
                     target=t, sampler="msvgd", n_particles=DIR_N, n_iters=DIR_T,
-                    seed=seed, mmap=mmap, stepper=StepperConfig("rmsprop", lr=lr),
+                    seed=seed, stepper=StepperConfig("rmsprop", lr=lr),
                 )
                 grid.append(energy_distance(rec.x_final, ref))
             # The paper's claim: learning-rate-free coin is competitive with
@@ -326,7 +325,7 @@ class TestLangevinAndSteinFlows:
         t = ExpOrthant(d=2)
         rec = run_sampler(
             target=t, sampler="mla", n_particles=500, n_iters=5000, seed=0,
-            mmap=PositiveOrthantMap(2), stepper=StepperConfig("fixed_lr", lr=1e-3),
+            stepper=StepperConfig("fixed_lr", lr=1e-3),
         )
         mean = rec.x_final.mean(axis=0)
         elapsed = time.perf_counter() - t0
@@ -365,7 +364,6 @@ class TestLangevinAndSteinFlows:
 
         rec = run_sampler(
             target=t, sampler="coin_mksdd", n_particles=30, n_iters=300, seed=0,
-            mmap=mmap,
         )
         y0 = mmap.primal_to_dual(initial_cloud(t, 0, 30))
         k0 = ksd_vstat(y0, md)
@@ -388,7 +386,7 @@ class TestLangevinAndSteinFlows:
         t = LogNormalOrthant(d=1)
         rec = run_sampler(
             target=t, sampler="mlawgd", n_particles=100, n_iters=500, seed=0,
-            mmap=PositiveOrthantMap(1), stepper=StepperConfig("fixed_lr", lr=0.1),
+            stepper=StepperConfig("fixed_lr", lr=0.1),
             spectral_terms=30,
         )
         y = rec.y_final.ravel()
@@ -406,7 +404,7 @@ class TestMiedReproduction:
     def test_10_coin_mied_uniform_box(self):
         t0 = time.perf_counter()
         t = UniformBox(-np.ones(2), np.ones(2))
-        rec = run_mied(
+        rec = run_sampler(
             target=t, sampler="coin_mied", n_particles=100, n_iters=250, seed=0,
             mollifier=MollifierConfig(kind="riesz", s=2 + 1e-4, eps=1e-8),
         )

@@ -209,8 +209,9 @@ class TestOrthantSpecifics:
 
 class TestFactory:
     def test_known_kinds(self):
-        assert isinstance(make_map("entropic_simplex", 2), EntropicSimplexMap)
-        assert isinstance(make_map("positive_orthant", 2), PositiveOrthantMap)
+        assert isinstance(make_map("simplex", 2), EntropicSimplexMap)
+        assert isinstance(make_map("orthant", 2), PositiveOrthantMap)
+        assert make_map("box", 2) is None
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -151,6 +151,22 @@ class TestBuildPlan:
         assert np.allclose(plan.target.hi, 2.5) and plan.target.d == 3
         assert plan.mmap is None
 
+    def test_init_keys_the_kind_does_not_use_are_unknown(self):
+        raw = self.base()
+        raw["init.alpha"] = "2.0"
+        raw["init.mu"] = "0.1"
+        with pytest.raises(ConfigError) as err:
+            build_plan(raw)
+        msgs = " | ".join(err.value.violations)
+        assert "init.alpha" in msgs and "init.mu" in msgs
+        raw["init.kind"] = "dirichlet"
+        with pytest.raises(ConfigError) as err:
+            build_plan(raw)
+        assert [m for m in err.value.violations if "init." in m] == \
+            ["unknown key 'init.mu'"]
+        del raw["init.mu"]
+        assert build_plan(raw).init.alpha == 2.0
+
     def test_dirichlet_dimension_cross_check(self):
         raw = self.base()
         raw["target.d"] = "5"
@@ -312,6 +328,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "sampler.kind" in err
+
+    def test_bad_kernel_bandwidth_exit_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SAMPLE_CONFIG + "kernel.bandwidth = -1\n")
+        code = main(["sample", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "kernel: bandwidth must be positive" in err
+
+    @pytest.mark.parametrize("target,domain", [
+        ("target.kind = exp_orthant\ntarget.d = 2\n", "orthant"),
+        ("target.kind = sparse_dirichlet\ntarget.counts = 4,2,1\n", "simplex"),
+    ], ids=["orthant", "simplex"])
+    def test_mied_off_the_box_exit_one(self, tmp_path, capsys, target, domain):
+        cfg = write_cfg(tmp_path, target + (
+            "sampler.kind = coin_mied\n"
+            "sampler.n_particles = 6\n"
+            "sampler.n_iters = 3\n"
+        ))
+        code = main(["sample", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and domain in err
 
     def test_missing_config_file_exit_one(self, tmp_path, capsys):
         code = main(["sample", "--config", str(tmp_path / "nope.txt"),

@@ -9,15 +9,19 @@ from mirrorcoin.errors import DegenerateCloud
 from mirrorcoin.geometry import EntropicSimplexMap, PositiveOrthantMap
 from mirrorcoin.kernels import (
     KernelConfig,
-    base_eval_grad,
-    gram,
     median_bandwidth,
-    mirrored_eval_grad,
     radial_profile,
     resolve_bandwidth,
 )
 
-from helpers import fd_grad, rel_err, simplex_interior_points
+from helpers import (
+    base_eval_grad,
+    fd_grad,
+    gram,
+    mirrored_eval_grad,
+    rel_err,
+    simplex_interior_points,
+)
 
 
 class TestBaseKernels:

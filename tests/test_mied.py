@@ -5,16 +5,13 @@ import pytest
 
 from mirrorcoin.errors import ConfigError
 from mirrorcoin.mied import (
-    Identity,
     MollifierConfig,
     TanhBox,
-    make_reparam,
     mie_gradient,
     mie_log_energy,
-    run_mied,
 )
-from mirrorcoin.samplers import Domain, StepperConfig
-from mirrorcoin.targets import ExpOrthant, UniformBox
+from mirrorcoin.samplers import StepperConfig, run_sampler
+from mirrorcoin.targets import ExpOrthant, SparseDirichlet, UniformBox
 
 from helpers import fd_grad, rel_err
 
@@ -120,18 +117,6 @@ class TestReparam:
             ref = fd_grad(lambda u: rep.to_x(u)[0], np.array([w0]))[0]
             assert abs(jd - ref) < 1e-8
 
-    def test_identity(self):
-        rep = Identity()
-        w = np.array([[1.0, -2.0]])
-        assert np.array_equal(rep.to_x(w), w)
-        assert np.array_equal(rep.jacobian_diag(w), np.ones((1, 2)))
-
-    def test_make_reparam_validation(self):
-        with pytest.raises(ConfigError):
-            make_reparam("tanh", Domain("orthant"))
-        with pytest.raises(ConfigError):
-            make_reparam("sigmoid", Domain("box", np.zeros(1), np.ones(1)))
-
 
 class TestRunMied:
     def box_target(self):
@@ -143,10 +128,10 @@ class TestRunMied:
         t = self.box_target()
         moll = MollifierConfig(kind="gaussian", eps=0.5)
         hooks = {"loge": lambda x, w: mie_log_energy(x, t, moll)}
-        rec = run_mied(target=t, sampler="mied", n_particles=20, n_iters=60,
-                       seed=4, mollifier=moll,
-                       stepper=StepperConfig("fixed_lr", lr=5e-3),
-                       hooks=hooks, metric_every=60)
+        rec = run_sampler(target=t, sampler="mied", n_particles=20, n_iters=60,
+                          seed=4, mollifier=moll,
+                          stepper=StepperConfig("fixed_lr", lr=5e-3),
+                          hooks=hooks, metric_every=60)
         vals = [v for it, name, v, ms in rec.trace if name == "loge"]
         assert vals[-1] < vals[0]
 
@@ -161,17 +146,17 @@ class TestRunMied:
         for moll in (MollifierConfig(), MollifierConfig(kind="gaussian", eps=0.5)):
             vals = []
             hooks = {"loge": lambda x, w, m=moll: vals.append(mie_log_energy(x, t, m)) or vals[-1]}
-            run_mied(target=t, sampler="mied", n_particles=100, n_iters=250,
-                     seed=7, mollifier=moll,
-                     stepper=StepperConfig("fixed_lr", lr=1e-3),
-                     hooks=hooks, metric_every=1)
+            run_sampler(target=t, sampler="mied", n_particles=100, n_iters=250,
+                        seed=7, mollifier=moll,
+                        stepper=StepperConfig("fixed_lr", lr=1e-3),
+                        hooks=hooks, metric_every=1)
             steps = np.diff(np.asarray(vals))
             assert steps.max(initial=-np.inf) <= 1e-9, moll.kind
 
     def test_coin_run_stays_in_open_box(self):
         t = self.box_target()
-        rec = run_mied(target=t, sampler="coin_mied", n_particles=25,
-                       n_iters=40, seed=5)
+        rec = run_sampler(target=t, sampler="coin_mied", n_particles=25,
+                          n_iters=40, seed=5)
         assert np.all(rec.x_final > 0.0) and np.all(rec.x_final < 1.0)
         assert rec.x_final.shape == (25, 2)
 
@@ -179,15 +164,15 @@ class TestRunMied:
         t = self.box_target()
         kw = dict(target=t, sampler="coin_mied", n_particles=10, n_iters=15,
                   seed=6)
-        r1 = run_mied(**kw)
-        r2 = run_mied(**kw)
+        r1 = run_sampler(**kw)
+        r2 = run_sampler(**kw)
         assert r1.x_final.tobytes() == r2.x_final.tobytes()
         assert r1.y_final.tobytes() == r2.y_final.tobytes()
 
     def test_coin_first_step_is_half_sign(self):
         t = self.box_target()
-        rec = run_mied(target=t, sampler="coin_mied", n_particles=6,
-                       n_iters=1, seed=7)
+        rec = run_sampler(target=t, sampler="coin_mied", n_particles=6,
+                          n_iters=1, seed=7)
         # replay initialization and the first outcome
         from mirrorcoin.mied import TanhBox, _log_terms  # noqa: F401
         from mirrorcoin.rng import substream
@@ -203,18 +188,25 @@ class TestRunMied:
     def test_stepper_mismatch_raises(self):
         t = self.box_target()
         with pytest.raises(ConfigError):
-            run_mied(target=t, sampler="coin_mied", n_particles=4, n_iters=1,
-                     seed=0, stepper=StepperConfig("fixed_lr", lr=0.1))
+            run_sampler(target=t, sampler="coin_mied", n_particles=4, n_iters=1,
+                        seed=0, stepper=StepperConfig("fixed_lr", lr=0.1))
         with pytest.raises(ConfigError):
-            run_mied(target=t, sampler="mied", n_particles=4, n_iters=1,
-                     seed=0, stepper=StepperConfig("coin_adaptive"))
+            run_sampler(target=t, sampler="mied", n_particles=4, n_iters=1,
+                        seed=0, stepper=StepperConfig("coin_adaptive"))
         with pytest.raises(ConfigError):
-            run_mied(target=t, sampler="mied_fast", n_particles=4, n_iters=1,
-                     seed=0)
+            run_sampler(target=t, sampler="mied_fast", n_particles=4, n_iters=1,
+                        seed=0)
 
-    def test_orthant_target_uses_identity_reparam(self):
-        t = ExpOrthant(1, rate=1.0)
-        rec = run_mied(target=t, sampler="mied", n_particles=8, n_iters=5,
-                       seed=8, stepper=StepperConfig("fixed_lr", lr=1e-3),
-                       mollifier=MollifierConfig(kind="gaussian", eps=0.5))
-        assert rec.x_final.shape == (8, 1)
+    @pytest.mark.parametrize("sampler", ["mied", "coin_mied"])
+    @pytest.mark.parametrize("target", [
+        ExpOrthant(1, rate=1.0),
+        SparseDirichlet(alpha=0.5, counts=np.array([6.0, 3.0, 1.0])),
+    ], ids=["orthant", "simplex"])
+    def test_non_box_target_is_rejected(self, sampler, target):
+        # the tanh reparameterization covers boxes only; without it MIED
+        # would move the particles unconstrained, out of the domain
+        stepper = None if sampler == "coin_mied" else StepperConfig("fixed_lr", lr=1e-3)
+        with pytest.raises(ConfigError, match=target.domain):
+            run_sampler(target=target, sampler=sampler, n_particles=8, n_iters=5,
+                        seed=8, stepper=stepper,
+                        mollifier=MollifierConfig(kind="gaussian", eps=0.5))

@@ -7,8 +7,9 @@ from scipy.special import eval_hermitenorm, gammaln
 
 from mirrorcoin.errors import ConfigError, DomainViolation
 from mirrorcoin.geometry import EntropicSimplexMap, PositiveOrthantMap
-from mirrorcoin.kernels import KernelConfig, gram, resolve_bandwidth
+from mirrorcoin.kernels import KernelConfig, resolve_bandwidth
 from mirrorcoin.samplers import (
+    SAMPLERS,
     Domain,
     InitSpec,
     StepperConfig,
@@ -17,7 +18,6 @@ from mirrorcoin.samplers import (
     domain_of,
     draw_init,
     hermite_features,
-    hermite_kernel,
     make_stepper,
     mksdd_direction,
     mlawgd_direction,
@@ -31,12 +31,13 @@ from mirrorcoin.samplers import (
 )
 from mirrorcoin.targets import (
     ExpOrthant,
+    LogNormalOrthant,
     MirroredDensity,
     SparseDirichlet,
     UniformBox,
 )
 
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, gram, hermite_kernel, rel_err
 
 
 def dirichlet_setup(n=6, seed=3):
@@ -413,7 +414,7 @@ class TestRunLoop:
 
     def test_deterministic_repeat(self):
         kw = dict(target=self.target(), sampler="coin_msvgd", n_particles=8,
-                  n_iters=5, seed=42, mmap=EntropicSimplexMap(2),
+                  n_iters=5, seed=42,
                   hooks={"m": lambda x, y: float(x.mean())}, metric_every=2)
         r1 = run_sampler(**kw)
         r2 = run_sampler(**kw)
@@ -425,7 +426,6 @@ class TestRunLoop:
     def test_trace_cadence(self):
         rec = run_sampler(target=self.target(), sampler="coin_msvgd",
                           n_particles=4, n_iters=7, seed=0,
-                          mmap=EntropicSimplexMap(2),
                           hooks={"m": lambda x, y: 0.0}, metric_every=3)
         assert [t[0] for t in rec.trace] == [0, 3, 6, 7]
 
@@ -433,7 +433,7 @@ class TestRunLoop:
         target = self.target()
         mmap = EntropicSimplexMap(2)
         rec = run_sampler(target=target, sampler="coin_msvgd", n_particles=6,
-                          n_iters=1, seed=9, mmap=mmap,
+                          n_iters=1, seed=9,
                           stepper=StepperConfig("coin_kt"))
         # replay by hand
         from mirrorcoin.rng import substream
@@ -448,7 +448,6 @@ class TestRunLoop:
     def test_mla_reproducible_and_moves(self):
         t = ExpOrthant(2, rate=1.0)
         kw = dict(target=t, sampler="mla", n_particles=20, n_iters=30, seed=3,
-                  mmap=PositiveOrthantMap(2),
                   stepper=StepperConfig("fixed_lr", lr=1e-3))
         r1 = run_sampler(**kw)
         r2 = run_sampler(**kw)
@@ -478,7 +477,6 @@ class TestRunLoop:
         # the dual score and the run proceeds.
         rec = run_sampler(target=self.target(), sampler="msvgd",
                           n_particles=1, n_iters=10, seed=2,
-                          mmap=EntropicSimplexMap(2),
                           stepper=StepperConfig("fixed_lr", lr=0.05))
         assert rec.x_final.shape == (1, 2)
         assert np.all(rec.x_final > 0)
@@ -489,45 +487,67 @@ class TestRunLoop:
         for sampler, stepper in [("mlawgd", StepperConfig("fixed_lr", lr=0.1)),
                                  ("coin_mlawgd", StepperConfig("coin_adaptive"))]:
             rec = run_sampler(target=t, sampler=sampler, n_particles=12,
-                              n_iters=10, seed=8, mmap=PositiveOrthantMap(1),
-                              stepper=stepper)
+                              n_iters=10, seed=8, stepper=stepper)
             assert rec.x_final.shape == (12, 1) and np.all(rec.x_final > 0)
 
     def test_validation_errors(self):
         t = self.target()
-        mmap = EntropicSimplexMap(2)
         with pytest.raises(ConfigError):  # coin sampler, grad stepper
             run_sampler(target=t, sampler="coin_msvgd", n_particles=4,
-                        n_iters=1, seed=0, mmap=mmap,
+                        n_iters=1, seed=0,
                         stepper=StepperConfig("fixed_lr", lr=0.1))
         with pytest.raises(ConfigError):  # grad sampler, coin stepper
             run_sampler(target=t, sampler="msvgd", n_particles=4,
-                        n_iters=1, seed=0, mmap=mmap,
+                        n_iters=1, seed=0,
                         stepper=StepperConfig("coin_adaptive"))
         with pytest.raises(ConfigError):  # mla wants fixed_lr
             run_sampler(target=t, sampler="mla", n_particles=4,
-                        n_iters=1, seed=0, mmap=mmap,
+                        n_iters=1, seed=0,
                         stepper=StepperConfig("rmsprop", lr=0.1))
         with pytest.raises(ConfigError):  # spectral flow is 1-D only
             run_sampler(target=t, sampler="mlawgd", n_particles=4,
-                        n_iters=1, seed=0, mmap=mmap,
-                        stepper=StepperConfig("fixed_lr", lr=0.1))
-        with pytest.raises(ConfigError):  # mirrored sampler without a map
-            run_sampler(target=t, sampler="msvgd", n_particles=4,
                         n_iters=1, seed=0,
                         stepper=StepperConfig("fixed_lr", lr=0.1))
         with pytest.raises(ConfigError):  # box domain has no mirror map
             run_sampler(target=UniformBox(np.zeros(2), np.ones(2)),
                         sampler="msvgd", n_particles=4, n_iters=1, seed=0,
-                        mmap=mmap, stepper=StepperConfig("fixed_lr", lr=0.1))
+                        stepper=StepperConfig("fixed_lr", lr=0.1))
         with pytest.raises(ConfigError):  # unknown sampler
             run_sampler(target=t, sampler="hmc", n_particles=4,
-                        n_iters=1, seed=0, mmap=mmap)
+                        n_iters=1, seed=0)
 
     def test_runaway_step_raises_domain_violation(self):
         # a huge fixed step saturates the inverse map to the boundary
         t = self.target()
         with pytest.raises(DomainViolation):
             run_sampler(target=t, sampler="msvgd", n_particles=4, n_iters=3,
-                        seed=1, mmap=EntropicSimplexMap(2),
-                        stepper=StepperConfig("fixed_lr", lr=1e9))
+                        seed=1, stepper=StepperConfig("fixed_lr", lr=1e9))
+
+
+def home_target(sampler):
+    """A target on a domain the sampler supports."""
+    if sampler in ("mlawgd", "coin_mlawgd"):
+        return LogNormalOrthant(1)
+    if sampler in ("mksdd", "coin_mksdd", "mla"):
+        return ExpOrthant(2, rate=1.0)
+    if sampler in ("msvgd", "coin_msvgd", "coin_svgd_proj"):
+        return SparseDirichlet(alpha=0.5, counts=np.array([6.0, 3.0, 1.0]))
+    return UniformBox(-np.ones(2), 2.0 * np.ones(2))
+
+
+def strictly_inside(target, x):
+    if target.domain == "box":
+        return bool(np.all((x > target.lo) & (x < target.hi)))
+    if target.domain == "simplex":
+        return bool(np.all(x > 0.0) and np.all(x.sum(axis=1) < 1.0))
+    return bool(np.all(x > 0.0))
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_every_sampler_ends_inside_its_home_domain(sampler):
+    target = home_target(sampler)
+    stepper = None if sampler.startswith("coin_") else StepperConfig("fixed_lr", lr=1e-2)
+    rec = run_sampler(target=target, sampler=sampler, n_particles=6, n_iters=4,
+                      seed=1, stepper=stepper)
+    assert rec.x_final.shape == (6, target.d)
+    assert strictly_inside(target, rec.x_final)
