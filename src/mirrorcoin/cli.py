@@ -12,26 +12,14 @@ import sys
 
 from .errors import ConfigError, Unsupported
 from .harness import (
+    as_floats,
+    as_ints,
     read_config,
     run_ground_truth,
     run_metrics,
     run_sample,
     run_sweep,
 )
-
-
-def _csv_floats(text: str):
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}")
-
-
-def _csv_ints(text: str):
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("sweep", help="learning-rate grid plus the coin twin")
     pw.add_argument("--config", required=True)
     pw.add_argument("--out", required=True)
-    pw.add_argument("--lrs", type=_csv_floats, help="override sweep.lrs")
-    pw.add_argument("--seeds", type=_csv_ints, help="override sweep.seeds")
+    pw.add_argument("--lrs", type=as_floats, help="override sweep.lrs")
+    pw.add_argument("--seeds", type=as_ints, help="override sweep.seeds")
     pw.add_argument("--n", type=int, help="override sampler.n_particles")
     pw.add_argument("--workers", type=int, help="process pool size")
 

@@ -29,27 +29,16 @@ INTERIOR_TOL = 1e-12
 _EXP_MAX = 709.0
 
 
-class EntropicSimplexMap:
-    """Entropic mirror map on the open unit simplex.
+class _MirrorMap:
+    """The dimension and the interior check both maps share; each map
+    defines ``domain`` and ``is_interior``."""
 
-    Points are the ``d`` free coordinates; interiority requires every
-    coordinate and the implicit remainder ``1 - sum(x)`` to exceed
-    ``INTERIOR_TOL``.
-    """
-
-    domain = "simplex"
+    domain: str
 
     def __init__(self, d: int):
         if d < 1:
             raise ValueError("dimension must be >= 1")
         self.d = int(d)
-
-    # -- domain ---------------------------------------------------------
-
-    def is_interior(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        rest = 1.0 - x.sum(axis=-1)
-        return (x > INTERIOR_TOL).all(axis=-1) & (rest > INTERIOR_TOL)
 
     def assert_interior(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -61,9 +50,27 @@ class EntropicSimplexMap:
             raise DomainViolation("non-finite primal point")
         if not np.all(self.is_interior(x)):
             raise DomainViolation(
-                f"point on or outside the open simplex (margin {INTERIOR_TOL})"
+                f"point on or outside the open {self.domain} (margin {INTERIOR_TOL})"
             )
         return x
+
+
+class EntropicSimplexMap(_MirrorMap):
+    """Entropic mirror map on the open unit simplex.
+
+    Points are the ``d`` free coordinates; interiority requires every
+    coordinate and the implicit remainder ``1 - sum(x)`` to exceed
+    ``INTERIOR_TOL``.
+    """
+
+    domain = "simplex"
+
+    # -- domain ---------------------------------------------------------
+
+    def is_interior(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        rest = 1.0 - x.sum(axis=-1)
+        return (x > INTERIOR_TOL).all(axis=-1) & (rest > INTERIOR_TOL)
 
     def _last(self, x: np.ndarray) -> np.ndarray:
         return 1.0 - x.sum(axis=-1)
@@ -158,33 +165,14 @@ class EntropicSimplexMap:
         return diag - mx - xm
 
 
-class PositiveOrthantMap:
+class PositiveOrthantMap(_MirrorMap):
     """Coordinatewise log/exp mirror map on the open positive orthant."""
 
     domain = "orthant"
 
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
-        self.d = int(d)
-
     def is_interior(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return (x > INTERIOR_TOL).all(axis=-1)
-
-    def assert_interior(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.d:
-            raise DomainViolation(
-                f"expected last axis {self.d}, got {x.shape[-1]}"
-            )
-        if not np.all(np.isfinite(x)):
-            raise DomainViolation("non-finite primal point")
-        if not np.all(self.is_interior(x)):
-            raise DomainViolation(
-                f"point on or outside the open orthant (margin {INTERIOR_TOL})"
-            )
-        return x
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         """phi(x) = sum_k (x_k log x_k - x_k)."""

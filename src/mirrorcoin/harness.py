@@ -16,13 +16,12 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .errors import ConfigError, Unsupported
-from .geometry import make_map
 from .kernels import FAMILIES, KernelConfig
 from .mied import MOLLIFIERS, MollifierConfig
 from .rng import substream
@@ -34,13 +33,14 @@ from .samplers import (
     SAMPLERS,
     InitSpec,
     StepperConfig,
+    check_run,
     coin_twin,
+    mirrored_density,
     run_sampler,
 )
 from .targets import (
     ExpOrthant,
     LogNormalOrthant,
-    MirroredDensity,
     QuadraticSimplex,
     SelectiveLasso,
     SparseDirichlet,
@@ -83,44 +83,30 @@ def read_config(path: str) -> dict:
     return raw
 
 
-def _to_int(value: str, key: str, problems: list):
-    try:
-        return int(value)
-    except ValueError:
-        problems.append(f"{key}: expected an integer, got {value!r}")
-        return None
+def _converter(parse, expected: str):
+    """A text-to-value converter whose ValueError says what it expected."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise ValueError(f"expected {expected}, got {text!r}") from None
+    convert.__name__ = expected  # argparse names a rejected value by this
+    return convert
 
 
-def _to_float(value: str, key: str, problems: list):
-    try:
-        return float(value)
-    except ValueError:
-        problems.append(f"{key}: expected a number, got {value!r}")
-        return None
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
 
 
-def _to_bool(value: str, key: str, problems: list):
-    low = value.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    problems.append(f"{key}: expected true or false, got {value!r}")
-    return None
-
-
-def _to_floats(value: str, key: str, problems: list):
-    try:
-        return [float(v) for v in value.split(",") if v.strip() != ""]
-    except ValueError:
-        problems.append(f"{key}: expected comma-separated numbers, got {value!r}")
-        return None
-
-
-def _to_ints(value: str, key: str, problems: list):
-    try:
-        return [int(v) for v in value.split(",") if v.strip() != ""]
-    except ValueError:
-        problems.append(f"{key}: expected comma-separated integers, got {value!r}")
-        return None
+as_int = _converter(int, "an integer")
+as_float = _converter(float, "a number")
+as_bool = _converter(_parse_bool, "true or false")
+as_floats = _converter(lambda text: [float(v) for v in text.split(",") if v.strip()],
+                       "comma-separated numbers")
+as_ints = _converter(lambda text: [int(v) for v in text.split(",") if v.strip()],
+                     "comma-separated integers")
 
 
 class _Reader:
@@ -130,36 +116,24 @@ class _Reader:
         self.raw = dict(raw)
         self.problems = problems
 
-    def str_(self, key, default=None, choices=None):
-        value = self.raw.pop(key, None)
-        if value is None:
+    def get(self, key, conv=str, default=None, choices=None):
+        """The converted value of ``key``, ``default`` when it is absent, or
+        None (with a logged problem) when it does not convert or is not one
+        of ``choices``."""
+        text = self.raw.pop(key, None)
+        if text is None:
             return default
+        try:
+            value = conv(text)
+        except ValueError as exc:
+            self.problems.append(f"{key}: {exc}")
+            return None
         if choices is not None and value not in choices:
             self.problems.append(
                 f"{key}: expected one of {', '.join(choices)}, got {value!r}"
             )
-            return default
+            return None
         return value
-
-    def int_(self, key, default=None):
-        value = self.raw.pop(key, None)
-        return default if value is None else _to_int(value, key, self.problems)
-
-    def float_(self, key, default=None):
-        value = self.raw.pop(key, None)
-        return default if value is None else _to_float(value, key, self.problems)
-
-    def bool_(self, key, default=None):
-        value = self.raw.pop(key, None)
-        return default if value is None else _to_bool(value, key, self.problems)
-
-    def floats(self, key, default=None):
-        value = self.raw.pop(key, None)
-        return default if value is None else _to_floats(value, key, self.problems)
-
-    def ints(self, key, default=None):
-        value = self.raw.pop(key, None)
-        return default if value is None else _to_ints(value, key, self.problems)
 
     def require(self, got, key):
         if got is None:
@@ -184,7 +158,6 @@ class RunPlan:
     n_iters: int
     metric_every: int
     target: object
-    mmap: object | None
     stepper: StepperConfig | None
     kernel: KernelConfig
     mollifier: MollifierConfig
@@ -192,27 +165,24 @@ class RunPlan:
     init: InitSpec | None
     metric_names: tuple
     gt_n: int
-    sweep_lrs: list = field(default_factory=list)
-    sweep_seeds: list = field(default_factory=list)
     sweep_metric: str = "energy"
-    sweep_coin_stepper: str = "coin_adaptive"
 
 
 def _build_target(r: _Reader):
-    kind = r.str_("target.kind", choices=TARGET_KINDS)
+    kind = r.get("target.kind", choices=TARGET_KINDS)
     r.require(kind, "target.kind")
     if kind is None:
         # drain the section so its keys do not double-report as unknown
         for key in [k for k in r.raw if k.startswith("target.")]:
             r.raw.pop(key)
         return None
-    tseed = r.int_("target.seed", 0)
+    tseed = r.get("target.seed", as_int, 0)
     try:
         if kind == "sparse_dirichlet":
-            counts = r.floats("target.counts")
+            counts = r.get("target.counts", as_floats)
             r.require(counts, "target.counts")
-            alpha = r.floats("target.alpha", [1.0])
-            d = r.int_("target.d")
+            alpha = r.get("target.alpha", as_floats, [1.0])
+            d = r.get("target.d", as_int)
             if counts is None or alpha is None:
                 return None
             if d is not None and d != len(counts) - 1:
@@ -223,16 +193,16 @@ def _build_target(r: _Reader):
             a = alpha[0] if len(alpha) == 1 else np.asarray(alpha)
             return SparseDirichlet(alpha=a, counts=np.asarray(counts))
         if kind == "quadratic_simplex":
-            d = r.require(r.int_("target.d"), "target.d")
-            sigma = r.float_("target.sigma", 1.0)
+            d = r.require(r.get("target.d", as_int), "target.d")
+            sigma = r.get("target.sigma", as_float, 1.0)
             if d is None or sigma is None:
                 return None
             return QuadraticSimplex.random_instance(
                 d, sigma, substream(tseed, "target_synth"))
         if kind == "uniform_box":
-            d = r.require(r.int_("target.d"), "target.d")
-            lo = r.floats("target.lo", [0.0])
-            hi = r.floats("target.hi", [1.0])
+            d = r.require(r.get("target.d", as_int), "target.d")
+            lo = r.get("target.lo", as_floats, [0.0])
+            hi = r.get("target.hi", as_floats, [1.0])
             if d is None or lo is None or hi is None:
                 return None
             lo = np.full(d, lo[0]) if len(lo) == 1 else np.asarray(lo)
@@ -242,25 +212,25 @@ def _build_target(r: _Reader):
                 return None
             return UniformBox(lo, hi)
         if kind == "exp_orthant":
-            d = r.require(r.int_("target.d"), "target.d")
-            rate = r.float_("target.rate", 1.0)
+            d = r.require(r.get("target.d", as_int), "target.d")
+            rate = r.get("target.rate", as_float, 1.0)
             if d is None or rate is None:
                 return None
             return ExpOrthant(d, rate=rate)
         if kind == "lognormal_orthant":
-            d = r.require(r.int_("target.d"), "target.d")
-            mu = r.float_("target.mu", 0.0)
-            sigma = r.float_("target.sigma", 1.0)
+            d = r.require(r.get("target.d", as_int), "target.d")
+            mu = r.get("target.mu", as_float, 0.0)
+            sigma = r.get("target.sigma", as_float, 1.0)
             if d is None or mu is None or sigma is None:
                 return None
             return LogNormalOrthant(d, mu=mu, sigma=sigma)
         if kind == "selective_lasso":
-            n = r.require(r.int_("target.n"), "target.n")
-            p = r.require(r.int_("target.p"), "target.p")
-            q = r.require(r.int_("target.q"), "target.q")
-            lam = r.float_("target.lam", 2.0)
-            tau = r.float_("target.tau", 1.0)
-            eps_ridge = r.float_("target.eps_ridge", 1.0)
+            n = r.require(r.get("target.n", as_int), "target.n")
+            p = r.require(r.get("target.p", as_int), "target.p")
+            q = r.require(r.get("target.q", as_int), "target.q")
+            lam = r.get("target.lam", as_float, 2.0)
+            tau = r.get("target.tau", as_float, 1.0)
+            eps_ridge = r.get("target.eps_ridge", as_float, 1.0)
             if None in (n, p, q, lam, tau, eps_ridge):
                 return None
             return SelectiveLasso.synthetic(
@@ -273,9 +243,9 @@ def _build_target(r: _Reader):
 
 
 def _build_stepper(r: _Reader, sampler):
-    kind = r.str_("stepper.kind", choices=GRAD_STEPPERS + COIN_STEPPERS)
-    lr = r.float_("stepper.lr")
-    guard = r.bool_("stepper.guard", False)
+    kind = r.get("stepper.kind", choices=GRAD_STEPPERS + COIN_STEPPERS)
+    lr = r.get("stepper.lr", as_float)
+    guard = r.get("stepper.guard", as_bool, False)
     if kind is None:
         if sampler is None:
             return None
@@ -296,12 +266,12 @@ def build_plan(raw: dict) -> RunPlan:
     problems: list = []
     r = _Reader(raw, problems)
 
-    seed = r.int_("seed", 0)
-    sampler = r.str_("sampler.kind", choices=SAMPLERS)
+    seed = r.get("seed", as_int, 0)
+    sampler = r.get("sampler.kind", choices=SAMPLERS)
     r.require(sampler, "sampler.kind")
-    n_particles = r.require(r.int_("sampler.n_particles"), "sampler.n_particles")
-    n_iters = r.require(r.int_("sampler.n_iters"), "sampler.n_iters")
-    metric_every = r.int_("sampler.metric_every", 10)
+    n_particles = r.require(r.get("sampler.n_particles", as_int), "sampler.n_particles")
+    n_iters = r.require(r.get("sampler.n_iters", as_int), "sampler.n_iters")
+    metric_every = r.get("sampler.metric_every", as_int, 10)
 
     target = _build_target(r)
     if target is None and not problems:
@@ -309,10 +279,9 @@ def build_plan(raw: dict) -> RunPlan:
 
     stepper = _build_stepper(r, sampler)
 
-    family = r.str_("kernel.family", "imq", choices=FAMILIES)
-    bw_raw = r.raw.pop("kernel.bandwidth", "median")
-    bandwidth = bw_raw if bw_raw == "median" else _to_float(
-        bw_raw, "kernel.bandwidth", problems)
+    family = r.get("kernel.family", default="imq", choices=FAMILIES)
+    bandwidth = r.get("kernel.bandwidth",
+                      lambda text: text if text == "median" else as_float(text), "median")
     kernel = KernelConfig()
     if bandwidth is not None and family is not None:
         try:
@@ -321,27 +290,27 @@ def build_plan(raw: dict) -> RunPlan:
             problems.extend(f"kernel: {v}" for v in exc.violations)
 
     mollifier = MollifierConfig()
-    mkind = r.str_("mollifier.kind", "riesz", choices=MOLLIFIERS)
-    meps = r.float_("mollifier.eps", 1e-8)
-    ms = r.float_("mollifier.s")
+    mkind = r.get("mollifier.kind", default="riesz", choices=MOLLIFIERS)
+    meps = r.get("mollifier.eps", as_float, 1e-8)
+    ms = r.get("mollifier.s", as_float)
     if mkind is not None and meps is not None:
         try:
             mollifier = MollifierConfig(kind=mkind, eps=meps, s=ms)
         except ConfigError as exc:
             problems.extend(f"mollifier: {v}" for v in exc.violations)
 
-    spectral_terms = r.int_("spectral.terms", 30)
+    spectral_terms = r.get("spectral.terms", as_int, 30)
     if spectral_terms is not None and spectral_terms < 1:
         problems.append("spectral.terms must be >= 1")
 
     # read only the init.* keys the init kind uses; the rest are unknown keys
     init = None
-    ikind = r.str_("init.kind", None, choices=tuple(INIT_PARAMS))
+    ikind = r.get("init.kind", default=None, choices=tuple(INIT_PARAMS))
     if ikind is not None:
-        params = {p: r.float_(f"init.{p}") for p in INIT_PARAMS[ikind]}
+        params = {p: r.get(f"init.{p}", as_float) for p in INIT_PARAMS[ikind]}
         init = InitSpec(ikind, **{p: v for p, v in params.items() if v is not None})
 
-    names_raw = r.str_("metrics.names", "")
+    names_raw = r.get("metrics.names", default="")
     metric_names = tuple(
         n.strip() for n in names_raw.split(",") if n.strip() and n.strip() != "none"
     )
@@ -351,21 +320,21 @@ def build_plan(raw: dict) -> RunPlan:
                 f"metrics.names: unknown metric {name!r} "
                 f"(choices: {', '.join(METRIC_NAMES)})"
             )
-    gt_n = r.int_("metrics.ground_truth_n", 1000)
+    gt_n = r.get("metrics.ground_truth_n", as_int, 1000)
 
-    sweep_lrs = r.floats("sweep.lrs", [])
-    sweep_seeds = r.ints("sweep.seeds", [])
-    sweep_metric = r.str_("sweep.metric", "energy", choices=("energy", "ksd"))
-    sweep_coin = r.str_("sweep.coin_stepper", "coin_adaptive", choices=COIN_STEPPERS)
+    # run_sweep reads the grid and the coin stepper; they are checked here
+    r.get("sweep.lrs", as_floats)
+    r.get("sweep.seeds", as_ints)
+    r.get("sweep.coin_stepper", choices=COIN_STEPPERS)
+    sweep_metric = r.get("sweep.metric", default="energy", choices=("energy", "ksd"))
 
     r.leftover_check()
 
-    # cross-field checks that need the target in hand
-    mmap = None
-    if target is not None:
-        mmap = make_map(target.domain, target.d)
-        if "ksd" in metric_names and (sampler not in MIRRORED_SAMPLERS or mmap is None):
-            problems.append("metrics.names: ksd needs a mirrored sampler")
+    # the ksd metric reads the dual cloud, which only mirrored samplers move
+    if sampler is not None and sampler not in MIRRORED_SAMPLERS:
+        for key, names in (("metrics.names", metric_names), ("sweep.metric", (sweep_metric,))):
+            if "ksd" in names:
+                problems.append(f"{key}: ksd needs a mirrored sampler")
 
     if n_particles is not None and n_particles < 1:
         problems.append("sampler.n_particles must be >= 1")
@@ -373,17 +342,17 @@ def build_plan(raw: dict) -> RunPlan:
         problems.append("sampler.n_iters must be >= 0")
     if metric_every is not None and metric_every < 1:
         problems.append("sampler.metric_every must be >= 1")
+    problems += check_run(target, sampler, stepper, init, n_particles)
 
     if problems:
         raise ConfigError(problems)
 
     return RunPlan(
         raw=dict(raw), seed=seed, sampler=sampler, n_particles=n_particles,
-        n_iters=n_iters, metric_every=metric_every, target=target, mmap=mmap,
+        n_iters=n_iters, metric_every=metric_every, target=target,
         stepper=stepper, kernel=kernel, mollifier=mollifier,
         spectral_terms=spectral_terms, init=init, metric_names=metric_names,
-        gt_n=gt_n, sweep_lrs=sweep_lrs or [], sweep_seeds=sweep_seeds or [],
-        sweep_metric=sweep_metric, sweep_coin_stepper=sweep_coin,
+        gt_n=gt_n, sweep_metric=sweep_metric,
     )
 
 
@@ -391,45 +360,31 @@ def build_plan(raw: dict) -> RunPlan:
 # execution
 
 
-def _build_hooks(plan: RunPlan):
-    hooks = {}
-    problems = []
-    if "energy" in plan.metric_names:
+def _metric(plan: RunPlan, name: str):
+    """The metric ``name`` of a plan as a callable (x_cloud, y_cloud) -> float."""
+    if name == "energy":
         try:
             ref = plan.target.sample_ground_truth(
                 plan.gt_n, substream(plan.seed, "ground_truth"))
         except Unsupported as exc:
-            problems.append(f"metrics.names: energy unavailable ({exc})")
-        else:
-            hooks["energy"] = lambda x, y: metrics_mod.energy_distance(x, ref)
-    if "ksd" in plan.metric_names:
-        md = MirroredDensity(plan.target, plan.mmap)
-        kc = plan.kernel
-        hooks["ksd"] = lambda x, y: metrics_mod.ksd_vstat(y, md, kc)
-    if "mean_x1" in plan.metric_names:
-        hooks["mean_x1"] = lambda x, y: float(x[:, 0].mean())
-    if problems:
-        raise ConfigError(problems)
-    return hooks
+            raise ConfigError(f"energy metric unavailable ({exc})")
+        return lambda x, y: metrics_mod.energy_distance(x, ref)
+    if name == "ksd":
+        md, kc = mirrored_density(plan.target), plan.kernel
+        return lambda x, y: metrics_mod.ksd_vstat(y, md, kc)
+    return lambda x, y: float(x[:, 0].mean())
 
 
 def execute_plan(plan: RunPlan, hooks=None):
-    hooks = _build_hooks(plan) if hooks is None else hooks
+    if hooks is None:
+        hooks = {name: _metric(plan, name)
+                 for name in METRIC_NAMES if name in plan.metric_names}
     return run_sampler(
         target=plan.target, sampler=plan.sampler,
         n_particles=plan.n_particles, n_iters=plan.n_iters, seed=plan.seed,
         stepper=plan.stepper, kernel=plan.kernel, mollifier=plan.mollifier,
         spectral_terms=plan.spectral_terms, init=plan.init,
         metric_every=plan.metric_every, hooks=hooks)
-
-
-def final_metric(plan: RunPlan, record) -> float:
-    if plan.sweep_metric == "energy":
-        ref = plan.target.sample_ground_truth(
-            plan.gt_n, substream(plan.seed, "ground_truth"))
-        return metrics_mod.energy_distance(record.x_final, ref)
-    md = MirroredDensity(plan.target, plan.mmap)
-    return metrics_mod.ksd_vstat(record.y_final, md, plan.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -502,69 +457,64 @@ def run_sample(raw: dict, out_dir: str) -> RunPlan:
     return plan
 
 
-def _sweep_raws(raw: dict, lrs, seeds, coin_stepper: str):
-    """One raw config per job: every lr per seed, then the coin twin."""
-    base_sampler = raw["sampler.kind"]
-    twin = coin_twin(base_sampler)
-    jobs = []
-    for seed in seeds:
-        for lr in lrs:
-            job = dict(raw)
-            job["seed"] = str(seed)
-            job["stepper.lr"] = repr(float(lr))
-            jobs.append(((base_sampler, float(lr), seed), job))
-        job = dict(raw)
-        job["seed"] = str(seed)
-        job["sampler.kind"] = twin
-        job["stepper.kind"] = coin_stepper
-        job.pop("stepper.lr", None)
-        jobs.append(((twin, None, seed), job))
-    return jobs
-
-
-def _sweep_job(job_raw: dict) -> float:
-    plan = build_plan(job_raw)
+def _sweep_job(plan: RunPlan) -> float:
     record = execute_plan(plan, hooks={})
-    return final_metric(plan, record)
+    return _metric(plan, plan.sweep_metric)(record.x_final, record.y_final)
 
 
 def run_sweep(raw: dict, out_dir: str, lrs=None, seeds=None,
               max_workers=None) -> list:
-    # probe the config before any work; the lr comes from the grid, so feed
-    # a placeholder when the stepper would otherwise demand one
-    probe_raw = dict(raw)
-    if "stepper.lr" not in probe_raw and raw.get("stepper.kind") not in COIN_STEPPERS:
-        probe_raw["stepper.lr"] = "0.1"
-    probe = build_plan(probe_raw)
-    lrs = list(lrs) if lrs else list(probe.sweep_lrs)
-    seeds = list(seeds) if seeds else list(probe.sweep_seeds)
     problems = []
-    if not lrs:
+    r = _Reader(raw, problems)
+    lrs = list(lrs) if lrs else r.get("sweep.lrs", as_floats, [])
+    seeds = list(seeds) if seeds else r.get("sweep.seeds", as_ints, [])
+    coin_stepper = r.get("sweep.coin_stepper", default="coin_adaptive",
+                         choices=COIN_STEPPERS)
+    if lrs == []:
         problems.append("sweep needs sweep.lrs in the config or --lrs")
-    if not seeds:
+    if seeds == []:
         problems.append("sweep needs sweep.seeds in the config or --seeds")
-    if probe.sampler.startswith("coin_"):
-        problems.append("sweep wants the gradient sampler; its coin twin "
-                        "runs automatically")
-    if probe.stepper is not None and probe.stepper.kind not in GRAD_STEPPERS:
-        problems.append("sweep requires a gradient stepper kind")
-    if probe.sweep_metric == "ksd" and probe.mmap is None:
-        problems.append("sweep.metric ksd needs a mirrored sampler")
-    if problems:
-        raise ConfigError(problems)
+    sampler = raw.get("sampler.kind")
+    twin = None
+    if sampler in SAMPLERS:  # build_plan reports a missing or unknown one
+        if sampler.startswith("coin_"):
+            problems.append("sweep wants the gradient sampler; its coin twin "
+                            "runs automatically")
+        else:
+            try:
+                twin = coin_twin(sampler)
+            except ConfigError as exc:
+                problems.extend(exc.violations)
 
-    jobs = _sweep_raws(raw, lrs, seeds, probe.sweep_coin_stepper)
-    job_raws = [j[1] for j in jobs]
+    # Every job (each lr per seed, then the coin twin) is planned, and so
+    # checked, before any job runs.  Without seeds the config's own seed
+    # stands in, so the rest of the config is still checked.  A change to
+    # None drops the key.
+    changes = []
+    for seed in seeds or [raw.get("seed", "0")]:
+        changes += [{"seed": str(seed), "stepper.lr": repr(float(lr))} for lr in lrs or []]
+        if twin and coin_stepper:
+            changes.append({"seed": str(seed), "sampler.kind": twin,
+                            "stepper.kind": coin_stepper, "stepper.lr": None})
+    plans = []
+    for change in changes:
+        job = {k: v for k, v in {**raw, **change}.items() if v is not None}
+        try:
+            plans.append(build_plan(job))
+        except ConfigError as exc:
+            problems.extend(exc.violations)
+    if problems:
+        raise ConfigError(list(dict.fromkeys(problems)))
+
     if max_workers is None:
-        max_workers = min(len(jobs), os.cpu_count() or 1)
+        max_workers = min(len(plans), os.cpu_count() or 1)
     if max_workers <= 1:
-        results = [_sweep_job(j) for j in job_raws]
+        results = [_sweep_job(p) for p in plans]
     else:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_sweep_job, job_raws))
+            results = list(pool.map(_sweep_job, plans))
 
-    rows = [(key[0], key[1], key[2], value)
-            for (key, _), value in zip(jobs, results)]
+    rows = [(p.sampler, p.stepper.lr, p.seed, value) for p, value in zip(plans, results)]
     os.makedirs(out_dir, exist_ok=True)
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)
     write_meta_json(os.path.join(out_dir, "meta.json"), {
@@ -572,7 +522,7 @@ def run_sweep(raw: dict, out_dir: str, lrs=None, seeds=None,
         "config": dict(raw),
         "lrs": [float(v) for v in lrs],
         "seeds": [int(s) for s in seeds],
-        "metric": probe.sweep_metric,
+        "metric": plans[0].sweep_metric,
     })
     return rows
 
@@ -585,7 +535,7 @@ def build_target_only(raw: dict):
     """
     problems: list = []
     r = _Reader(raw, problems)
-    seed = r.int_("seed", 0)
+    seed = r.get("seed", as_int, 0)
     target = _build_target(r)
     if target is None and not problems:
         problems.append("target could not be built")

@@ -145,9 +145,10 @@ class InitSpec:
     scale: float = 0.5       # box_uniform: central fraction of the box
 
 
-# the InitSpec fields each init kind reads
+# the InitSpec fields each init kind reads, and the domain it draws on
 INIT_PARAMS = {"dirichlet": ("alpha",), "lognormal": ("mu", "sigma"),
                "box_uniform": ("scale",)}
+INIT_DOMAIN = {"dirichlet": "simplex", "lognormal": "orthant", "box_uniform": "box"}
 
 
 @dataclass(frozen=True)
@@ -164,30 +165,30 @@ def domain_of(target) -> Domain:
 
 
 def default_init(domain: Domain) -> InitSpec:
-    return {
-        "simplex": InitSpec("dirichlet"),
-        "orthant": InitSpec("lognormal"),
-        "box": InitSpec("box_uniform"),
-    }[domain.kind]
+    return InitSpec(next(k for k, dom in INIT_DOMAIN.items() if dom == domain.kind))
+
+
+def _init_problems(spec: InitSpec, domain_kind: str) -> list:
+    if spec.kind not in INIT_DOMAIN:
+        return [f"unknown init kind {spec.kind!r}"]
+    if INIT_DOMAIN[spec.kind] != domain_kind:
+        return [f"{spec.kind} init needs the {INIT_DOMAIN[spec.kind]} domain, "
+                f"not the {domain_kind}"]
+    return []
 
 
 def draw_init(spec: InitSpec, domain: Domain, n: int, d: int,
               rng: np.random.Generator) -> np.ndarray:
+    problems = _init_problems(spec, domain.kind)
+    if problems:
+        raise ConfigError(problems)
     if spec.kind == "dirichlet":
-        if domain.kind != "simplex":
-            raise ConfigError("dirichlet init requires a simplex domain")
         return rng.dirichlet(np.full(d + 1, spec.alpha), size=n)[:, :d]
     if spec.kind == "lognormal":
-        if domain.kind != "orthant":
-            raise ConfigError("lognormal init requires an orthant domain")
         return np.exp(spec.mu + spec.sigma * rng.standard_normal((n, d)))
-    if spec.kind == "box_uniform":
-        if domain.kind != "box":
-            raise ConfigError("box_uniform init requires a box domain")
-        mid = 0.5 * (domain.lo + domain.hi)
-        half = 0.5 * (domain.hi - domain.lo)
-        return mid + spec.scale * half * rng.uniform(-1.0, 1.0, size=(n, d))
-    raise ConfigError(f"unknown init kind {spec.kind!r}")
+    mid = 0.5 * (domain.lo + domain.hi)
+    half = 0.5 * (domain.hi - domain.lo)
+    return mid + spec.scale * half * rng.uniform(-1.0, 1.0, size=(n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +407,34 @@ class RunRecord:
     y_final: np.ndarray | None = None
 
 
-def _validate_run(target, sampler, stepper):
-    problems = []
+# KSD descent holds about 8 N^2 (4 d^2 + 8 d + 1) bytes of float64 pairwise
+# tensors per direction (the (N, N, d, d) contraction and its (N, N, d)
+# companions); runs whose estimate passes this budget are refused.  2 GiB is
+# a quarter of an 8 GiB host, so a two-worker sweep stays under half of it.
+KSD_DESCENT_BUDGET = 2 * 2**30
+
+
+def check_run(target, sampler, stepper, init, n_particles) -> list:
+    """Every reason ``sampler`` cannot run on ``target`` as configured.
+
+    An argument given as None (it failed to parse) skips the checks that
+    need it; ``init`` None is the domain's default init.
+    """
+    if sampler is None:
+        return []
     if sampler not in SAMPLERS:
-        problems.append(f"unknown sampler {sampler!r}")
-        raise ConfigError(problems)
-    is_coin = sampler.startswith("coin_")
-    if is_coin and stepper.kind not in COIN_STEPPERS:
-        problems.append(f"{sampler} requires a coin stepper, got {stepper.kind!r}")
-    if not is_coin and stepper.kind in COIN_STEPPERS:
-        problems.append(f"{sampler} requires a gradient stepper, got {stepper.kind!r}")
-    if sampler == "mla" and stepper.kind != "fixed_lr":
-        problems.append("mla uses a fixed step size (stepper fixed_lr)")
+        return [f"unknown sampler {sampler!r}"]
+    problems = []
+    if stepper is not None:
+        is_coin = sampler.startswith("coin_")
+        if is_coin and stepper.kind not in COIN_STEPPERS:
+            problems.append(f"{sampler} requires a coin stepper, got {stepper.kind!r}")
+        if not is_coin and stepper.kind in COIN_STEPPERS:
+            problems.append(f"{sampler} requires a gradient stepper, got {stepper.kind!r}")
+        if sampler == "mla" and stepper.kind != "fixed_lr":
+            problems.append("mla uses a fixed step size (stepper fixed_lr)")
+    if target is None:
+        return problems
     if sampler in MIRRORED_SAMPLERS and target.domain == "box":
         problems.append("no mirror map covers a box domain; use svgd_proj or mied")
     if sampler in ("mied", "coin_mied") and target.domain != "box":
@@ -425,8 +442,21 @@ def _validate_run(target, sampler, stepper):
                         f"not the {target.domain}; use a mirrored sampler")
     if sampler in ("mlawgd", "coin_mlawgd") and target.d != 1:
         problems.append("the spectral kernel flow ships only for d = 1")
-    if problems:
-        raise ConfigError(problems)
+    if init is not None:
+        problems += _init_problems(init, target.domain)
+    if sampler in ("mksdd", "coin_mksdd") and n_particles is not None:
+        need = 8 * n_particles**2 * (4 * target.d**2 + 8 * target.d + 1)
+        if need > KSD_DESCENT_BUDGET:
+            problems.append(
+                f"{sampler} at N={n_particles}, d={target.d} needs about "
+                f"{need / 2**30:.1f} GiB per direction, over the "
+                f"{KSD_DESCENT_BUDGET / 2**30:.0f} GiB budget; use fewer particles")
+    return problems
+
+
+def mirrored_density(target) -> MirroredDensity:
+    """The target paired with its domain's mirror map."""
+    return MirroredDensity(target, make_map(target.domain, target.d))
 
 
 def run_sampler(
@@ -453,14 +483,17 @@ def run_sampler(
     projected samplers.  The record's ``y_final`` holds those coordinates
     (None for projected samplers).
 
+    ``stepper`` defaults to the adaptive coin engine, so a gradient sampler
+    needs an explicit one; :func:`check_run`'s problems raise ConfigError.
+
     ``hooks`` maps metric names to callables ``(x_cloud, y_cloud) -> float``
     evaluated at iteration 0, every ``metric_every`` iterations, and at the
     final iteration.  ``y_cloud`` is None for projected samplers.
     """
-    if stepper is None:
-        stepper = StepperConfig("coin_adaptive") if sampler.startswith("coin_") \
-            else StepperConfig("fixed_lr", lr=0.1)
-    _validate_run(target, sampler, stepper)
+    stepper = stepper or StepperConfig()
+    problems = check_run(target, sampler, stepper, init, n_particles)
+    if problems:
+        raise ConfigError(problems)
     hooks = hooks or {}
     base = sampler.removeprefix("coin_")
     projected = base == "svgd_proj"
@@ -493,8 +526,8 @@ def run_sampler(
 
         Z = rep.from_x(X)
     else:
-        mmap = make_map(target.domain, target.d)
-        md = MirroredDensity(target, mmap)
+        md = mirrored_density(target)
+        mmap = md.mmap
         direction = {
             "msvgd": lambda y: msvgd_direction(y, md, kernel.family,
                                                resolve_bandwidth(kernel, y)),

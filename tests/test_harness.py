@@ -92,7 +92,7 @@ class TestBuildPlan:
         assert plan.kernel.bandwidth == "median"
         assert plan.stepper.kind == "coin_adaptive"
         assert isinstance(plan.target, SparseDirichlet)
-        assert plan.mmap is not None and plan.mmap.domain == "simplex"
+        assert plan.target.domain == "simplex"
 
     def test_collects_many_violations(self):
         raw = self.base()
@@ -149,7 +149,6 @@ class TestBuildPlan:
         plan = build_plan(raw)
         assert isinstance(plan.target, UniformBox)
         assert np.allclose(plan.target.hi, 2.5) and plan.target.d == 3
-        assert plan.mmap is None
 
     def test_init_keys_the_kind_does_not_use_are_unknown(self):
         raw = self.base()
@@ -166,6 +165,20 @@ class TestBuildPlan:
             ["unknown key 'init.mu'"]
         del raw["init.mu"]
         assert build_plan(raw).init.alpha == 2.0
+
+    def test_ksd_descent_over_memory_budget_is_refused(self):
+        # N=1000, d=20 would need about 13 GiB per direction; the plan is
+        # refused before anything is allocated
+        raw = {
+            "target.kind": "exp_orthant", "target.d": "20",
+            "sampler.kind": "coin_mksdd", "sampler.n_particles": "1000",
+            "sampler.n_iters": "10",
+        }
+        with pytest.raises(ConfigError) as err:
+            build_plan(raw)
+        assert any("13.1 GiB" in m and "2 GiB budget" in m for m in err.value.violations)
+        raw["sampler.n_particles"] = "200"
+        assert build_plan(raw).n_particles == 200
 
     def test_dirichlet_dimension_cross_check(self):
         raw = self.base()
@@ -351,6 +364,36 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and domain in err
+
+    def test_every_problem_reported_in_one_exit(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, (
+            "target.kind = exp_orthant\n"
+            "target.d = 2\n"
+            "sampler.kind = mlawgd\n"
+            "sampler.n_particles = 6\n"
+            "sampler.n_iters = 3\n"
+            "stepper.lr = 0.01\n"
+            "init.kind = dirichlet\n"
+            "metrics.names = bogus\n"
+        ))
+        code = main(["sample", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown metric 'bogus'" in err
+        assert "spectral kernel flow ships only for d = 1" in err
+        assert "dirichlet init needs the simplex domain, not the orthant" in err
+        assert not os.path.exists(str(tmp_path / "o"))
+
+    def test_sweep_ksd_on_projected_sampler_exit_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SWEEP_CONFIG.replace(
+            "sampler.kind = msvgd", "sampler.kind = svgd_proj").replace(
+            "sweep.metric = energy", "sweep.metric = ksd"))
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--lrs", "0.05", "--seeds", "0", "--workers", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "sweep.metric: ksd needs a mirrored sampler" in err
 
     def test_missing_config_file_exit_one(self, tmp_path, capsys):
         code = main(["sample", "--config", str(tmp_path / "nope.txt"),

@@ -515,6 +515,16 @@ class TestRunLoop:
         with pytest.raises(ConfigError):  # unknown sampler
             run_sampler(target=t, sampler="hmc", n_particles=4,
                         n_iters=1, seed=0)
+        with pytest.raises(ConfigError, match="gradient stepper"):  # no stepper given
+            run_sampler(target=t, sampler="msvgd", n_particles=4,
+                        n_iters=1, seed=0)
+
+    def test_ksd_descent_over_memory_budget_is_refused(self):
+        # n_iters=0 computes no direction, so a missing check fails the test
+        # without allocating the 13 GiB
+        with pytest.raises(ConfigError, match="over the 2 GiB budget"):
+            run_sampler(target=ExpOrthant(20, rate=1.0), sampler="coin_mksdd",
+                        n_particles=1000, n_iters=0, seed=0)
 
     def test_runaway_step_raises_domain_violation(self):
         # a huge fixed step saturates the inverse map to the boundary
