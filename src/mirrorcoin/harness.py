@@ -368,7 +368,8 @@ def _metric(plan: RunPlan, name: str):
                 plan.gt_n, substream(plan.seed, "ground_truth"))
         except Unsupported as exc:
             raise ConfigError(f"energy metric unavailable ({exc})")
-        return lambda x, y: metrics_mod.energy_distance(x, ref)
+        distance = metrics_mod.energy_distance_to(ref)
+        return lambda x, y: distance(x)
     if name == "ksd":
         md, kc = mirrored_density(plan.target), plan.kernel
         return lambda x, y: metrics_mod.ksd_vstat(y, md, kc)

@@ -7,6 +7,9 @@ r^2.  Those derivatives are what every downstream gradient needs:
     grad_x k = 2 f'(r^2) (x - x')
 
 and similarly for the second- and third-order terms of the Stein kernel.
+Sums over particle pairs are written as N x N scalar weights followed by
+matrix products (:func:`pair_sum`), so no (N, N, d) difference tensor is
+ever built.
 """
 
 from __future__ import annotations
@@ -97,3 +100,8 @@ def radial_profile(family: str, r2: np.ndarray, h: float):
         f = np.exp(-r2 / h2)
         return f, -f / h2, f / h2**2, -f / h2**3
     raise ValueError(f"unknown kernel family {family!r}")
+
+
+def pair_sum(c: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row i = sum_j c[j, i] (x_j - x_i), as c^T X - colsum(c) x_i."""
+    return c.T @ X - c.sum(axis=0)[:, None] * X

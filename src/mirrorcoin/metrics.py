@@ -9,6 +9,25 @@ from .kernels import KernelConfig, resolve_bandwidth
 from .samplers import stein_vstat
 
 
+def energy_distance_to(ref: np.ndarray):
+    """Energy distance to a fixed reference cloud, as a callable of the other
+    cloud; the reference's own mean pairwise distance is computed once."""
+    ref = np.atleast_2d(np.asarray(ref, dtype=float))
+    nb = ref.shape[0]
+    within_ref = 2.0 * pdist(ref).sum() / nb**2 if nb > 1 else 0.0
+
+    def distance(a: np.ndarray) -> float:
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        if a.shape[-1] != ref.shape[-1]:
+            raise ValueError("clouds must share a dimension")
+        na = a.shape[0]
+        cross = cdist(a, ref).mean()
+        within_a = 2.0 * pdist(a).sum() / na**2 if na > 1 else 0.0
+        return float(2.0 * cross - within_a - within_ref)
+
+    return distance
+
+
 def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     """V-statistic energy distance 2 E|a-b| - E|a-a'| - E|b-b'|.
 
@@ -16,15 +35,7 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     diagonal, so the statistic is nonnegative and exactly zero for
     identical clouds.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError("clouds must share a dimension")
-    na, nb = a.shape[0], b.shape[0]
-    cross = cdist(a, b).mean()
-    within_a = 2.0 * pdist(a).sum() / na**2 if na > 1 else 0.0
-    within_b = 2.0 * pdist(b).sum() / nb**2 if nb > 1 else 0.0
-    return float(2.0 * cross - within_a - within_b)
+    return energy_distance_to(b)(a)
 
 
 def ksd_vstat(Y: np.ndarray, md, kernel: KernelConfig = KernelConfig()) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from .errors import ConfigError
@@ -46,36 +47,33 @@ class MollifierConfig:
             raise ConfigError(problems)
 
 
-def _mollifier_terms(config: MollifierConfig, d: int, diff: np.ndarray,
-                     r2: np.ndarray):
-    """Log mollifier values and their gradients in the first argument.
+def _mollifier_terms(config: MollifierConfig, d: int, r2: np.ndarray):
+    """Log mollifier values and their gradient scale.
 
-    diff[i, j] = x_i - x_j, r2 the squared norms.  Returns (logphi, grad)
-    with shapes (N, N) and (N, N, d).
+    r2[i, j] = ||x_i - x_j||^2.  Returns (logphi, scale), where the gradient
+    of logphi[i, j] in x_i is scale[i, j] (x_i - x_j); scale is (N, N) or a
+    scalar, and is 0 for the laplace kernel at r2 = 0 (subgradient choice).
     """
     eps = config.eps
     if config.kind == "riesz":
         s = config.s if config.s is not None else d + 1e-4
         base = r2 + eps * eps
-        return -0.5 * s * np.log(base), -s * diff / base[..., None]
+        return -0.5 * s * np.log(base), -s / base
     if config.kind == "gaussian":
-        return -r2 / (2.0 * eps * eps), -diff / (eps * eps)
-    # laplace: -||z|| / eps, gradient 0 at the origin (subgradient choice)
+        return -r2 / (2.0 * eps * eps), -1.0 / (eps * eps)
+    # laplace: -||z|| / eps
     r = np.sqrt(r2)
-    inv = np.zeros_like(r)
-    nz = r > 0.0
-    inv[nz] = 1.0 / (eps * r[nz])
-    return -r / eps, -diff * inv[..., None]
+    return -r / eps, np.divide(-1.0, eps * r, out=np.zeros_like(r), where=r > 0.0)
 
 
 def _log_terms(x: np.ndarray, target, config: MollifierConfig):
+    """The N x N log terms, the mollifier gradient scale and r2."""
     x = np.asarray(x, dtype=float)
-    diff = x[:, None, :] - x[None, :, :]
-    r2 = np.einsum("ija,ija->ij", diff, diff)
-    logphi, grad = _mollifier_terms(config, x.shape[-1], diff, r2)
+    r2 = cdist(x, x, "sqeuclidean")
+    logphi, scale = _mollifier_terms(config, x.shape[-1], r2)
     logp = target.log_density(x)
-    T = logphi - 0.5 * (logp[:, None] + logp[None, :])
-    return T, grad, logp
+    logphi -= 0.5 * (logp[:, None] + logp[None, :])
+    return logphi, scale, r2
 
 
 def mie_log_energy(x: np.ndarray, target, config: MollifierConfig) -> float:
@@ -92,10 +90,16 @@ def mie_gradient(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
     mollifier gradients of its row and column plus a score term weighted by
     its total softmax mass.
     """
-    T, gphi, _ = _log_terms(x, target, config)
-    w = np.exp(T - logsumexp(T))
+    T, scale, r2 = _log_terms(x, target, config)
+    T -= T.max()
+    w = np.exp(T, out=T)
+    w /= w.sum()
     w2 = w + w.T                       # row m pairs (m, j); column (i, m)
-    pair = np.einsum("mj,mja->ma", w2, gphi)
+    # pair[m] = sum_j c[m, j] (x_m - x_j); at r2 = 0 the difference is 0, so
+    # c is too there, whatever the scale (the riesz self term is ~1e16)
+    c = w2 * scale
+    c[r2 == 0.0] = 0.0
+    pair = c.sum(axis=1)[:, None] * x - c @ x
     mass = w2.sum(axis=1)
     return pair - 0.5 * mass[:, None] * target.score(x)
 

@@ -19,11 +19,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .coin import make_coin
 from .errors import ConfigError, DomainViolation
 from .geometry import INTERIOR_TOL, make_map
-from .kernels import KernelConfig, radial_profile, resolve_bandwidth
+from .kernels import KernelConfig, pair_sum, radial_profile, resolve_bandwidth
 from .mied import MollifierConfig, TanhBox, mie_gradient
 from .rng import substream
 from .targets import MirroredDensity
@@ -234,53 +235,70 @@ def project_to_domain(domain: Domain, x: np.ndarray, tol: float = INTERIOR_TOL) 
 # directions
 
 
+def _apply(B: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row i = B_i v_i for a stack of matrices B (N, d, d) and rows v (N, d)."""
+    return np.einsum("iab,ib->ia", B, v)
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row j = u_j v_j^T, flattened to d*d entries."""
+    return (u[:, :, None] * v[:, None, :]).reshape(u.shape[0], -1)
+
+
 def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
     """Mirrored SVGD update direction for every particle.
 
     Row i is (1/N) sum_j [ k_phi(y_j, y_i) s(y_j) + grad_{y_j} k_phi(y_j, y_i) ],
     with s the dual score; the kernel gradient chains one inverse mirror
-    Hessian onto the base-kernel gradient at the primal images.
+    Hessian onto the base-kernel gradient at the primal images, so the
+    repulsion sum_j 2 f1[j, i] A_j (x_j - x_i) is f1^T (A x) minus
+    (sum_j f1[j, i] A_j) x_i.
     """
     mmap = md.mmap
-    n = Y.shape[0]
+    n, d = Y.shape
     X = mmap.dual_to_primal(Y)
     S = md.dual_score_from_primal(X)
-    diff = X[:, None, :] - X[None, :, :]          # [j, i] = x_j - x_i
-    r2 = np.einsum("jia,jia->ji", diff, diff)
-    f, f1, _, _ = radial_profile(family, r2, h)
-    drift = np.einsum("ji,ja->ia", f, S)
-    gx = 2.0 * f1[..., None] * diff               # grad_{x_j} k(x_j, x_i)
-    repulse = mmap.hessian_inverse_apply(X[:, None, :], gx).sum(axis=0)
-    return (drift + repulse) / n
+    f, f1, _, _ = radial_profile(family, cdist(X, X, "sqeuclidean"), h)
+    f1A = (f1.T @ mmap.inverse_hessian(X).reshape(n, d * d)).reshape(n, d, d)
+    repulse = f1.T @ mmap.hessian_inverse_apply(X, X) - _apply(f1A, X)
+    return (f.T @ S + 2.0 * repulse) / n
 
 
 def svgd_direction(X: np.ndarray, target, family: str, h: float) -> np.ndarray:
     """Plain primal-space SVGD direction (used by the projected baselines)."""
     n = X.shape[0]
-    S = target.score(X)
-    diff = X[:, None, :] - X[None, :, :]
-    r2 = np.einsum("jia,jia->ji", diff, diff)
-    f, f1, _, _ = radial_profile(family, r2, h)
-    drift = np.einsum("ji,ja->ia", f, S)
-    repulse = (2.0 * f1[..., None] * diff).sum(axis=0)
-    return (drift + repulse) / n
+    f, f1, _, _ = radial_profile(family, cdist(X, X, "sqeuclidean"), h)
+    return (f.T @ target.score(X) + 2.0 * pair_sum(f1, X)) / n
 
 
 # -- Stein kernel of the mirrored target ------------------------------------
+#
+# Matrices indexed [j, i] pair the first argument y_j with the second y_i;
+# dx = x_j - x_i is their primal difference and A_j the inverse mirror
+# Hessian at x_j.  Every pair term is an N x N scalar matrix built from matrix
+# products, so nothing of size N^2 d is held at once.
 
 
 def _stein_context(Y, md, family, h):
     mmap = md.mmap
+    n, d = Y.shape
     X = mmap.dual_to_primal(Y)
     A = mmap.inverse_hessian(X)                    # (N,d,d)
+    Af = A.reshape(n, d * d)
     q = md.score_shift(X)                          # (N,d)
-    S = np.einsum("nab,nb->na", A, q)              # dual scores
-    diff = X[:, None, :] - X[None, :, :]           # [j,i] = x_j - x_i
-    r2 = np.einsum("jia,jia->ji", diff, diff)
-    f, f1, f2, f3 = radial_profile(family, r2, h)
-    P = np.einsum("iab,jib->jia", A, diff)         # A_i (x_j - x_i)
-    Q = np.einsum("jab,jib->jia", A, diff)         # A_j (x_j - x_i)
-    return X, A, q, S, diff, f, f1, f2, f3, P, Q
+    S = _apply(A, q)                               # dual scores
+    u = _apply(A, X)                               # A_j x_j
+    f, f1, f2, f3 = radial_profile(family, cdist(X, X, "sqeuclidean"), h)
+    s4 = _outer(X, S) @ Af.T - S @ u.T             # dx^T A_i S_j
+    # dx^T (A_i S_j - A_j S_i) + tr(A_j A_i), the two terms that share weights
+    st = s4 + s4.T + Af @ Af.T
+    z = _outer(u, X) @ Af.T                        # x_j^T A_j A_i x_j
+    cross = np.zeros((n, n))                       # x_i^T A_j A_i x_j
+    for Ac in A.transpose(1, 0, 2):
+        Tc = Ac @ X.T                              # [j, i] = (A_j x_i)_c
+        cross += Tc * Tc.T
+    qp = z + z.T - u @ u.T - cross                 # dx^T A_j A_i dx
+    return X, A, q, S, u, f, f1, f2, f3, S @ S.T, st, qp
 
 
 def stein_kernel_matrix(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
@@ -290,14 +308,8 @@ def stein_kernel_matrix(Y: np.ndarray, md: MirroredDensity, family: str, h: floa
     second-derivative trace, everything expressed through primal images and
     inverse mirror Hessians.
     """
-    _, A, _, S, _, f, f1, f2, _, P, Q = _stein_context(Y, md, family, h)
-    ss = np.einsum("ja,ia->ji", S, S)
-    t1 = f * ss
-    t2 = -2.0 * f1 * np.einsum("ja,jia->ji", S, P)
-    t3 = 2.0 * f1 * np.einsum("jia,ia->ji", Q, S)
-    trAA = np.einsum("jab,iab->ji", A, A)
-    t4 = -2.0 * f1 * trAA - 4.0 * f2 * np.einsum("jia,jia->ji", P, Q)
-    return t1 + t2 + t3 + t4
+    _, _, _, _, _, f, f1, f2, _, ss, st, qp = _stein_context(Y, md, family, h)
+    return f * ss - 2.0 * f1 * st - 4.0 * f2 * qp
 
 
 def stein_vstat(Y, md, family, h) -> float:
@@ -305,66 +317,62 @@ def stein_vstat(Y, md, family, h) -> float:
     return float(stein_kernel_matrix(Y, md, family, h).mean())
 
 
-def stein_kernel_grad2(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
-    """grad of the stein kernel in its second argument: out[j, i] =
-    grad_{y_i} K(y_j, y_i), shape (N, N, d).
+def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
+    """Descent direction on the squared discrepancy:
+    row i = -(1/N^2) sum_j grad_{y_i} K(y_j, y_i).
 
     Differentiates every term of the kernel through the second argument's
-    primal image; derivatives of the inverse mirror Hessian enter via the
-    map's Frobenius contraction, and the dual-score Jacobian via the
-    score-shift Jacobian.
+    primal image and sums over j before any contraction: derivatives of the
+    inverse mirror Hessian enter via the map's Frobenius contraction, which
+    is linear and so is applied once to sum_j M[j, i], and the dual-score
+    Jacobian via the score-shift Jacobian.
     """
     mmap = md.mmap
-    X, A, q, S, diff, f, f1, f2, f3, P, Q = _stein_context(Y, md, family, h)
-    Hq = md.score_shift_jacobian(X)                # (N,d,d)
+    n, d = Y.shape
+    X, A, q, S, u, f, f1, f2, f3, ss, st, qp = _stein_context(Y, md, family, h)
+    Af = A.reshape(n, d * d)
+    f1A = (f1.T @ Af).reshape(n, d, d)             # sum_j f1 A_j
+    f2A = (f2.T @ Af).reshape(n, d, d)
+    f1S = f1.T @ S
+    f2Adx = f2.T @ u - _apply(f2A, X)              # sum_j f2 A_j dx
 
-    # w[j,i] = f * S_j + A_j grad_x k = f S_j + 2 f1 Q
-    w = f[..., None] * S[:, None, :] + 2.0 * f1[..., None] * Q
+    # the terms cubic in A and x: sum_j f2 (A_j x_i) x_j^T and sum_j f2 A_j A_i x_j
+    cub = np.empty((n, d, d))
+    aax = np.zeros((n, d))
+    for c in range(d):
+        Tc = A[:, c, :] @ X.T                      # [j, i] = (A_j x_i)_c
+        cub[:, c, :] = (f2 * Tc).T @ X
+        aax += (f2.T * Tc) @ A[:, :, c]
+
+    # W_i = sum_j w[j,i], w = f S_j + A_j grad_x k = f S_j + 2 f1 A_j dx
+    W = f.T @ S + 2.0 * (f1.T @ u - _apply(f1A, X))
 
     # One Frobenius contraction <dA/dx_m, M> at x_i collects three sources:
     #   w q_i^T        (dual-score Jacobian, dA part)
-    #   S_j (grad_{x'} k)^T = -2 f1 S_j diff^T
-    #   A_j Hk = -2 f1 A_j - 4 f2 Q diff^T
-    M = np.einsum("jia,ib->jiab", w, q)
-    M -= 2.0 * f1[..., None, None] * np.einsum("ja,jib->jiab", S, diff)
-    M -= 2.0 * f1[..., None, None] * A[:, None, :, :]
-    M -= 4.0 * f2[..., None, None] * np.einsum("jia,jib->jiab", Q, diff)
-    g = mmap.d_inv_hessian_contract(X[None, :, :], M)
+    #   S_j (grad_{x'} k)^T = -2 f1 S_j dx^T
+    #   A_j Hk = -2 f1 A_j - 4 f2 A_j dx dx^T
+    M = W[:, :, None] * q[:, None, :]
+    M -= 2.0 * ((f1.T @ _outer(S, X)).reshape(n, d, d) - f1S[:, :, None] * X[:, None, :])
+    M -= 2.0 * f1A
+    M -= 4.0 * ((f2.T @ _outer(u, X)).reshape(n, d, d) - cub
+                - f2Adx[:, :, None] * X[:, None, :])
+    g = mmap.d_inv_hessian_contract(X, M)
 
-    # dual-score Jacobian, A Hq part: Hq_i (A_i w)
-    Aw = np.einsum("iab,jib->jia", A, w)
-    g += np.einsum("iab,jib->jia", Hq, Aw)
+    # dual-score Jacobian, A Hq part: Hq_i (A_i W_i)
+    g += _apply(md.score_shift_jacobian(X), _apply(A, W))
 
-    # (S_j . S_i) grad_{x'} k
-    ss = np.einsum("ja,ia->ji", S, S)
-    g -= 2.0 * (f1 * ss)[..., None] * diff
+    # every term along dx: (S_j . S_i) grad_{x'} k, the Hessians acting on
+    # A_i S_j and A_j S_i, and the trace tr[A_j dHk A_i]
+    g += pair_sum(-2.0 * f1 * ss + 4.0 * f2 * st + 8.0 * f3 * qp, X)
 
-    # Hessian-in-second-argument acting on A_i S_j: (2 f1 I + 4 f2 dd^T) v
-    v2 = np.einsum("iab,jb->jia", A, S)
-    g += 2.0 * f1[..., None] * v2
-    g += 4.0 * f2[..., None] * np.einsum("jia,jia->ji", diff, v2)[..., None] * diff
+    # the Hessians acting on A_i S_j and A_j S_i, identity part
+    g += 2.0 * _apply(A, f1S) - 2.0 * _apply(f1A, S)
 
-    # mixed Hessian acting on A_j S_i: (-2 f1 I - 4 f2 dd^T) v
-    v3 = np.einsum("jab,ib->jia", A, S)
-    g -= 2.0 * f1[..., None] * v3
-    g -= 4.0 * f2[..., None] * np.einsum("jia,jia->ji", diff, v3)[..., None] * diff
-
-    # trace term: tr[A_j dHk A_i]
-    trAA = np.einsum("jab,iab->ji", A, A)
-    qp = np.einsum("jia,jia->ji", Q, P)
-    g += (4.0 * f2 * trAA + 8.0 * f3 * qp)[..., None] * diff
-    g += 4.0 * f2[..., None] * (np.einsum("jab,jib->jia", A, P)
-                                + np.einsum("iab,jib->jia", A, Q))
+    # trace term, rest: 4 f2 (A_i A_j dx + A_j A_i dx)
+    g += 4.0 * (_apply(A, f2Adx) + aax - _apply(f2A, u))
 
     # chain to dual coordinates through A_i
-    return np.einsum("iab,jib->jia", A, g)
-
-
-def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
-    """Descent direction on the squared discrepancy:
-    row i = -(1/N^2) sum_j grad_{y_i} K(y_j, y_i)."""
-    n = Y.shape[0]
-    return -stein_kernel_grad2(Y, md, family, h).sum(axis=0) / n**2
+    return -_apply(A, g) / n**2
 
 
 # -- spectral (Hermite) kernel flow ------------------------------------------
@@ -407,10 +415,12 @@ class RunRecord:
     y_final: np.ndarray | None = None
 
 
-# KSD descent holds about 8 N^2 (4 d^2 + 8 d + 1) bytes of float64 pairwise
-# tensors per direction (the (N, N, d, d) contraction and its (N, N, d)
-# companions); runs whose estimate passes this budget are refused.  2 GiB is
-# a quarter of an 8 GiB host, so a two-worker sweep stays under half of it.
+# KSD descent holds at most about 13 float64 (N, N) matrices (the radial
+# profile, the Stein kernel's scalar pair terms and their weights) and 10
+# (N, d, d) stacks (inverse Hessians, their weighted sums and the contraction)
+# per direction, 8 N (13 N + 10 d^2) bytes; runs whose estimate passes this
+# budget are refused.  2 GiB is a quarter of an 8 GiB host, so a two-worker
+# sweep stays under half of it.
 KSD_DESCENT_BUDGET = 2 * 2**30
 
 
@@ -445,7 +455,7 @@ def check_run(target, sampler, stepper, init, n_particles) -> list:
     if init is not None:
         problems += _init_problems(init, target.domain)
     if sampler in ("mksdd", "coin_mksdd") and n_particles is not None:
-        need = 8 * n_particles**2 * (4 * target.d**2 + 8 * target.d + 1)
+        need = 8 * n_particles * (13 * n_particles + 10 * target.d**2)
         if need > KSD_DESCENT_BUDGET:
             problems.append(
                 f"{sampler} at N={n_particles}, d={target.d} needs about "
@@ -502,10 +512,11 @@ def run_sampler(
     X = draw_init(init or default_init(domain), domain, n_particles, target.d,
                   substream(seed, "init"))
 
-    # Z is what the stepper moves; settle maps a stepped Z to (Z, X).
+    # Z is what the stepper moves; settle maps a stepped Z to (Z, X), and
+    # direction(Z, X) is the outcome the stepper takes at the pair.
     mmap = None
     if projected:
-        def direction(x):
+        def direction(x, _):
             return svgd_direction(x, target, kernel.family,
                                   resolve_bandwidth(kernel, x))
 
@@ -517,9 +528,8 @@ def run_sampler(
     elif base == "mied":
         rep = TanhBox(target.lo, target.hi)
 
-        # x is recomputed from w, so the first step sees to_x(from_x(x0))
-        def direction(w):
-            return -rep.jacobian_diag(w) * mie_gradient(rep.to_x(w), target, mollifier)
+        def direction(w, x):
+            return -rep.jacobian_diag(w) * mie_gradient(x, target, mollifier)
 
         def settle(w):
             return w, rep.to_x(w)
@@ -529,12 +539,12 @@ def run_sampler(
         md = mirrored_density(target)
         mmap = md.mmap
         direction = {
-            "msvgd": lambda y: msvgd_direction(y, md, kernel.family,
-                                               resolve_bandwidth(kernel, y)),
-            "mksdd": lambda y: mksdd_direction(y, md, kernel.family,
-                                               resolve_bandwidth(kernel, y)),
-            "mlawgd": lambda y: mlawgd_direction(y, spectral_terms),
-            "mla": md.dual_score,
+            "msvgd": lambda y, _: msvgd_direction(y, md, kernel.family,
+                                                  resolve_bandwidth(kernel, y)),
+            "mksdd": lambda y, _: mksdd_direction(y, md, kernel.family,
+                                                  resolve_bandwidth(kernel, y)),
+            "mlawgd": lambda y, _: mlawgd_direction(y, spectral_terms),
+            "mla": lambda y, _: md.dual_score(y),
         }[base]
 
         def settle(y):
@@ -558,7 +568,7 @@ def run_sampler(
 
     observe(0, X, Z)
     for it in range(1, n_iters + 1):
-        Z, X = settle(engine.step(Z, direction(Z)))
+        Z, X = settle(engine.step(Z, direction(Z, X)))
         if mmap is not None and not np.all(mmap.is_interior(X)):
             raise DomainViolation(
                 f"{sampler}: particle left the open domain at iteration {it}"

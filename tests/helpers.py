@@ -4,9 +4,12 @@ for the test suite."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import logsumexp
 
 from mirrorcoin.kernels import radial_profile
+from mirrorcoin.mied import MollifierConfig
 from mirrorcoin.samplers import hermite_features
+from mirrorcoin.targets import MirroredDensity
 
 
 def fd_grad(f, x, h=1e-6):
@@ -112,3 +115,179 @@ def hermite_kernel(ya: np.ndarray, yb: np.ndarray, n_terms: int) -> np.ndarray:
     Fb = hermite_features(yb, n_terms)[:, 1:]
     inv_eig = 1.0 / np.arange(1.0, n_terms + 1.0)
     return (Fa * inv_eig) @ Fb.T
+
+
+# ---------------------------------------------------------------------------
+# einsum references of the pairwise direction kernels
+#
+# These build the (N, N, d) pair differences, and the Stein kernel gradient
+# its (N, N, d, d) contraction, term by term; the library computes the same
+# sums as N x N weights and matrix products and is tested against them.
+
+
+def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
+    """Mirrored SVGD update direction for every particle.
+
+    Row i is (1/N) sum_j [ k_phi(y_j, y_i) s(y_j) + grad_{y_j} k_phi(y_j, y_i) ],
+    with s the dual score; the kernel gradient chains one inverse mirror
+    Hessian onto the base-kernel gradient at the primal images.
+    """
+    mmap = md.mmap
+    n = Y.shape[0]
+    X = mmap.dual_to_primal(Y)
+    S = md.dual_score_from_primal(X)
+    diff = X[:, None, :] - X[None, :, :]          # [j, i] = x_j - x_i
+    r2 = np.einsum("jia,jia->ji", diff, diff)
+    f, f1, _, _ = radial_profile(family, r2, h)
+    drift = np.einsum("ji,ja->ia", f, S)
+    gx = 2.0 * f1[..., None] * diff               # grad_{x_j} k(x_j, x_i)
+    repulse = mmap.hessian_inverse_apply(X[:, None, :], gx).sum(axis=0)
+    return (drift + repulse) / n
+
+
+def svgd_direction(X: np.ndarray, target, family: str, h: float) -> np.ndarray:
+    """Plain primal-space SVGD direction (used by the projected baselines)."""
+    n = X.shape[0]
+    S = target.score(X)
+    diff = X[:, None, :] - X[None, :, :]
+    r2 = np.einsum("jia,jia->ji", diff, diff)
+    f, f1, _, _ = radial_profile(family, r2, h)
+    drift = np.einsum("ji,ja->ia", f, S)
+    repulse = (2.0 * f1[..., None] * diff).sum(axis=0)
+    return (drift + repulse) / n
+
+
+# -- Stein kernel of the mirrored target ------------------------------------
+
+
+def _stein_context(Y, md, family, h):
+    mmap = md.mmap
+    X = mmap.dual_to_primal(Y)
+    A = mmap.inverse_hessian(X)                    # (N,d,d)
+    q = md.score_shift(X)                          # (N,d)
+    S = np.einsum("nab,nb->na", A, q)              # dual scores
+    diff = X[:, None, :] - X[None, :, :]           # [j,i] = x_j - x_i
+    r2 = np.einsum("jia,jia->ji", diff, diff)
+    f, f1, f2, f3 = radial_profile(family, r2, h)
+    P = np.einsum("iab,jib->jia", A, diff)         # A_i (x_j - x_i)
+    Q = np.einsum("jab,jib->jia", A, diff)         # A_j (x_j - x_i)
+    return X, A, q, S, diff, f, f1, f2, f3, P, Q
+
+
+def stein_kernel_matrix(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
+    """K[j, i] = stein kernel of the mirrored target at (y_j, y_i).
+
+    Four terms: score-score, score-gradient both ways, and the mixed
+    second-derivative trace, everything expressed through primal images and
+    inverse mirror Hessians.
+    """
+    _, A, _, S, _, f, f1, f2, _, P, Q = _stein_context(Y, md, family, h)
+    ss = np.einsum("ja,ia->ji", S, S)
+    t1 = f * ss
+    t2 = -2.0 * f1 * np.einsum("ja,jia->ji", S, P)
+    t3 = 2.0 * f1 * np.einsum("jia,ia->ji", Q, S)
+    trAA = np.einsum("jab,iab->ji", A, A)
+    t4 = -2.0 * f1 * trAA - 4.0 * f2 * np.einsum("jia,jia->ji", P, Q)
+    return t1 + t2 + t3 + t4
+
+
+def stein_kernel_grad2(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
+    """grad of the stein kernel in its second argument: out[j, i] =
+    grad_{y_i} K(y_j, y_i), shape (N, N, d).
+
+    Differentiates every term of the kernel through the second argument's
+    primal image; derivatives of the inverse mirror Hessian enter via the
+    map's Frobenius contraction, and the dual-score Jacobian via the
+    score-shift Jacobian.
+    """
+    mmap = md.mmap
+    X, A, q, S, diff, f, f1, f2, f3, P, Q = _stein_context(Y, md, family, h)
+    Hq = md.score_shift_jacobian(X)                # (N,d,d)
+
+    # w[j,i] = f * S_j + A_j grad_x k = f S_j + 2 f1 Q
+    w = f[..., None] * S[:, None, :] + 2.0 * f1[..., None] * Q
+
+    # One Frobenius contraction <dA/dx_m, M> at x_i collects three sources:
+    #   w q_i^T        (dual-score Jacobian, dA part)
+    #   S_j (grad_{x'} k)^T = -2 f1 S_j diff^T
+    #   A_j Hk = -2 f1 A_j - 4 f2 Q diff^T
+    M = np.einsum("jia,ib->jiab", w, q)
+    M -= 2.0 * f1[..., None, None] * np.einsum("ja,jib->jiab", S, diff)
+    M -= 2.0 * f1[..., None, None] * A[:, None, :, :]
+    M -= 4.0 * f2[..., None, None] * np.einsum("jia,jib->jiab", Q, diff)
+    g = mmap.d_inv_hessian_contract(X[None, :, :], M)
+
+    # dual-score Jacobian, A Hq part: Hq_i (A_i w)
+    Aw = np.einsum("iab,jib->jia", A, w)
+    g += np.einsum("iab,jib->jia", Hq, Aw)
+
+    # (S_j . S_i) grad_{x'} k
+    ss = np.einsum("ja,ia->ji", S, S)
+    g -= 2.0 * (f1 * ss)[..., None] * diff
+
+    # Hessian-in-second-argument acting on A_i S_j: (2 f1 I + 4 f2 dd^T) v
+    v2 = np.einsum("iab,jb->jia", A, S)
+    g += 2.0 * f1[..., None] * v2
+    g += 4.0 * f2[..., None] * np.einsum("jia,jia->ji", diff, v2)[..., None] * diff
+
+    # mixed Hessian acting on A_j S_i: (-2 f1 I - 4 f2 dd^T) v
+    v3 = np.einsum("jab,ib->jia", A, S)
+    g -= 2.0 * f1[..., None] * v3
+    g -= 4.0 * f2[..., None] * np.einsum("jia,jia->ji", diff, v3)[..., None] * diff
+
+    # trace term: tr[A_j dHk A_i]
+    trAA = np.einsum("jab,iab->ji", A, A)
+    qp = np.einsum("jia,jia->ji", Q, P)
+    g += (4.0 * f2 * trAA + 8.0 * f3 * qp)[..., None] * diff
+    g += 4.0 * f2[..., None] * (np.einsum("jab,jib->jia", A, P)
+                                + np.einsum("iab,jib->jia", A, Q))
+
+    # chain to dual coordinates through A_i
+    return np.einsum("iab,jib->jia", A, g)
+
+
+def _mollifier_terms(config: MollifierConfig, d: int, diff: np.ndarray,
+                     r2: np.ndarray):
+    """Log mollifier values and their gradients in the first argument.
+
+    diff[i, j] = x_i - x_j, r2 the squared norms.  Returns (logphi, grad)
+    with shapes (N, N) and (N, N, d).
+    """
+    eps = config.eps
+    if config.kind == "riesz":
+        s = config.s if config.s is not None else d + 1e-4
+        base = r2 + eps * eps
+        return -0.5 * s * np.log(base), -s * diff / base[..., None]
+    if config.kind == "gaussian":
+        return -r2 / (2.0 * eps * eps), -diff / (eps * eps)
+    # laplace: -||z|| / eps, gradient 0 at the origin (subgradient choice)
+    r = np.sqrt(r2)
+    inv = np.zeros_like(r)
+    nz = r > 0.0
+    inv[nz] = 1.0 / (eps * r[nz])
+    return -r / eps, -diff * inv[..., None]
+
+
+def _log_terms(x: np.ndarray, target, config: MollifierConfig):
+    x = np.asarray(x, dtype=float)
+    diff = x[:, None, :] - x[None, :, :]
+    r2 = np.einsum("ija,ija->ij", diff, diff)
+    logphi, grad = _mollifier_terms(config, x.shape[-1], diff, r2)
+    logp = target.log_density(x)
+    T = logphi - 0.5 * (logp[:, None] + logp[None, :])
+    return T, grad, logp
+
+
+def mie_gradient(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
+    """grad of log E in every particle.
+
+    With softmax weights w over the term matrix, particle m collects the
+    mollifier gradients of its row and column plus a score term weighted by
+    its total softmax mass.
+    """
+    T, gphi, _ = _log_terms(x, target, config)
+    w = np.exp(T - logsumexp(T))
+    w2 = w + w.T                       # row m pairs (m, j); column (i, m)
+    pair = np.einsum("mj,mja->ma", w2, gphi)
+    mass = w2.sum(axis=1)
+    return pair - 0.5 * mass[:, None] * target.score(x)

@@ -167,18 +167,18 @@ class TestBuildPlan:
         assert build_plan(raw).init.alpha == 2.0
 
     def test_ksd_descent_over_memory_budget_is_refused(self):
-        # N=1000, d=20 would need about 13 GiB per direction; the plan is
+        # N=6000, d=20 would need about 3.7 GiB per direction; the plan is
         # refused before anything is allocated
         raw = {
             "target.kind": "exp_orthant", "target.d": "20",
-            "sampler.kind": "coin_mksdd", "sampler.n_particles": "1000",
+            "sampler.kind": "coin_mksdd", "sampler.n_particles": "6000",
             "sampler.n_iters": "10",
         }
         with pytest.raises(ConfigError) as err:
             build_plan(raw)
-        assert any("13.1 GiB" in m and "2 GiB budget" in m for m in err.value.violations)
-        raw["sampler.n_particles"] = "200"
-        assert build_plan(raw).n_particles == 200
+        assert any("3.7 GiB" in m and "2 GiB budget" in m for m in err.value.violations)
+        raw["sampler.n_particles"] = "1000"
+        assert build_plan(raw).n_particles == 1000
 
     def test_dirichlet_dimension_cross_check(self):
         raw = self.base()

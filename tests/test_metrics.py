@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorcoin import metrics
 from mirrorcoin.geometry import PositiveOrthantMap
+from mirrorcoin.harness import build_plan, execute_plan
 from mirrorcoin.kernels import KernelConfig
 from mirrorcoin.metrics import energy_distance, ksd_vstat, summary_moments
+from mirrorcoin.rng import substream
 from mirrorcoin.samplers import stein_vstat
 from mirrorcoin.targets import ExpOrthant, MirroredDensity
 
@@ -54,6 +57,25 @@ class TestEnergyDistance:
         near = rng.normal(size=(100, 2))
         far = rng.normal(size=(100, 2)) + 3.0
         assert energy_distance(a, far) > energy_distance(a, near)
+
+
+    def test_run_hook_computes_reference_self_distance_once(self, monkeypatch):
+        plan = build_plan({
+            "target.kind": "sparse_dirichlet", "target.alpha": "0.5",
+            "target.counts": "6,3,1", "sampler.kind": "coin_msvgd",
+            "sampler.n_particles": "8", "sampler.n_iters": "6",
+            "sampler.metric_every": "1", "metrics.names": "energy",
+            "metrics.ground_truth_n": "300",
+        })
+        ref = plan.target.sample_ground_truth(300, substream(plan.seed, "ground_truth"))
+        sizes = []
+        pdist = metrics.pdist
+        monkeypatch.setattr(metrics, "pdist", lambda x: sizes.append(len(x)) or pdist(x))
+        rec = execute_plan(plan)
+        assert sizes.count(300) == 1 and sizes.count(8) == 7
+        monkeypatch.undo()
+        last = [v for it, name, v, ms in rec.trace if it == 6]
+        assert last == [energy_distance(rec.x_final, ref)]
 
 
 class TestKsd:

@@ -169,6 +169,15 @@ class TestRunMied:
         assert r1.x_final.tobytes() == r2.x_final.tobytes()
         assert r1.y_final.tobytes() == r2.y_final.tobytes()
 
+    def test_primal_cloud_made_once_per_iteration(self, monkeypatch):
+        # the direction reads the cloud that the previous step settled on
+        calls = []
+        to_x = TanhBox.to_x
+        monkeypatch.setattr(TanhBox, "to_x", lambda self, w: calls.append(1) or to_x(self, w))
+        run_sampler(target=self.box_target(), sampler="coin_mied", n_particles=6,
+                    n_iters=9, seed=3)
+        assert len(calls) == 9
+
     def test_coin_first_step_is_half_sign(self):
         t = self.box_target()
         rec = run_sampler(target=t, sampler="coin_mied", n_particles=6,
