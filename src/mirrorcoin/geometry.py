@@ -29,6 +29,13 @@ INTERIOR_TOL = 1e-12
 _EXP_MAX = 709.0
 
 
+def as_dimension(d) -> int:
+    """``d`` as the dimension of a domain, which must be at least 1."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    return int(d)
+
+
 class _MirrorMap:
     """The dimension and the interior check both maps share; each map
     defines ``domain`` and ``is_interior``."""
@@ -36,9 +43,7 @@ class _MirrorMap:
     domain: str
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("dimension must be >= 1")
-        self.d = int(d)
+        self.d = as_dimension(d)
 
     def assert_interior(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

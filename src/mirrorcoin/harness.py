@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics as metrics_mod
-from .errors import ConfigError, Unsupported
+from .errors import ConfigError
 from .kernels import FAMILIES, KernelConfig
 from .mied import MOLLIFIERS, MollifierConfig
 from .rng import substream
@@ -48,8 +48,6 @@ from .targets import (
 )
 
 METRIC_NAMES = ("energy", "ksd", "mean_x1")
-TARGET_KINDS = ("sparse_dirichlet", "quadratic_simplex", "uniform_box",
-                "exp_orthant", "lognormal_orthant", "selective_lasso")
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +107,10 @@ as_ints = _converter(lambda text: [int(v) for v in text.split(",") if v.strip()]
                      "comma-separated integers")
 
 
+# the default of a key that must be given
+REQUIRED = object()
+
+
 class _Reader:
     """Pops typed values out of the raw dict, logging problems as it goes."""
 
@@ -118,10 +120,13 @@ class _Reader:
 
     def get(self, key, conv=str, default=None, choices=None):
         """The converted value of ``key``, ``default`` when it is absent, or
-        None (with a logged problem) when it does not convert or is not one
-        of ``choices``."""
+        None (with a logged problem) when it does not convert, is not one
+        of ``choices``, or is absent with the default REQUIRED."""
         text = self.raw.pop(key, None)
         if text is None:
+            if default is REQUIRED:
+                self.problems.append(f"{key} is required")
+                return None
             return default
         try:
             value = conv(text)
@@ -135,14 +140,33 @@ class _Reader:
             return None
         return value
 
-    def require(self, got, key):
-        if got is None:
-            self.problems.append(f"{key} is required")
+    def at_least(self, got, key, low):
+        if got is not None and got < low:
+            self.problems.append(f"{key} must be >= {low}")
         return got
 
     def leftover_check(self):
         for key in sorted(self.raw):
             self.problems.append(f"unknown key {key!r}")
+
+
+# Each target kind: its constructor and the ``target.<key>`` values it takes,
+# as key -> (converter, default).
+TARGETS = {
+    "sparse_dirichlet": (SparseDirichlet.from_config, {
+        "counts": (as_floats, REQUIRED), "alpha": (as_floats, [1.0]), "d": (as_int, None)}),
+    "quadratic_simplex": (QuadraticSimplex.from_config, {
+        "d": (as_int, REQUIRED), "sigma": (as_float, 1.0), "seed": (as_int, 0)}),
+    "uniform_box": (UniformBox.from_config, {
+        "d": (as_int, REQUIRED), "lo": (as_floats, [0.0]), "hi": (as_floats, [1.0])}),
+    "exp_orthant": (ExpOrthant, {"d": (as_int, REQUIRED), "rate": (as_float, 1.0)}),
+    "lognormal_orthant": (LogNormalOrthant, {
+        "d": (as_int, REQUIRED), "mu": (as_float, 0.0), "sigma": (as_float, 1.0)}),
+    "selective_lasso": (SelectiveLasso.from_config, {
+        "n": (as_int, REQUIRED), "p": (as_int, REQUIRED), "q": (as_int, REQUIRED),
+        "lam": (as_float, 2.0), "tau": (as_float, 1.0), "eps_ridge": (as_float, 1.0),
+        "seed": (as_int, 0)}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -169,77 +193,28 @@ class RunPlan:
 
 
 def _build_target(r: _Reader):
-    kind = r.get("target.kind", choices=TARGET_KINDS)
-    r.require(kind, "target.kind")
+    """The target the ``target.*`` keys describe, or None (with the problems
+    logged) when a key is missing or does not parse or the target refuses
+    the values."""
+    kind = r.get("target.kind", default=REQUIRED, choices=tuple(TARGETS))
     if kind is None:
         # drain the section so its keys do not double-report as unknown
         for key in [k for k in r.raw if k.startswith("target.")]:
             r.raw.pop(key)
         return None
-    tseed = r.get("target.seed", as_int, 0)
+    make, params = TARGETS[kind]
+    logged = len(r.problems)
+    values = {key: r.get(f"target.{key}", conv, default)
+              for key, (conv, default) in params.items()}
+    # every kind takes target.seed; it draws the instance of a synthetic kind
+    r.get("target.seed", as_int)
+    if len(r.problems) > logged:
+        return None
     try:
-        if kind == "sparse_dirichlet":
-            counts = r.get("target.counts", as_floats)
-            r.require(counts, "target.counts")
-            alpha = r.get("target.alpha", as_floats, [1.0])
-            d = r.get("target.d", as_int)
-            if counts is None or alpha is None:
-                return None
-            if d is not None and d != len(counts) - 1:
-                r.problems.append(
-                    "target.d must equal len(target.counts) - 1 when both are given"
-                )
-                return None
-            a = alpha[0] if len(alpha) == 1 else np.asarray(alpha)
-            return SparseDirichlet(alpha=a, counts=np.asarray(counts))
-        if kind == "quadratic_simplex":
-            d = r.require(r.get("target.d", as_int), "target.d")
-            sigma = r.get("target.sigma", as_float, 1.0)
-            if d is None or sigma is None:
-                return None
-            return QuadraticSimplex.random_instance(
-                d, sigma, substream(tseed, "target_synth"))
-        if kind == "uniform_box":
-            d = r.require(r.get("target.d", as_int), "target.d")
-            lo = r.get("target.lo", as_floats, [0.0])
-            hi = r.get("target.hi", as_floats, [1.0])
-            if d is None or lo is None or hi is None:
-                return None
-            lo = np.full(d, lo[0]) if len(lo) == 1 else np.asarray(lo)
-            hi = np.full(d, hi[0]) if len(hi) == 1 else np.asarray(hi)
-            if lo.shape != (d,) or hi.shape != (d,):
-                r.problems.append("target.lo / target.hi must be scalars or length-d lists")
-                return None
-            return UniformBox(lo, hi)
-        if kind == "exp_orthant":
-            d = r.require(r.get("target.d", as_int), "target.d")
-            rate = r.get("target.rate", as_float, 1.0)
-            if d is None or rate is None:
-                return None
-            return ExpOrthant(d, rate=rate)
-        if kind == "lognormal_orthant":
-            d = r.require(r.get("target.d", as_int), "target.d")
-            mu = r.get("target.mu", as_float, 0.0)
-            sigma = r.get("target.sigma", as_float, 1.0)
-            if d is None or mu is None or sigma is None:
-                return None
-            return LogNormalOrthant(d, mu=mu, sigma=sigma)
-        if kind == "selective_lasso":
-            n = r.require(r.get("target.n", as_int), "target.n")
-            p = r.require(r.get("target.p", as_int), "target.p")
-            q = r.require(r.get("target.q", as_int), "target.q")
-            lam = r.get("target.lam", as_float, 2.0)
-            tau = r.get("target.tau", as_float, 1.0)
-            eps_ridge = r.get("target.eps_ridge", as_float, 1.0)
-            if None in (n, p, q, lam, tau, eps_ridge):
-                return None
-            return SelectiveLasso.synthetic(
-                substream(tseed, "target_synth"), n=n, p=p, q=q,
-                lam=lam, tau=tau, eps_ridge=eps_ridge)
+        return make(**values)
     except (ValueError, ConfigError) as exc:
         r.problems.append(f"target: {exc}")
         return None
-    return None
 
 
 def _build_stepper(r: _Reader, sampler):
@@ -266,17 +241,13 @@ def build_plan(raw: dict) -> RunPlan:
     problems: list = []
     r = _Reader(raw, problems)
 
-    seed = r.get("seed", as_int, 0)
-    sampler = r.get("sampler.kind", choices=SAMPLERS)
-    r.require(sampler, "sampler.kind")
-    n_particles = r.require(r.get("sampler.n_particles", as_int), "sampler.n_particles")
-    n_iters = r.require(r.get("sampler.n_iters", as_int), "sampler.n_iters")
+    seed = r.at_least(r.get("seed", as_int, 0), "seed", 0)
+    sampler = r.get("sampler.kind", default=REQUIRED, choices=SAMPLERS)
+    n_particles = r.get("sampler.n_particles", as_int, REQUIRED)
+    n_iters = r.get("sampler.n_iters", as_int, REQUIRED)
     metric_every = r.get("sampler.metric_every", as_int, 10)
 
     target = _build_target(r)
-    if target is None and not problems:
-        problems.append("target could not be built")
-
     stepper = _build_stepper(r, sampler)
 
     family = r.get("kernel.family", default="imq", choices=FAMILIES)
@@ -299,9 +270,7 @@ def build_plan(raw: dict) -> RunPlan:
         except ConfigError as exc:
             problems.extend(f"mollifier: {v}" for v in exc.violations)
 
-    spectral_terms = r.get("spectral.terms", as_int, 30)
-    if spectral_terms is not None and spectral_terms < 1:
-        problems.append("spectral.terms must be >= 1")
+    spectral_terms = r.at_least(r.get("spectral.terms", as_int, 30), "spectral.terms", 1)
 
     # read only the init.* keys the init kind uses; the rest are unknown keys
     init = None
@@ -320,7 +289,8 @@ def build_plan(raw: dict) -> RunPlan:
                 f"metrics.names: unknown metric {name!r} "
                 f"(choices: {', '.join(METRIC_NAMES)})"
             )
-    gt_n = r.get("metrics.ground_truth_n", as_int, 1000)
+    gt_n = r.at_least(r.get("metrics.ground_truth_n", as_int, 1000),
+                      "metrics.ground_truth_n", 1)
 
     # run_sweep reads the grid and the coin stepper; they are checked here
     r.get("sweep.lrs", as_floats)
@@ -336,12 +306,11 @@ def build_plan(raw: dict) -> RunPlan:
             if "ksd" in names:
                 problems.append(f"{key}: ksd needs a mirrored sampler")
 
-    if n_particles is not None and n_particles < 1:
-        problems.append("sampler.n_particles must be >= 1")
-    if n_iters is not None and n_iters < 0:
-        problems.append("sampler.n_iters must be >= 0")
-    if metric_every is not None and metric_every < 1:
-        problems.append("sampler.metric_every must be >= 1")
+    r.at_least(n_particles, "sampler.n_particles", 1)
+    r.at_least(n_iters, "sampler.n_iters", 0)
+    r.at_least(metric_every, "sampler.metric_every", 1)
+    if "energy" in metric_names and target is not None and target.no_ground_truth:
+        problems.append(f"energy metric unavailable ({target.no_ground_truth})")
     problems += check_run(target, sampler, stepper, init, n_particles)
 
     if problems:
@@ -363,11 +332,7 @@ def build_plan(raw: dict) -> RunPlan:
 def _metric(plan: RunPlan, name: str):
     """The metric ``name`` of a plan as a callable (x_cloud, y_cloud) -> float."""
     if name == "energy":
-        try:
-            ref = plan.target.sample_ground_truth(
-                plan.gt_n, substream(plan.seed, "ground_truth"))
-        except Unsupported as exc:
-            raise ConfigError(f"energy metric unavailable ({exc})")
+        ref = plan.target.sample_ground_truth(plan.gt_n, substream(plan.seed, "ground_truth"))
         distance = metrics_mod.energy_distance_to(ref)
         return lambda x, y: distance(x)
     if name == "ksd":
@@ -504,6 +469,9 @@ def run_sweep(raw: dict, out_dir: str, lrs=None, seeds=None,
             plans.append(build_plan(job))
         except ConfigError as exc:
             problems.extend(exc.violations)
+    # every job shares the target and the metric
+    if plans and plans[0].sweep_metric == "energy" and plans[0].target.no_ground_truth:
+        problems.append(f"energy metric unavailable ({plans[0].target.no_ground_truth})")
     if problems:
         raise ConfigError(list(dict.fromkeys(problems)))
 
@@ -528,26 +496,27 @@ def run_sweep(raw: dict, out_dir: str, lrs=None, seeds=None,
     return rows
 
 
-def build_target_only(raw: dict):
-    """Build just the target (plus the config seed) from a raw config.
+def build_target_only(raw: dict, n: int = 1):
+    """Build just the target (plus the config seed) from a raw config, and
+    check the size ``n`` of a draw from it.
 
     Other sections are left alone so any sampler config can double as a
     ground-truth config.
     """
     problems: list = []
     r = _Reader(raw, problems)
-    seed = r.get("seed", as_int, 0)
+    seed = r.at_least(r.get("seed", as_int, 0), "seed", 0)
+    r.at_least(n, "--n", 1)
     target = _build_target(r)
-    if target is None and not problems:
-        problems.append("target could not be built")
     if problems:
         raise ConfigError(problems)
     return target, seed
 
 
 def run_ground_truth(raw: dict, out_dir: str, n: int, seed=None) -> np.ndarray:
-    target, cfg_seed = build_target_only(raw)
-    use_seed = cfg_seed if seed is None else seed
+    # a --seed override is checked as the config's own seed is
+    target, use_seed = build_target_only(
+        raw if seed is None else {**raw, "seed": str(seed)}, n)
     samples = target.sample_ground_truth(
         n, substream(use_seed, "ground_truth"))
     os.makedirs(out_dir, exist_ok=True)

@@ -152,21 +152,8 @@ INIT_PARAMS = {"dirichlet": ("alpha",), "lognormal": ("mu", "sigma"),
 INIT_DOMAIN = {"dirichlet": "simplex", "lognormal": "orthant", "box_uniform": "box"}
 
 
-@dataclass(frozen=True)
-class Domain:
-    kind: str  # "simplex" | "orthant" | "box"
-    lo: np.ndarray | None = None
-    hi: np.ndarray | None = None
-
-
-def domain_of(target) -> Domain:
-    if target.domain == "box":
-        return Domain("box", target.lo, target.hi)
-    return Domain(target.domain)
-
-
-def default_init(domain: Domain) -> InitSpec:
-    return InitSpec(next(k for k, dom in INIT_DOMAIN.items() if dom == domain.kind))
+def default_init(target) -> InitSpec:
+    return InitSpec(next(k for k, dom in INIT_DOMAIN.items() if dom == target.domain))
 
 
 def _init_problems(spec: InitSpec, domain_kind: str) -> list:
@@ -178,17 +165,18 @@ def _init_problems(spec: InitSpec, domain_kind: str) -> list:
     return []
 
 
-def draw_init(spec: InitSpec, domain: Domain, n: int, d: int,
-              rng: np.random.Generator) -> np.ndarray:
-    problems = _init_problems(spec, domain.kind)
+def draw_init(spec: InitSpec, target, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n initial particles in the domain of ``target``."""
+    problems = _init_problems(spec, target.domain)
     if problems:
         raise ConfigError(problems)
+    d = target.d
     if spec.kind == "dirichlet":
         return rng.dirichlet(np.full(d + 1, spec.alpha), size=n)[:, :d]
     if spec.kind == "lognormal":
         return np.exp(spec.mu + spec.sigma * rng.standard_normal((n, d)))
-    mid = 0.5 * (domain.lo + domain.hi)
-    half = 0.5 * (domain.hi - domain.lo)
+    mid = 0.5 * (target.lo + target.hi)
+    half = 0.5 * (target.hi - target.lo)
     return mid + spec.scale * half * rng.uniform(-1.0, 1.0, size=(n, d))
 
 
@@ -208,15 +196,15 @@ def _project_full_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + theta, 0.0)
 
 
-def project_to_domain(domain: Domain, x: np.ndarray, tol: float = INTERIOR_TOL) -> np.ndarray:
-    """Euclidean projection onto the closed domain, then interior floor."""
+def project_to_domain(target, x: np.ndarray, tol: float = INTERIOR_TOL) -> np.ndarray:
+    """Euclidean projection onto the target's closed domain, then interior floor."""
     x = np.asarray(x, dtype=float)
-    if domain.kind == "orthant":
+    if target.domain == "orthant":
         return np.maximum(x, tol)
-    if domain.kind == "box":
-        return np.clip(x, domain.lo + tol, domain.hi - tol)
-    if domain.kind != "simplex":
-        raise ConfigError(f"unknown domain kind {domain.kind!r}")
+    if target.domain == "box":
+        return np.clip(x, target.lo + tol, target.hi - tol)
+    if target.domain != "simplex":
+        raise ConfigError(f"unknown domain kind {target.domain!r}")
     d = x.shape[-1]
     pos = np.maximum(x, 0.0)
     over = pos.sum(axis=-1) > 1.0
@@ -508,8 +496,7 @@ def run_sampler(
     base = sampler.removeprefix("coin_")
     projected = base == "svgd_proj"
 
-    domain = domain_of(target)
-    X = draw_init(init or default_init(domain), domain, n_particles, target.d,
+    X = draw_init(init or default_init(target), target, n_particles,
                   substream(seed, "init"))
 
     # Z is what the stepper moves; settle maps a stepped Z to (Z, X), and
@@ -521,10 +508,10 @@ def run_sampler(
                                   resolve_bandwidth(kernel, x))
 
         def settle(z):
-            x = project_to_domain(domain, z)
+            x = project_to_domain(target, z)
             return x, x
 
-        Z = X = project_to_domain(domain, X)
+        Z = X = project_to_domain(target, X)
     elif base == "mied":
         rep = TanhBox(target.lo, target.hi)
 

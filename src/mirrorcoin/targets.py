@@ -2,9 +2,10 @@
 
 Every target works with unnormalized log densities.  ``score`` is the
 gradient of ``log_density`` in the free coordinates and ``score_hessian`` its
-Jacobian; both are needed by the Stein-kernel machinery.  Targets whose
-posterior is tractable implement ``sample_ground_truth``; the rest raise
-:class:`~mirrorcoin.errors.Unsupported`.
+Jacobian; both are needed by the Stein-kernel machinery.  ``no_ground_truth``
+is None when ``sample_ground_truth`` can draw an exact reference sample, and
+otherwise the reason it raises :class:`~mirrorcoin.errors.Unsupported`.
+``from_config`` applies the rules that tie a target's config keys together.
 
 :class:`MirroredDensity` pairs a target with a mirror map.  The pushforward
 of the target under ``grad phi`` has negative log density
@@ -21,6 +22,8 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .errors import ConfigError, Unsupported
+from .geometry import as_dimension
+from .rng import substream
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -34,6 +37,7 @@ class SparseDirichlet:
     """
 
     domain = "simplex"
+    no_ground_truth = None
 
     def __init__(self, alpha, counts):
         counts = np.asarray(counts, dtype=float)
@@ -49,6 +53,12 @@ class SparseDirichlet:
         self.d = counts.size - 1
         # Exponents of the posterior Dirichlet, one per category.
         self._a = counts + alpha - 1.0
+
+    @classmethod
+    def from_config(cls, counts, alpha, d=None):
+        if d is not None and d != len(counts) - 1:
+            raise ValueError("target.d must equal len(target.counts) - 1 when both are given")
+        return cls(alpha=alpha, counts=counts)
 
     def posterior_mean(self) -> np.ndarray:
         """Exact posterior mean of the free coordinates."""
@@ -97,14 +107,21 @@ class QuadraticSimplex:
             raise ValueError("sigma must be positive")
         self.A = A
         self.sigma = float(sigma)
-        self.d = A.shape[0]
+        self.d = as_dimension(A.shape[0])
+        self.no_ground_truth = (
+            None if self.d <= 3 else "grid ground truth is only available for d <= 3")
 
     @classmethod
     def random_instance(cls, d: int, sigma: float, rng: np.random.Generator):
         """A = B^T B scaled so its largest-magnitude entry is 1, B ~ U[-1,1]."""
+        d = as_dimension(d)
         B = rng.uniform(-1.0, 1.0, size=(d, d))
         M = B.T @ B
         return cls(M / np.max(np.abs(M)), sigma)
+
+    @classmethod
+    def from_config(cls, d, sigma, seed):
+        return cls.random_instance(d, sigma, substream(seed, "target_synth"))
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -128,8 +145,8 @@ class QuadraticSimplex:
         the instance after the call (``last_resolution``) so callers can
         record it.
         """
-        if self.d > 3:
-            raise Unsupported("grid ground truth is only available for d <= 3")
+        if self.no_ground_truth:
+            raise Unsupported(self.no_ground_truth)
         m = resolution or {1: 4096, 2: 256, 3: 64}[self.d]
         self.last_resolution = m
         idx = np.stack(
@@ -159,6 +176,7 @@ class UniformBox:
     """Unnormalized density 1 on an axis-aligned open box."""
 
     domain = "box"
+    no_ground_truth = None
 
     def __init__(self, lo, hi):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -167,7 +185,16 @@ class UniformBox:
             raise ValueError("box bounds must satisfy lo < hi componentwise")
         self.lo = lo
         self.hi = hi
-        self.d = lo.size
+        self.d = as_dimension(lo.size)
+
+    @classmethod
+    def from_config(cls, d, lo, hi):
+        """Each bound is one value for every coordinate or d values."""
+        d = as_dimension(d)
+        lo, hi = (np.full(d, v[0]) if len(v) == 1 else np.asarray(v) for v in (lo, hi))
+        if lo.shape != (d,) or hi.shape != (d,):
+            raise ValueError("target.lo / target.hi must be scalars or length-d lists")
+        return cls(lo, hi)
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -188,11 +215,12 @@ class ExpOrthant:
     """Independent Exponential(rate) coordinates on the positive orthant."""
 
     domain = "orthant"
+    no_ground_truth = None
 
     def __init__(self, d: int, rate: float = 1.0):
         if rate <= 0:
             raise ValueError("rate must be positive")
-        self.d = int(d)
+        self.d = as_dimension(d)
         self.rate = float(rate)
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
@@ -220,11 +248,12 @@ class LogNormalOrthant:
     """
 
     domain = "orthant"
+    no_ground_truth = None
 
     def __init__(self, d: int, mu: float = 0.0, sigma: float = 1.0):
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        self.d = int(d)
+        self.d = as_dimension(d)
         self.mu = float(mu)
         self.sigma = float(sigma)
 
@@ -285,6 +314,7 @@ class SelectiveLasso:
     """
 
     domain = "orthant"
+    no_ground_truth = "no tractable sampler for the selective lasso density"
 
     def __init__(self, X, y, lam: float, active, signs, tau: float = 1.0,
                  eps_ridge: float = 1.0):
@@ -331,6 +361,11 @@ class SelectiveLasso:
         beta[:q] = rng.choice([-3.0, 3.0], size=q)
         y = X @ beta + 0.5 * rng.standard_normal(n)
         return cls(X, y, lam, np.arange(q), np.sign(beta[:q]), tau, eps_ridge)
+
+    @classmethod
+    def from_config(cls, n, p, q, lam, tau, eps_ridge, seed):
+        return cls.synthetic(substream(seed, "target_synth"), n=n, p=p, q=q,
+                             lam=lam, tau=tau, eps_ridge=eps_ridge)
 
     # -- internals --------------------------------------------------------
 
@@ -381,7 +416,7 @@ class SelectiveLasso:
         return hess
 
     def sample_ground_truth(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise Unsupported("no tractable sampler for the selective lasso density")
+        raise Unsupported(self.no_ground_truth)
 
 
 class MirroredDensity:

@@ -22,7 +22,6 @@ from mirrorcoin.rng import substream
 from mirrorcoin.samplers import (
     StepperConfig,
     default_init,
-    domain_of,
     draw_init,
     mksdd_direction,
     run_sampler,
@@ -70,8 +69,7 @@ def posterior_reference(seed, n=1000):
 
 
 def initial_cloud(target, seed, n):
-    dom = domain_of(target)
-    return draw_init(default_init(dom), dom, n, target.d, substream(seed, "init"))
+    return draw_init(default_init(target), target, n, substream(seed, "init"))
 
 
 def coin_msvgd_final_ed(seed, ref):

@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
+import mirrorcoin.harness as harness
 from mirrorcoin.cli import main
 from mirrorcoin.errors import ConfigError
 from mirrorcoin.harness import (
+    TARGETS,
     build_plan,
     build_target_only,
     read_config,
@@ -17,7 +19,15 @@ from mirrorcoin.harness import (
     run_sweep,
     write_particles_csv,
 )
-from mirrorcoin.targets import SparseDirichlet, UniformBox
+from mirrorcoin.rng import substream
+from mirrorcoin.targets import (
+    ExpOrthant,
+    LogNormalOrthant,
+    QuadraticSimplex,
+    SelectiveLasso,
+    SparseDirichlet,
+    UniformBox,
+)
 
 
 SAMPLE_CONFIG = """\
@@ -209,6 +219,110 @@ class TestBuildPlan:
         assert seed == 5 and target.domain == "orthant"
 
 
+# The smallest config of each target kind, the constructor call it stands
+# for, and the keys it cannot go without.
+MINIMAL_TARGETS = {
+    "sparse_dirichlet": (
+        {"target.counts": "4,2,1"},
+        lambda: SparseDirichlet(alpha=1.0, counts=np.array([4.0, 2.0, 1.0])),
+        ("counts",)),
+    "quadratic_simplex": (
+        {"target.d": "2"},
+        lambda: QuadraticSimplex.random_instance(2, 1.0, substream(0, "target_synth")),
+        ("d",)),
+    "uniform_box": (
+        {"target.d": "2"},
+        lambda: UniformBox(np.zeros(2), np.ones(2)),
+        ("d",)),
+    "exp_orthant": ({"target.d": "2"}, lambda: ExpOrthant(2), ("d",)),
+    "lognormal_orthant": ({"target.d": "2"}, lambda: LogNormalOrthant(2), ("d",)),
+    "selective_lasso": (
+        {"target.n": "12", "target.p": "3", "target.q": "1"},
+        lambda: SelectiveLasso.synthetic(substream(0, "target_synth"), n=12, p=3, q=1),
+        ("n", "p", "q")),
+}
+
+
+class TestTargetTable:
+    def test_every_kind_is_pinned(self):
+        assert set(MINIMAL_TARGETS) == set(TARGETS)
+
+    @pytest.mark.parametrize("kind", sorted(TARGETS))
+    def test_minimal_config_matches_direct_construction(self, kind):
+        keys, direct, _ = MINIMAL_TARGETS[kind]
+        got, _ = build_target_only({"target.kind": kind, **keys})
+        want = direct()
+        assert type(got) is type(want)
+        assert vars(got).keys() == vars(want).keys()
+        for name, value in vars(want).items():
+            if isinstance(value, np.ndarray):
+                assert vars(got)[name].tobytes() == value.tobytes(), name
+                assert vars(got)[name].shape == value.shape, name
+            else:
+                assert vars(got)[name] == value, name
+
+    @pytest.mark.parametrize("kind", sorted(TARGETS))
+    def test_each_required_key_is_required(self, kind):
+        keys, _, required = MINIMAL_TARGETS[kind]
+        for key in required:
+            raw = {"target.kind": kind, **keys}
+            del raw[f"target.{key}"]
+            with pytest.raises(ConfigError) as err:
+                build_target_only(raw)
+            assert f"target.{key} is required" in err.value.violations
+
+    def test_target_seed_is_accepted_by_every_kind(self):
+        for kind, (keys, _, _) in MINIMAL_TARGETS.items():
+            build_target_only({"target.kind": kind, "target.seed": "4", **keys})
+
+
+class TestGroundTruthAvailability:
+    def lasso_plan(self, **extra):
+        return {
+            "target.kind": "selective_lasso", "target.n": "12",
+            "target.p": "3", "target.q": "1",
+            "sampler.kind": "msvgd", "sampler.n_particles": "4",
+            "sampler.n_iters": "2", "stepper.kind": "fixed_lr",
+            "stepper.lr": "0.001", **extra,
+        }
+
+    def test_stated_by_the_target(self):
+        rng = np.random.default_rng(0)
+        assert QuadraticSimplex.random_instance(3, 1.0, rng).no_ground_truth is None
+        assert "d <= 3" in QuadraticSimplex.random_instance(4, 1.0, rng).no_ground_truth
+        assert SelectiveLasso.synthetic(rng).no_ground_truth
+
+    def test_default_sweep_metric_does_not_refuse_a_sample_plan(self):
+        plan = build_plan(self.lasso_plan())
+        assert plan.sweep_metric == "energy" and plan.metric_names == ()
+
+    def test_energy_refused_at_plan_time_for_quadratic_d4(self):
+        raw = {
+            "target.kind": "quadratic_simplex", "target.d": "4",
+            "sampler.kind": "coin_msvgd", "sampler.n_particles": "4",
+            "sampler.n_iters": "2", "metrics.names": "energy",
+        }
+        with pytest.raises(ConfigError) as err:
+            build_plan(raw)
+        assert ("energy metric unavailable (grid ground truth is only "
+                "available for d <= 3)") in err.value.violations
+        raw["target.d"] = "3"
+        assert build_plan(raw).metric_names == ("energy",)
+
+    def test_energy_sweep_refused_before_any_job_runs(self, tmp_path, monkeypatch):
+        calls = []
+        real = harness.run_sampler
+        monkeypatch.setattr(harness, "run_sampler",
+                            lambda **kw: calls.append(kw) or real(**kw))
+        with pytest.raises(ConfigError) as err:
+            run_sweep(self.lasso_plan(), str(tmp_path / "s"), lrs=[0.01],
+                      seeds=[0], max_workers=1)
+        assert calls == []
+        assert any(m.startswith("energy metric unavailable (no tractable sampler")
+                   for m in err.value.violations)
+        assert not os.path.exists(str(tmp_path / "s"))
+
+
 class TestWriters:
     def test_particles_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -394,6 +508,69 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "sweep.metric: ksd needs a mirrored sampler" in err
+
+    @pytest.mark.parametrize("command", ["sample", "ground-truth"])
+    @pytest.mark.parametrize("target", [
+        "target.kind = quadratic_simplex\ntarget.d = 2\n",
+        "target.kind = selective_lasso\ntarget.n = 10\ntarget.p = 3\ntarget.q = 1\n",
+    ], ids=["quadratic_simplex", "selective_lasso"])
+    def test_unparsable_target_seed_exit_one(self, tmp_path, capsys, command, target):
+        cfg = write_cfg(tmp_path, target + (
+            "target.seed = abc\n"
+            "sampler.kind = coin_msvgd\n"
+            "sampler.n_particles = 4\n"
+            "sampler.n_iters = 2\n"
+        ))
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        code = main(argv + (["--n", "5"] if command == "ground-truth" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "target.seed: expected an integer, got 'abc'" in err
+        assert "runtime failure" not in err
+
+    @pytest.mark.parametrize("d", [0, -3])
+    @pytest.mark.parametrize("kind", ["exp_orthant", "lognormal_orthant",
+                                      "uniform_box", "quadratic_simplex"])
+    def test_target_dimension_below_one_exit_one(self, tmp_path, capsys, kind, d):
+        sampler = "coin_mied" if kind == "uniform_box" else "coin_msvgd"
+        cfg = write_cfg(tmp_path, (
+            f"target.kind = {kind}\ntarget.d = {d}\n"
+            f"sampler.kind = {sampler}\n"
+            "sampler.n_particles = 4\n"
+            "sampler.n_iters = 2\n"
+        ))
+        code = main(["sample", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "target: dimension must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "o"))
+
+    @pytest.mark.parametrize("command,setting,argv,message", [
+        ("sample", "seed = -1", [], "seed must be >= 0"),
+        ("sample", None, ["--seed", "-1"], "seed must be >= 0"),
+        ("sweep", "sweep.seeds = 0,-1", ["--lrs", "0.05"], "seed must be >= 0"),
+        ("sweep", None, ["--lrs", "0.05", "--seeds", "-1"], "seed must be >= 0"),
+        ("sample", "metrics.ground_truth_n = 0", [], "metrics.ground_truth_n must be >= 1"),
+        ("sample", "metrics.ground_truth_n = -5", [], "metrics.ground_truth_n must be >= 1"),
+        ("ground-truth", None, ["--n", "-3"], "--n must be >= 1"),
+        ("ground-truth", None, ["--n", "5", "--seed", "-1"], "seed must be >= 0"),
+    ], ids=["seed", "seed-flag", "sweep-seeds", "seeds-flag", "gt-n-zero",
+            "gt-n-negative", "n-flag", "ground-truth-seed-flag"])
+    def test_negative_seed_or_empty_draw_exit_one(self, tmp_path, capsys,
+                                                  command, setting, argv, message):
+        raw = read_config(write_cfg(
+            tmp_path, SWEEP_CONFIG if command == "sweep" else SAMPLE_CONFIG))
+        if setting:
+            key, _, value = setting.partition(" = ")
+            raw[key] = value
+        cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in raw.items()))
+        out = str(tmp_path / "o")
+        code = main([command, "--config", cfg, "--out", out] + argv
+                    + (["--workers", "1"] if command == "sweep" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"  - {message}\n" in err
+        assert "runtime failure" not in err
+        assert not os.path.exists(out)
 
     def test_missing_config_file_exit_one(self, tmp_path, capsys):
         code = main(["sample", "--config", str(tmp_path / "nope.txt"),

@@ -185,9 +185,9 @@ class TestRunMied:
         # replay initialization and the first outcome
         from mirrorcoin.mied import TanhBox, _log_terms  # noqa: F401
         from mirrorcoin.rng import substream
-        from mirrorcoin.samplers import InitSpec, draw_init, domain_of
+        from mirrorcoin.samplers import InitSpec, draw_init
         rng = substream(7, "init")
-        x0 = draw_init(InitSpec("box_uniform"), domain_of(t), 6, 2, rng)
+        x0 = draw_init(InitSpec("box_uniform"), t, 6, rng)
         rep = TanhBox(t.lo, t.hi)
         w0 = rep.from_x(x0)
         c = -rep.jacobian_diag(w0) * mie_gradient(x0, t, MollifierConfig())

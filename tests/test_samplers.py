@@ -10,12 +10,10 @@ from mirrorcoin.geometry import EntropicSimplexMap, PositiveOrthantMap
 from mirrorcoin.kernels import KernelConfig, resolve_bandwidth
 from mirrorcoin.samplers import (
     SAMPLERS,
-    Domain,
     InitSpec,
     StepperConfig,
     coin_twin,
     default_init,
-    domain_of,
     draw_init,
     hermite_features,
     make_stepper,
@@ -110,40 +108,34 @@ class TestSteppers:
 
 class TestInit:
     def test_defaults_per_domain(self):
-        assert default_init(Domain("simplex")).kind == "dirichlet"
-        assert default_init(Domain("orthant")).kind == "lognormal"
-        assert default_init(Domain("box")).kind == "box_uniform"
-
-    def test_domain_of_box_carries_bounds(self):
-        t = UniformBox(np.array([0.0, -1.0]), np.array([2.0, 1.0]))
-        dom = domain_of(t)
-        assert dom.kind == "box"
-        assert np.allclose(dom.lo, [0.0, -1.0]) and np.allclose(dom.hi, [2.0, 1.0])
+        assert default_init(SparseDirichlet(1.0, np.ones(3))).kind == "dirichlet"
+        assert default_init(ExpOrthant(2)).kind == "lognormal"
+        assert default_init(UniformBox(np.zeros(2), np.ones(2))).kind == "box_uniform"
 
     def test_dirichlet_init_interior(self):
         rng = np.random.default_rng(0)
-        x = draw_init(InitSpec("dirichlet"), Domain("simplex"), 200, 4, rng)
+        x = draw_init(InitSpec("dirichlet"), SparseDirichlet(1.0, np.ones(5)), 200, rng)
         assert x.shape == (200, 4)
         assert np.all(x > 0) and np.all(x.sum(axis=1) < 1)
 
     def test_lognormal_init_positive(self):
         rng = np.random.default_rng(0)
-        x = draw_init(InitSpec("lognormal"), Domain("orthant"), 100, 3, rng)
+        x = draw_init(InitSpec("lognormal"), ExpOrthant(3), 100, rng)
         assert x.shape == (100, 3) and np.all(x > 0)
 
     def test_box_init_central_half(self):
         rng = np.random.default_rng(0)
-        dom = Domain("box", lo=np.array([0.0, 2.0]), hi=np.array([1.0, 6.0]))
-        x = draw_init(InitSpec("box_uniform"), dom, 500, 2, rng)
+        dom = UniformBox(np.array([0.0, 2.0]), np.array([1.0, 6.0]))
+        x = draw_init(InitSpec("box_uniform"), dom, 500, rng)
         assert np.all(x[:, 0] >= 0.25) and np.all(x[:, 0] <= 0.75)
         assert np.all(x[:, 1] >= 3.0) and np.all(x[:, 1] <= 5.0)
 
     def test_mismatched_domain_raises(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            draw_init(InitSpec("dirichlet"), Domain("orthant"), 5, 2, rng)
+            draw_init(InitSpec("dirichlet"), ExpOrthant(2), 5, rng)
         with pytest.raises(ConfigError):
-            draw_init(InitSpec("box_uniform"), Domain("simplex"), 5, 2, rng)
+            draw_init(InitSpec("box_uniform"), SparseDirichlet(1.0, np.ones(3)), 5, rng)
 
 
 def qp_project(v, domain_kind):
@@ -168,13 +160,13 @@ def qp_project(v, domain_kind):
 
 class TestProjection:
     def test_interior_point_unchanged(self):
-        dom = Domain("simplex")
+        dom = SparseDirichlet(1.0, np.ones(3))
         x = np.array([[0.2, 0.3]])
         assert np.array_equal(project_to_domain(dom, x), x)
 
     def test_matches_qp_oracle_on_simplex(self):
         rng = np.random.default_rng(7)
-        dom = Domain("simplex")
+        dom = SparseDirichlet(1.0, np.ones(5))
         for scale in (0.5, 1.0, 3.0):
             pts = rng.normal(scale=scale, size=(12, 4))
             got = project_to_domain(dom, pts)
@@ -185,22 +177,22 @@ class TestProjection:
     def test_simplex_output_in_open_domain(self):
         rng = np.random.default_rng(8)
         pts = rng.normal(scale=5.0, size=(200, 6))
-        out = project_to_domain(Domain("simplex"), pts)
+        out = project_to_domain(SparseDirichlet(1.0, np.ones(7)), pts)
         assert np.all(out >= 1e-12)
         assert np.all(out.sum(axis=1) <= 1.0 - 1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(50, 3))
-        dom = Domain("simplex")
+        dom = SparseDirichlet(1.0, np.ones(4))
         once = project_to_domain(dom, pts)
         assert np.allclose(project_to_domain(dom, once), once)
 
     def test_box_and_orthant_clamp(self):
-        box = Domain("box", lo=np.zeros(2), hi=np.ones(2))
+        box = UniformBox(np.zeros(2), np.ones(2))
         out = project_to_domain(box, np.array([[-1.0, 2.0]]))
         assert np.allclose(out, [[1e-12, 1.0 - 1e-12]])
-        orth = Domain("orthant")
+        orth = ExpOrthant(2)
         out = project_to_domain(orth, np.array([[-3.0, 0.7]]))
         assert np.allclose(out, [[1e-12, 0.7]])
 
@@ -437,7 +429,7 @@ class TestRunLoop:
         # replay by hand
         from mirrorcoin.rng import substream
         rng = substream(9, "init")
-        X0 = draw_init(InitSpec("dirichlet"), Domain("simplex"), 6, 2, rng)
+        X0 = draw_init(InitSpec("dirichlet"), target, 6, rng)
         Y0 = mmap.primal_to_dual(X0)
         md = MirroredDensity(target, mmap)
         h = resolve_bandwidth(KernelConfig(), Y0)
