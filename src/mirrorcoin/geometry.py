@@ -38,7 +38,8 @@ def as_dimension(d) -> int:
 
 class _MirrorMap:
     """The dimension and the interior check both maps share; each map
-    defines ``domain`` and ``is_interior``."""
+    defines ``domain``, ``is_interior`` and ``_inside``, the scalar test
+    that every point is finite and interior."""
 
     domain: str
 
@@ -51,9 +52,10 @@ class _MirrorMap:
             raise DomainViolation(
                 f"expected last axis {self.d}, got {x.shape[-1]}"
             )
-        if not np.all(np.isfinite(x)):
-            raise DomainViolation("non-finite primal point")
-        if not np.all(self.is_interior(x)):
+        if x.size and not self._inside(x):
+            # only a failed check works out which error it is
+            if not np.all(np.isfinite(x)):
+                raise DomainViolation("non-finite primal point")
             raise DomainViolation(
                 f"point on or outside the open {self.domain} (margin {INTERIOR_TOL})"
             )
@@ -79,6 +81,10 @@ class EntropicSimplexMap(_MirrorMap):
 
     def _last(self, x: np.ndarray) -> np.ndarray:
         return 1.0 - x.sum(axis=-1)
+
+    def _inside(self, x: np.ndarray) -> bool:
+        # a NaN fails the minimum, and a +inf sends the remainder to -inf
+        return x.min() > INTERIOR_TOL and self._last(x).min() > INTERIOR_TOL
 
     # -- potential and conjugate maps ------------------------------------
 
@@ -178,6 +184,9 @@ class PositiveOrthantMap(_MirrorMap):
     def is_interior(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return (x > INTERIOR_TOL).all(axis=-1)
+
+    def _inside(self, x: np.ndarray) -> bool:
+        return x.min() > INTERIOR_TOL and x.max() < np.inf
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         """phi(x) = sum_k (x_k log x_k - x_k)."""

@@ -2,7 +2,8 @@
 
 Radial kernels are written as k(x, x') = f(r^2) with r^2 = ||x - x'||^2, and
 :func:`radial_profile` returns f together with its first three derivatives in
-r^2.  Those derivatives are what every downstream gradient needs:
+r^2 (or only the first, for the callers that need no more).  Those
+derivatives are what every downstream gradient needs:
 
     grad_x k = 2 f'(r^2) (x - x')
 
@@ -29,8 +30,9 @@ class KernelConfig:
     """Base kernel choice.
 
     bandwidth is either a positive float or the string "median", in which
-    case the bandwidth is re-resolved from the current dual-space particle
-    cloud at every iteration.
+    case the bandwidth is re-resolved at every iteration from the cloud the
+    sampler moves: the dual cloud for mirrored samplers, the primal cloud
+    for projected ones.
     """
 
     family: str = "imq"
@@ -52,6 +54,10 @@ class KernelConfig:
 def median_bandwidth(points: np.ndarray) -> float:
     """sqrt(median(d)^2 / log N) over pairwise Euclidean distances.
 
+    The median is taken as an order statistic: the middle distance, or
+    (a + b) / 2 of the two middle ones, bit for bit what np.median returns
+    on a finite cloud.
+
     Raises DegenerateCloud when there are no pairs or the median pairwise
     distance is zero (no usable spread).
     """
@@ -59,7 +65,10 @@ def median_bandwidth(points: np.ndarray) -> float:
     n = points.shape[0]
     if n < 2:
         raise DegenerateCloud("median bandwidth needs at least two points")
-    med = float(np.median(pdist(points)))
+    pairs = n * (n - 1) // 2
+    mid = pairs // 2
+    dist = np.partition(pdist(points), (mid - 1, mid))
+    med = float(dist[mid] if pairs % 2 else (dist[mid - 1] + dist[mid]) / 2)
     if med == 0.0:
         raise DegenerateCloud("median pairwise distance is zero")
     return float(np.sqrt(med**2 / np.log(n)))
@@ -81,24 +90,29 @@ def resolve_bandwidth(config: KernelConfig, points: np.ndarray) -> float:
         return 1.0
 
 
-def radial_profile(family: str, r2: np.ndarray, h: float):
-    """Return (f, f1, f2, f3): the kernel profile and d/d(r^2) derivatives.
+def radial_profile(family: str, r2: np.ndarray, h: float, order: int = 3):
+    """Return (f, f1, f2, f3): the kernel profile and d/d(r^2) derivatives,
+    or just (f, f1) with ``order`` 1.
 
     imq: f(u) = (1 + u/h^2)^(-1/2)
     rbf: f(u) = exp(-u/h^2)
     """
+    if order not in (1, 3):
+        raise ValueError(f"order must be 1 or 3, got {order!r}")
     r2 = np.asarray(r2, dtype=float)
     h2 = h * h
     if family == "imq":
         base = 1.0 + r2 / h2
-        f = base**-0.5
-        f1 = -0.5 / h2 * base**-1.5
-        f2 = 0.75 / h2**2 * base**-2.5
-        f3 = -1.875 / h2**3 * base**-3.5
-        return f, f1, f2, f3
+        out = (base**-0.5, -0.5 / h2 * base**-1.5)
+        if order == 3:
+            out += (0.75 / h2**2 * base**-2.5, -1.875 / h2**3 * base**-3.5)
+        return out
     if family == "rbf":
         f = np.exp(-r2 / h2)
-        return f, -f / h2, f / h2**2, -f / h2**3
+        out = (f, -f / h2)
+        if order == 3:
+            out += (f / h2**2, -f / h2**3)
+        return out
     raise ValueError(f"unknown kernel family {family!r}")
 
 

@@ -94,7 +94,9 @@ def mie_gradient(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
     T -= T.max()
     w = np.exp(T, out=T)
     w /= w.sum()
-    w2 = w + w.T                       # row m pairs (m, j); column (i, m)
+    # row m pairs (m, j), column (i, m); T is bitwise symmetric (so are r2
+    # and the log-density sum), so w + w^T is exactly 2 w
+    w2 = 2.0 * w
     # pair[m] = sum_j c[m, j] (x_m - x_j); at r2 = 0 the difference is 0, so
     # c is too there, whatever the scale (the riesz self term is ~1e16)
     c = w2 * scale

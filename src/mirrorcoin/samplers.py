@@ -233,20 +233,23 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, :, None] * v[:, None, :]).reshape(u.shape[0], -1)
 
 
-def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
+def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
+                    X: np.ndarray | None = None) -> np.ndarray:
     """Mirrored SVGD update direction for every particle.
 
     Row i is (1/N) sum_j [ k_phi(y_j, y_i) s(y_j) + grad_{y_j} k_phi(y_j, y_i) ],
     with s the dual score; the kernel gradient chains one inverse mirror
     Hessian onto the base-kernel gradient at the primal images, so the
     repulsion sum_j 2 f1[j, i] A_j (x_j - x_i) is f1^T (A x) minus
-    (sum_j f1[j, i] A_j) x_i.
+    (sum_j f1[j, i] A_j) x_i.  ``X`` is the primal image of ``Y`` when the
+    caller has it already; None maps ``Y`` back.
     """
     mmap = md.mmap
     n, d = Y.shape
-    X = mmap.dual_to_primal(Y)
+    if X is None:
+        X = mmap.dual_to_primal(Y)
     S = md.dual_score_from_primal(X)
-    f, f1, _, _ = radial_profile(family, cdist(X, X, "sqeuclidean"), h)
+    f, f1 = radial_profile(family, cdist(X, X, "sqeuclidean"), h, order=1)
     f1A = (f1.T @ mmap.inverse_hessian(X).reshape(n, d * d)).reshape(n, d, d)
     repulse = f1.T @ mmap.hessian_inverse_apply(X, X) - _apply(f1A, X)
     return (f.T @ S + 2.0 * repulse) / n
@@ -255,7 +258,7 @@ def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -
 def svgd_direction(X: np.ndarray, target, family: str, h: float) -> np.ndarray:
     """Plain primal-space SVGD direction (used by the projected baselines)."""
     n = X.shape[0]
-    f, f1, _, _ = radial_profile(family, cdist(X, X, "sqeuclidean"), h)
+    f, f1 = radial_profile(family, cdist(X, X, "sqeuclidean"), h, order=1)
     return (f.T @ target.score(X) + 2.0 * pair_sum(f1, X)) / n
 
 
@@ -264,13 +267,15 @@ def svgd_direction(X: np.ndarray, target, family: str, h: float) -> np.ndarray:
 # Matrices indexed [j, i] pair the first argument y_j with the second y_i;
 # dx = x_j - x_i is their primal difference and A_j the inverse mirror
 # Hessian at x_j.  Every pair term is an N x N scalar matrix built from matrix
-# products, so nothing of size N^2 d is held at once.
+# products, so nothing of size N^2 d is held at once.  X, when given, is the
+# primal image of Y.
 
 
-def _stein_context(Y, md, family, h):
+def _stein_context(Y, md, family, h, X=None):
     mmap = md.mmap
     n, d = Y.shape
-    X = mmap.dual_to_primal(Y)
+    if X is None:
+        X = mmap.dual_to_primal(Y)
     A = mmap.inverse_hessian(X)                    # (N,d,d)
     Af = A.reshape(n, d * d)
     q = md.score_shift(X)                          # (N,d)
@@ -305,7 +310,8 @@ def stein_vstat(Y, md, family, h) -> float:
     return float(stein_kernel_matrix(Y, md, family, h).mean())
 
 
-def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
+def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
+                    X: np.ndarray | None = None) -> np.ndarray:
     """Descent direction on the squared discrepancy:
     row i = -(1/N^2) sum_j grad_{y_i} K(y_j, y_i).
 
@@ -313,11 +319,12 @@ def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -
     primal image and sums over j before any contraction: derivatives of the
     inverse mirror Hessian enter via the map's Frobenius contraction, which
     is linear and so is applied once to sum_j M[j, i], and the dual-score
-    Jacobian via the score-shift Jacobian.
+    Jacobian via the score-shift Jacobian.  ``X`` is the primal image of
+    ``Y`` when the caller has it already; None maps ``Y`` back.
     """
     mmap = md.mmap
     n, d = Y.shape
-    X, A, q, S, u, f, f1, f2, f3, ss, st, qp = _stein_context(Y, md, family, h)
+    X, A, q, S, u, f, f1, f2, f3, ss, st, qp = _stein_context(Y, md, family, h, X)
     Af = A.reshape(n, d * d)
     f1A = (f1.T @ Af).reshape(n, d, d)             # sum_j f1 A_j
     f2A = (f2.T @ Af).reshape(n, d, d)
@@ -481,6 +488,10 @@ def run_sampler(
     projected samplers.  The record's ``y_final`` holds those coordinates
     (None for projected samplers).
 
+    Each iteration settles the stepped coordinates into a primal cloud
+    ``X`` once, and the direction takes that settled ``X`` rather than
+    mapping the coordinates back again.
+
     ``stepper`` defaults to the adaptive coin engine, so a gradient sampler
     needs an explicit one; :func:`check_run`'s problems raise ConfigError.
 
@@ -526,12 +537,12 @@ def run_sampler(
         md = mirrored_density(target)
         mmap = md.mmap
         direction = {
-            "msvgd": lambda y, _: msvgd_direction(y, md, kernel.family,
-                                                  resolve_bandwidth(kernel, y)),
-            "mksdd": lambda y, _: mksdd_direction(y, md, kernel.family,
-                                                  resolve_bandwidth(kernel, y)),
+            "msvgd": lambda y, x: msvgd_direction(y, md, kernel.family,
+                                                  resolve_bandwidth(kernel, y), x),
+            "mksdd": lambda y, x: mksdd_direction(y, md, kernel.family,
+                                                  resolve_bandwidth(kernel, y), x),
             "mlawgd": lambda y, _: mlawgd_direction(y, spectral_terms),
-            "mla": lambda y, _: md.dual_score(y),
+            "mla": lambda y, x: md.dual_score_from_primal(x),
         }[base]
 
         def settle(y):
@@ -554,6 +565,10 @@ def run_sampler(
                 record.trace.append((it, name, float(fn(x, None if projected else z)), ms))
 
     observe(0, X, Z)
+    if mmap is not None and n_iters:
+        # the drawn cloud and the primal image of its dual coordinates differ
+        # in rounding; the first direction sees the image, as all later ones do
+        X = mmap.dual_to_primal(Z)
     for it in range(1, n_iters + 1):
         Z, X = settle(engine.step(Z, direction(Z, X)))
         if mmap is not None and not np.all(mmap.is_interior(X)):

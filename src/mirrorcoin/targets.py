@@ -58,6 +58,9 @@ class SparseDirichlet:
     def from_config(cls, counts, alpha, d=None):
         if d is not None and d != len(counts) - 1:
             raise ValueError("target.d must equal len(target.counts) - 1 when both are given")
+        if len(alpha) not in (1, len(counts)):
+            raise ValueError(f"target.alpha takes 1 value or one per category "
+                             f"({len(counts)}), got {len(alpha)}")
         return cls(alpha=alpha, counts=counts)
 
     def posterior_mean(self) -> np.ndarray:
@@ -364,6 +367,8 @@ class SelectiveLasso:
 
     @classmethod
     def from_config(cls, n, p, q, lam, tau, eps_ridge, seed):
+        if n < 1:
+            raise ValueError(f"target.n must be >= 1 observations, got {n}")
         return cls.synthetic(substream(seed, "target_synth"), n=n, p=p, q=q,
                              lam=lam, tau=tau, eps_ridge=eps_ridge)
 

@@ -4,6 +4,7 @@ for the test suite."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import pdist
 from scipy.special import logsumexp
 
 from mirrorcoin.kernels import radial_profile
@@ -64,6 +65,13 @@ def orthant_interior_points(n, d, rng, low=0.05, high=3.0):
 
 # ---------------------------------------------------------------------------
 # pointwise reference kernels
+
+
+def median_bandwidth(points: np.ndarray) -> float:
+    """sqrt(median(d)^2 / log N) with the median taken by np.median."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    med = float(np.median(pdist(points)))
+    return float(np.sqrt(med**2 / np.log(points.shape[0])))
 
 
 def base_eval_grad(family: str, h: float, x: np.ndarray, x2: np.ndarray):

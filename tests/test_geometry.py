@@ -207,6 +207,78 @@ class TestOrthantSpecifics:
                 m.primal_to_dual(bad)
 
 
+# Every map method that takes a primal point checks it; the second argument
+# of the methods that take one has the shape of x (v) or x's (d, d) matrices.
+CHECKED = {
+    "potential": lambda m, x: m.potential(x),
+    "primal_to_dual": lambda m, x: m.primal_to_dual(x),
+    "log_det_hessian": lambda m, x: m.log_det_hessian(x),
+    "grad_log_det_hessian": lambda m, x: m.grad_log_det_hessian(x),
+    "hess_log_det_hessian": lambda m, x: m.hess_log_det_hessian(x),
+    "hessian_apply": lambda m, x: m.hessian_apply(x, np.ones_like(x)),
+    "hessian_inverse_apply": lambda m, x: m.hessian_inverse_apply(x, np.ones_like(x)),
+    "inverse_hessian": lambda m, x: m.inverse_hessian(x),
+    "d_inv_hessian_contract": lambda m, x: m.d_inv_hessian_contract(
+        x, np.ones(x.shape + (x.shape[-1],))),
+    "assert_interior": lambda m, x: m.assert_interior(x),
+}
+
+OUTSIDE = "point on or outside the open {domain} (margin 1e-12)"
+NON_FINITE = "non-finite primal point"
+
+# (map, one bad row, message); each bad row sits in a cloud of good ones
+BAD_POINTS = [
+    (EntropicSimplexMap(2), [0.0, 0.5], OUTSIDE),
+    (EntropicSimplexMap(2), [0.5, 0.5], OUTSIDE),      # implicit coordinate 0
+    (EntropicSimplexMap(2), [0.6, 0.6], OUTSIDE),      # implicit coordinate < 0
+    (EntropicSimplexMap(2), [INTERIOR_TOL, 0.5], OUTSIDE),
+    (EntropicSimplexMap(2), [np.nan, 0.2], NON_FINITE),
+    (EntropicSimplexMap(2), [np.inf, 0.2], NON_FINITE),
+    (EntropicSimplexMap(2), [-np.inf, 0.2], NON_FINITE),
+    (EntropicSimplexMap(2), [np.inf, -np.inf], NON_FINITE),
+    (PositiveOrthantMap(2), [0.0, 1.0], OUTSIDE),
+    (PositiveOrthantMap(2), [-1.0, 1.0], OUTSIDE),
+    (PositiveOrthantMap(2), [INTERIOR_TOL, 1.0], OUTSIDE),
+    (PositiveOrthantMap(2), [np.nan, 1.0], NON_FINITE),
+    (PositiveOrthantMap(2), [np.inf, 1.0], NON_FINITE),
+    (PositiveOrthantMap(2), [-np.inf, 1.0], NON_FINITE),
+]
+
+
+def _bad_point_id(value):
+    if isinstance(value, list):
+        return str(value).replace(" ", "")
+    return getattr(value, "domain", None) or {OUTSIDE: "outside"}.get(value, "non-finite")
+
+
+@pytest.mark.parametrize("method", sorted(CHECKED))
+class TestInteriorChecks:
+    """The same DomainViolation, message included, from every checked method."""
+
+    @pytest.mark.parametrize("mmap,bad,message", BAD_POINTS, ids=_bad_point_id)
+    def test_bad_point_in_cloud(self, method, mmap, bad, message):
+        x = np.full((3, 2), 0.25)
+        x[1] = bad
+        with pytest.raises(DomainViolation) as info:
+            CHECKED[method](mmap, x)
+        assert str(info.value) == message.format(domain=mmap.domain)
+
+    @pytest.mark.parametrize("mmap", [EntropicSimplexMap(3), PositiveOrthantMap(3)],
+                             ids=["simplex", "orthant"])
+    @pytest.mark.parametrize("shape", [(2,), (4, 4)])
+    def test_wrong_last_axis(self, method, mmap, shape):
+        with pytest.raises(DomainViolation) as info:
+            CHECKED[method](mmap, np.full(shape, 0.1))
+        assert str(info.value) == f"expected last axis 3, got {shape[-1]}"
+
+    @pytest.mark.parametrize("mmap", [EntropicSimplexMap(2), PositiveOrthantMap(2)],
+                             ids=["simplex", "orthant"])
+    def test_interior_cloud_and_empty_cloud_pass(self, method, mmap):
+        CHECKED[method](mmap, np.full((3, 2), 0.25))
+        CHECKED[method](mmap, np.full((4, 3, 2), 0.25))
+        CHECKED[method](mmap, np.zeros((0, 2)))
+
+
 class TestFactory:
     def test_known_kinds(self):
         assert isinstance(make_map("simplex", 2), EntropicSimplexMap)

@@ -544,6 +544,38 @@ class TestCli:
         assert "target: dimension must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "o"))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_selective_lasso_without_observations_exit_one(self, tmp_path, capsys, n):
+        cfg = write_cfg(tmp_path, (
+            f"target.kind = selective_lasso\ntarget.n = {n}\n"
+            "target.p = 3\ntarget.q = 1\n"
+            "sampler.kind = coin_msvgd\n"
+            "sampler.n_particles = 4\n"
+            "sampler.n_iters = 2\n"
+        ))
+        code = main(["sample", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"  - target: target.n must be >= 1 observations, got {n}\n" in err
+        assert "negative dimensions" not in err
+        assert not os.path.exists(str(tmp_path / "o"))
+
+    def test_sparse_dirichlet_alpha_of_wrong_length_exit_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, (
+            "target.kind = sparse_dirichlet\n"
+            "target.alpha = 1,2\ntarget.counts = 4,2,1\n"
+            "sampler.kind = coin_msvgd\n"
+            "sampler.n_particles = 4\n"
+            "sampler.n_iters = 2\n"
+        ))
+        code = main(["sample", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ("  - target: target.alpha takes 1 value or one per category (3), "
+                "got 2\n") in err
+        assert "broadcast" not in err
+        assert not os.path.exists(str(tmp_path / "o"))
+
     @pytest.mark.parametrize("command,setting,argv,message", [
         ("sample", "seed = -1", [], "seed must be >= 0"),
         ("sample", None, ["--seed", "-1"], "seed must be >= 0"),

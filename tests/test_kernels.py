@@ -18,6 +18,7 @@ from helpers import (
     base_eval_grad,
     fd_grad,
     gram,
+    median_bandwidth as median_bandwidth_oracle,
     mirrored_eval_grad,
     rel_err,
     simplex_interior_points,
@@ -66,6 +67,20 @@ class TestBaseKernels:
             assert rel_err((up - dn) / (2 * eps), hi) < 1e-5
 
     @pytest.mark.parametrize("fam", ["imq", "rbf"])
+    def test_first_order_profile_is_the_full_one_cut_short(self, fam):
+        r2 = np.random.default_rng(3).uniform(0.0, 9.0, size=(7, 7))
+        full = radial_profile(fam, r2, 0.8)
+        short = radial_profile(fam, r2, 0.8, order=1)
+        assert len(short) == 2
+        for got, want in zip(short, full):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [0, 2, 4])
+    def test_profile_order_is_one_or_three(self, order):
+        with pytest.raises(ValueError, match="order must be 1 or 3"):
+            radial_profile("imq", np.ones(3), 1.0, order=order)
+
+    @pytest.mark.parametrize("fam", ["imq", "rbf"])
     def test_symmetry(self, fam):
         rng = np.random.default_rng(1)
         x, x2 = rng.normal(size=(2, 4))
@@ -103,6 +118,33 @@ class TestMedianBandwidth:
         pts = np.array([[0.0], [1.0]])
         assert resolve_bandwidth(KernelConfig("imq", 2.5), pts) == 2.5
         assert resolve_bandwidth(KernelConfig("imq", "median"), pts) == median_bandwidth(pts)
+
+    # N pairs: 2 -> 1, 3 -> 3, 5 -> 10, 8 -> 28, 9 -> 36, 50 -> 1225
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 50])
+    @pytest.mark.parametrize("ties", [False, True], ids=["spread", "ties"])
+    def test_order_statistic_matches_np_median_bitwise(self, n, ties):
+        rng = np.random.default_rng([n, ties])
+        for _ in range(20):
+            if ties:
+                # integer points on a small grid repeat many distances
+                pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+                if not np.ptp(pts, axis=0).any():
+                    continue
+            else:
+                pts = rng.normal(size=(n, 3))
+            want = median_bandwidth_oracle(pts)
+            if want == 0.0:
+                with pytest.raises(DegenerateCloud):
+                    median_bandwidth(pts)
+                continue
+            assert median_bandwidth(pts) == want
+
+    def test_even_pair_count_takes_mean_of_middle_two(self):
+        # the points 0, 1, 3, 4 on a line are {1, 1, 2, 3, 3, 4} apart; the
+        # middle two of the six distances are 2 and 3
+        pts = np.array([[0.0], [1.0], [3.0], [4.0]])
+        assert median_bandwidth(pts) == float(np.sqrt(2.5**2 / np.log(4.0)))
+        assert median_bandwidth(pts) == median_bandwidth_oracle(pts)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -5,8 +5,10 @@ import pytest
 
 from mirrorcoin.errors import ConfigError
 from mirrorcoin.mied import (
+    MOLLIFIERS,
     MollifierConfig,
     TanhBox,
+    _log_terms,
     mie_gradient,
     mie_log_energy,
 )
@@ -97,6 +99,21 @@ class TestGradient:
                 return mie_log_energy(z, t, moll)
             ref = fd_grad(energy_of, x[m], h=1e-6)
             assert rel_err(g[m], ref) < 1e-5
+
+    @pytest.mark.parametrize("kind", MOLLIFIERS)
+    @pytest.mark.parametrize("target", [ExpOrthant(3, rate=1.3),
+                                        SparseDirichlet(0.5, [4.0, 2.0, 1.0, 3.0])],
+                             ids=["orthant", "simplex"])
+    def test_log_terms_bitwise_symmetric(self, kind, target):
+        # mie_gradient sums the softmax weights and their transpose as 2 w,
+        # which holds bit for bit only while the term matrix is symmetric
+        rng = np.random.default_rng(4)
+        x = rng.dirichlet(np.ones(4), size=60)[:, :3]
+        x[7] = x[3]                                 # a coincident pair
+        T, scale, r2 = _log_terms(x, target, MollifierConfig(kind=kind, eps=0.3))
+        assert T.tobytes() == T.T.tobytes()
+        assert r2.tobytes() == r2.T.tobytes()
+        assert np.ndim(scale) == 0 or scale.tobytes() == scale.T.tobytes()
 
 
 class TestReparam:

@@ -8,16 +8,19 @@ from scipy.special import eval_hermitenorm, gammaln
 from mirrorcoin.errors import ConfigError, DomainViolation
 from mirrorcoin.geometry import EntropicSimplexMap, PositiveOrthantMap
 from mirrorcoin.kernels import KernelConfig, resolve_bandwidth
+from mirrorcoin.rng import substream
 from mirrorcoin.samplers import (
     SAMPLERS,
     InitSpec,
     StepperConfig,
+    _Langevin,
     coin_twin,
     default_init,
     draw_init,
     hermite_features,
     make_stepper,
     mksdd_direction,
+    mirrored_density,
     mlawgd_direction,
     msvgd_direction,
     project_to_domain,
@@ -435,6 +438,65 @@ class TestRunLoop:
         h = resolve_bandwidth(KernelConfig(), Y0)
         c = msvgd_direction(Y0, md, "imq", h)
         assert np.array_equal(rec.y_final, Y0 + c / 2.0)
+
+    @pytest.mark.parametrize("sampler,stepper", [
+        ("coin_msvgd", None),
+        ("msvgd", StepperConfig("rmsprop", lr=0.05)),
+        ("coin_mksdd", None),
+        ("mla", StepperConfig("fixed_lr", lr=1e-3)),
+    ])
+    @pytest.mark.parametrize("target", [
+        SparseDirichlet(alpha=0.5, counts=np.array([6.0, 3.0, 1.0])),
+        ExpOrthant(2, rate=1.0),
+    ], ids=["simplex", "orthant"])
+    def test_settled_cloud_gives_the_directions_that_map_back(self, sampler, stepper,
+                                                              target):
+        # replay with directions that map every dual cloud back themselves,
+        # the first one included: the run must match it bit for bit
+        rec = run_sampler(target=target, sampler=sampler, n_particles=8,
+                          n_iters=6, seed=4, stepper=stepper)
+        md = mirrored_density(target)
+        X0 = draw_init(default_init(target), target, 8, substream(4, "init"))
+        Y = md.mmap.primal_to_dual(X0)
+        if sampler == "mla":
+            engine = _Langevin(stepper.lr, substream(4, "mla_noise"))
+        else:
+            engine = make_stepper(stepper or StepperConfig(), Y)
+        direction = {
+            "msvgd": lambda y: msvgd_direction(y, md, "imq", resolve_bandwidth(KernelConfig(), y)),
+            "mksdd": lambda y: mksdd_direction(y, md, "imq", resolve_bandwidth(KernelConfig(), y)),
+            "mla": md.dual_score,
+        }[sampler.removeprefix("coin_")]
+        for _ in range(6):
+            Y = engine.step(Y, direction(Y))
+        assert rec.y_final.tobytes() == Y.tobytes()
+        assert rec.x_final.tobytes() == md.mmap.dual_to_primal(Y).tobytes()
+
+    @pytest.mark.parametrize("n_iters", [0, 1, 9])
+    def test_primal_cloud_made_once_per_iteration(self, monkeypatch, n_iters):
+        # one image per settled step, plus the image of the drawn cloud's
+        # dual coordinates that the first direction sees
+        calls = []
+        to_x = EntropicSimplexMap.dual_to_primal
+        monkeypatch.setattr(EntropicSimplexMap, "dual_to_primal",
+                            lambda self, y: calls.append(1) or to_x(self, y))
+        rec = run_sampler(target=self.target(), sampler="coin_msvgd", n_particles=6,
+                          n_iters=n_iters, seed=3)
+        assert len(calls) == (n_iters + 1 if n_iters else 0)
+        if not n_iters:
+            # no step taken: the record keeps the drawn cloud
+            X0 = draw_init(default_init(self.target()), self.target(), 6,
+                           substream(3, "init"))
+            assert rec.x_final.tobytes() == X0.tobytes()
+
+    @pytest.mark.parametrize("direction", [msvgd_direction, mksdd_direction])
+    @pytest.mark.parametrize("setup", [dirichlet_setup, exp_setup])
+    def test_direction_given_the_primal_cloud_is_unchanged(self, direction, setup):
+        _, mmap, md, Y = setup(n=7)
+        h = resolve_bandwidth(KernelConfig(), Y)
+        want = direction(Y, md, "imq", h)
+        got = direction(Y, md, "imq", h, mmap.dual_to_primal(Y))
+        assert got.tobytes() == want.tobytes()
 
     def test_mla_reproducible_and_moves(self):
         t = ExpOrthant(2, rate=1.0)
