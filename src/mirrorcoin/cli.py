@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 for configuration problems (every violation is
-listed) and unsupported requests, 2 for numeric or other runtime failures.
+Exit codes: 0 on success, 1 for configuration problems and unusable metrics
+inputs (every violation is listed) and unsupported requests, 2 for numeric or
+other runtime failures.
 """
 
 from __future__ import annotations

@@ -1,18 +1,19 @@
 """Coin-betting position updates for particle clouds.
 
-Both engines maintain positions for an (N, d) cloud relative to its starting
-point ``y0`` and consume one "outcome" array per call -- the negative
-gradient signal computed at the current positions.  They never take a
-learning rate.
+Both engines are steppers: ``step(y, c)`` takes the (N, d) positions ``y``
+and the "outcome" ``c`` computed there -- the negative gradient signal -- and
+returns the next positions.  The caller owns the positions; an engine keeps
+only its start ``y0`` and its betting state, so a caller that moves ``y``
+between steps (a projection, say) bets from where the particles really are.
+The engines never take a learning rate.
 
 :class:`KTCoin` is the Krichevsky-Trofimov bettor.  After outcomes
-``c_1 .. c_t`` (observed at positions ``y_1 .. y_t``, with ``y_1 = y0``) the
-position is
+``c_1 .. c_t`` (observed at positions ``y_1 .. y_t``) the position is
 
     y = y0 + (sum_s c_s) / (t + 1) * (1 + sum_s <c_s, y_s - y0>),
 
 with the inner product (the bettor's wealth from past rounds) scalar per
-particle.  Before any outcome the position is exactly ``y0``.
+particle.  A first outcome observed at ``y0`` earns no wealth.
 
 :class:`AdaptiveCoin` replaces the ``1/(t+1)`` schedule with per-coordinate
 scale tracking: running maximum ``L``, absolute-sum ``G``, and clipped reward
@@ -35,29 +36,16 @@ class KTCoin:
     def __init__(self, y0: np.ndarray):
         y0 = np.array(y0, dtype=float)
         self.y0 = y0
-        self._y = y0.copy()
         self._sum_c = np.zeros_like(y0)
         self._wealth = np.zeros(y0.shape[:-1])
         self._t = 1
 
-    def positions(self) -> np.ndarray:
-        return self._y.copy()
-
-    def set_positions(self, y: np.ndarray) -> None:
-        """Overwrite the current positions (e.g. after a projection).
-
-        Subsequent reward accounting pairs the next outcome with these
-        positions.
-        """
-        self._y = np.array(y, dtype=float)
-
-    def step(self, c: np.ndarray) -> np.ndarray:
+    def step(self, y: np.ndarray, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
-        self._wealth = self._wealth + (c * (self._y - self.y0)).sum(axis=-1)
+        self._wealth = self._wealth + (c * (y - self.y0)).sum(axis=-1)
         self._sum_c = self._sum_c + c
         self._t += 1
-        self._y = self.y0 + self._sum_c / self._t * (1.0 + self._wealth)[..., None]
-        return self.positions()
+        return self.y0 + self._sum_c / self._t * (1.0 + self._wealth)[..., None]
 
 
 class AdaptiveCoin:
@@ -65,23 +53,16 @@ class AdaptiveCoin:
         y0 = np.array(y0, dtype=float)
         self.y0 = y0
         self.guard = bool(guard)
-        self._y = y0.copy()
         self._sum_c = np.zeros_like(y0)
         self.L = np.zeros_like(y0)
         self.G = np.zeros_like(y0)
         self.R = np.zeros_like(y0)
 
-    def positions(self) -> np.ndarray:
-        return self._y.copy()
-
-    def set_positions(self, y: np.ndarray) -> None:
-        self._y = np.array(y, dtype=float)
-
-    def step(self, c: np.ndarray) -> np.ndarray:
+    def step(self, y: np.ndarray, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
         np.maximum(self.L, np.abs(c), out=self.L)
         self.G += np.abs(c)
-        np.maximum(self.R + c * (self._y - self.y0), 0.0, out=self.R)
+        np.maximum(self.R + c * (y - self.y0), 0.0, out=self.R)
         self._sum_c = self._sum_c + c
         denom = self.G + self.L
         if self.guard:
@@ -90,13 +71,4 @@ class AdaptiveCoin:
         safe_denom = np.where(seen, denom, 1.0)
         safe_L = np.where(seen, self.L, 1.0)
         move = np.where(seen, self._sum_c / safe_denom * (1.0 + self.R / safe_L), 0.0)
-        self._y = self.y0 + move
-        return self.positions()
-
-
-def make_coin(kind: str, y0: np.ndarray, guard: bool = False):
-    if kind == "coin_kt":
-        return KTCoin(y0)
-    if kind == "coin_adaptive":
-        return AdaptiveCoin(y0, guard=guard)
-    raise ValueError(f"unknown coin engine {kind!r}")
+        return self.y0 + move

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -476,7 +477,9 @@ def run_sweep(raw: dict, out_dir: str, lrs=None, seeds=None,
         raise ConfigError(list(dict.fromkeys(problems)))
 
     if max_workers is None:
-        max_workers = min(len(plans), os.cpu_count() or 1)
+        max_workers = os.cpu_count() or 1
+    # the fork start method starts every worker up front, busy or not
+    max_workers = min(max_workers, len(plans))
     if max_workers <= 1:
         results = [_sweep_job(p) for p in plans]
     else:
@@ -530,9 +533,33 @@ def run_ground_truth(raw: dict, out_dir: str, n: int, seed=None) -> np.ndarray:
     return samples
 
 
+def _read_cloud(path: str, problems: list):
+    """The particle cloud in ``path``, or None with the reason logged."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: logged below
+            cloud = read_particles_csv(path)
+    except (OSError, ValueError) as exc:
+        problems.append(f"cannot read {path!r}: {exc}")
+        return None
+    if cloud.shape[0] == 0:
+        problems.append(f"{path!r} holds no particle rows")
+    elif not np.all(np.isfinite(cloud)):
+        problems.append(f"{path!r} holds non-finite values")
+    else:
+        return cloud
+    return None
+
+
 def run_metrics(cloud_path: str, ref_path: str) -> dict:
-    cloud = read_particles_csv(cloud_path)
-    ref = read_particles_csv(ref_path)
+    problems: list = []
+    cloud = _read_cloud(cloud_path, problems)
+    ref = _read_cloud(ref_path, problems)
+    if cloud is not None and ref is not None and cloud.shape[1] != ref.shape[1]:
+        problems.append(f"cloud has dimension {cloud.shape[1]}, "
+                        f"reference has {ref.shape[1]}")
+    if problems:
+        raise ConfigError(problems)
     mc = metrics_mod.summary_moments(cloud)
     mr = metrics_mod.summary_moments(ref)
     return {

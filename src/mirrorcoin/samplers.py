@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .coin import make_coin
+from .coin import AdaptiveCoin, KTCoin
 from .errors import ConfigError, DomainViolation
 from .geometry import INTERIOR_TOL, make_map
 from .kernels import KernelConfig, pair_sum, radial_profile, resolve_bandwidth
@@ -112,23 +112,20 @@ class _Langevin:
         return y + self.lr * c + np.sqrt(2.0 * self.lr) * self.rng.standard_normal(y.shape)
 
 
-class _CoinStepper:
-    def __init__(self, kind: str, y0, guard: bool):
-        self.engine = make_coin(kind, y0, guard=guard)
-
-    def step(self, y, c):
-        # y is the position the outcome was computed at; it may differ from
-        # the engine's last output when the caller projected it.
-        self.engine.set_positions(y)
-        return self.engine.step(c)
-
-
 def make_stepper(config: StepperConfig, y0: np.ndarray):
+    """The stepper ``config`` names, for positions that start at ``y0``.
+
+    Every stepper has ``step(y, c) -> y_next``: ``c`` is the outcome computed
+    at ``y``.  The caller owns the positions and may move them between steps
+    (a projection, say); the next step starts from the ``y`` it is handed.
+    """
     if config.kind == "fixed_lr":
         return _FixedLR(config.lr)
     if config.kind == "rmsprop":
         return _RMSProp(config.lr, np.shape(y0))
-    return _CoinStepper(config.kind, y0, config.guard)
+    if config.kind == "coin_kt":
+        return KTCoin(y0)
+    return AdaptiveCoin(y0, config.guard)
 
 
 # ---------------------------------------------------------------------------

@@ -198,21 +198,22 @@ class TestCoinEngine:
         y0 = rng.normal(size=(4, 3))
         c0 = rng.normal(size=(4, 3))
 
-        kt_first = KTCoin(y0).step(c0)
+        kt_first = KTCoin(y0).step(y0, c0)
         ok_kt = np.allclose(kt_first, y0 + c0 / 2.0, rtol=0, atol=1e-15)
 
-        ad_first = AdaptiveCoin(y0).step(c0)
+        ad_first = AdaptiveCoin(y0).step(y0, c0)
         ok_ad = np.allclose(ad_first - y0, np.sign(c0) / 2.0, rtol=0, atol=1e-15)
 
-        gd_first = AdaptiveCoin(y0, guard=True).step(c0)
+        gd_first = AdaptiveCoin(y0, guard=True).step(y0, c0)
         ok_gd = np.allclose(gd_first - y0, c0 / (100.0 * np.abs(c0)), rtol=0, atol=1e-15)
 
         eng = AdaptiveCoin(y0)
         prev_l = eng.L.copy()
         prev_g = eng.G.copy()
         ok_mono = True
+        y = y0
         for _ in range(50):
-            eng.step(rng.normal(size=(4, 3)))
+            y = eng.step(y, rng.normal(size=(4, 3)))
             ok_mono &= bool(np.all(eng.L >= prev_l) and np.all(eng.G >= prev_g))
             ok_mono &= bool(np.all(eng.R >= 0.0))
             prev_l, prev_g = eng.L.copy(), eng.G.copy()
@@ -221,9 +222,10 @@ class TestCoinEngine:
         runs = []
         for _ in range(2):
             e = AdaptiveCoin(y0)
+            y = y0
             for c in cs:
-                e.step(c)
-            runs.append(e.positions())
+                y = e.step(y, c)
+            runs.append(y)
         ok_det = runs[0].tobytes() == runs[1].tobytes()
 
         elapsed = time.perf_counter() - t0

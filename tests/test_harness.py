@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ class TestWriters:
     def test_lf_endings_and_header(self, tmp_path):
         path = str(tmp_path / "p.csv")
         write_particles_csv(path, np.array([[1.0, 2.0]]))
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert b"\r" not in blob
         assert blob.startswith(b"x1,x2\n")
 
@@ -350,15 +351,15 @@ class TestRunSample:
         for name in ("particles_final.csv", "trace.csv", "meta.json"):
             assert os.path.exists(os.path.join(out1, name))
         for name in ("particles_final.csv", "trace.csv"):
-            b1 = open(os.path.join(out1, name), "rb").read()
-            b2 = open(os.path.join(out2, name), "rb").read()
+            b1 = Path(out1, name).read_bytes()
+            b2 = Path(out2, name).read_bytes()
             assert b1 == b2
 
     def test_trace_has_expected_rows(self, tmp_path):
         cfg = write_cfg(tmp_path, SAMPLE_CONFIG)
         out = str(tmp_path / "o")
         run_sample(read_config(cfg), out)
-        lines = open(os.path.join(out, "trace.csv")).read().splitlines()
+        lines = Path(out, "trace.csv").read_text().splitlines()
         assert lines[0] == "iteration,metric,value"
         rows = [ln.split(",") for ln in lines[1:]]
         iters = sorted({int(r[0]) for r in rows})
@@ -371,7 +372,7 @@ class TestRunSample:
         cfg = write_cfg(tmp_path, SAMPLE_CONFIG)
         out = str(tmp_path / "o")
         run_sample(read_config(cfg), out)
-        meta = json.load(open(os.path.join(out, "meta.json")))
+        meta = json.loads(Path(out, "meta.json").read_text())
         assert meta["sampler"] == "coin_msvgd"
         assert meta["config"]["target.kind"] == "sparse_dirichlet"
         assert len(meta["moments"]["mean"]) == 2
@@ -399,7 +400,7 @@ class TestRunSweep:
             ("msvgd", 0.01, 0), ("msvgd", 0.1, 0), ("coin_msvgd", None, 0),
             ("msvgd", 0.01, 1), ("msvgd", 0.1, 1), ("coin_msvgd", None, 1),
         ]
-        lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        lines = Path(out, "sweep.csv").read_text().splitlines()
         assert lines[0] == "sampler,lr,seed,final_metric"
         assert len(lines) == 7
         coin_lines = [ln for ln in lines[1:] if ln.startswith("coin_msvgd")]
@@ -412,8 +413,8 @@ class TestRunSweep:
         parallel = run_sweep(dict(raw), str(tmp_path / "s2"),
                              lrs=[0.05, 0.2], seeds=[0], max_workers=2)
         assert serial == parallel
-        b1 = open(str(tmp_path / "s1" / "sweep.csv"), "rb").read()
-        b2 = open(str(tmp_path / "s2" / "sweep.csv"), "rb").read()
+        b1 = (tmp_path / "s1" / "sweep.csv").read_bytes()
+        b2 = (tmp_path / "s2" / "sweep.csv").read_bytes()
         assert b1 == b2
 
     def test_sweep_rejects_coin_base_sampler(self, tmp_path):
@@ -422,6 +423,31 @@ class TestRunSweep:
         raw["stepper.kind"] = "coin_adaptive"
         with pytest.raises(ConfigError):
             run_sweep(raw, str(tmp_path / "s"), lrs=[0.1], seeds=[0])
+
+    @pytest.mark.parametrize("asked,pool", [(5000, 3), (2, 2), (1, None), (0, None)])
+    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch, asked, pool):
+        # a fake pool records its size and starts no process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
+        rows = run_sweep(raw, str(tmp_path / "s"), lrs=[0.05, 0.2], seeds=[0],
+                         max_workers=asked)
+        assert len(rows) == 3
+        assert sizes == ([] if pool is None else [pool])
 
     def test_sweep_needs_grids(self, tmp_path):
         raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
@@ -444,7 +470,7 @@ class TestCli:
         main(["sample", "--config", cfg, "--out", o1])
         main(["sample", "--config", cfg, "--out", o2, "--seed", "99"])
         main(["sample", "--config", cfg, "--out", o3, "--seed", "3"])
-        p = lambda o: open(os.path.join(o, "particles_final.csv"), "rb").read()
+        p = lambda o: Path(o, "particles_final.csv").read_bytes()
         assert p(o1) != p(o2)
         assert p(o1) == p(o3)  # config seed is 3
 
@@ -652,11 +678,29 @@ class TestCli:
         assert result["energy_distance"] >= 0.0
         assert result["n_ref"] == 200
 
+    @pytest.mark.parametrize("cloud,problem", [
+        ("x1,x2\n0.1,0.2\nnan,0.3\n", "holds non-finite values"),
+        (None, "cannot read"),
+        ("x1,x2\n", "holds no particle rows"),
+        ("x1,x2,x3\n0.1,0.2,0.3\n", "cloud has dimension 3, reference has 2"),
+    ], ids=["nan", "missing", "header_only", "dimension"])
+    def test_metrics_bad_input_exit_one(self, tmp_path, capsys, cloud, problem):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("x1,x2\n0.1,0.2\n0.3,0.4\n")
+        path = tmp_path / "cloud.csv"
+        if cloud is not None:
+            path.write_text(cloud)
+        code = main(["metrics", "--cloud", str(path), "--ref", str(ref)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and problem in captured.err
+
     def test_sweep_cli(self, tmp_path):
         cfg = write_cfg(tmp_path, SWEEP_CONFIG)
         out = str(tmp_path / "sw")
         code = main(["sweep", "--config", cfg, "--out", out,
                      "--lrs", "0.05,0.2", "--seeds", "0", "--workers", "1"])
         assert code == 0
-        lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        lines = Path(out, "sweep.csv").read_text().splitlines()
         assert len(lines) == 4  # header + 2 lr rows + coin twin

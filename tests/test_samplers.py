@@ -472,6 +472,27 @@ class TestRunLoop:
         assert rec.y_final.tobytes() == Y.tobytes()
         assert rec.x_final.tobytes() == md.mmap.dual_to_primal(Y).tobytes()
 
+    @pytest.mark.parametrize("stepper", [StepperConfig("coin_adaptive"),
+                                         StepperConfig("coin_kt")],
+                             ids=["adaptive", "kt"])
+    def test_projected_coin_replay_bets_from_projected_cloud(self, stepper):
+        # the engine is handed the projected cloud, not its own last output;
+        # a replay through make_stepper and project_to_domain matches bit for bit
+        target, kernel = self.target(), KernelConfig()
+        rec = run_sampler(target=target, sampler="coin_svgd_proj", n_particles=8,
+                          n_iters=6, seed=4, stepper=stepper)
+        X0 = draw_init(default_init(target), target, 8, substream(4, "init"))
+        X = project_to_domain(target, X0)
+        engine = make_stepper(stepper, X)
+        projections_moved = 0
+        for _ in range(6):
+            c = svgd_direction(X, target, kernel.family, resolve_bandwidth(kernel, X))
+            stepped = engine.step(X, c)
+            X = project_to_domain(target, stepped)
+            projections_moved += not np.array_equal(X, stepped)
+        assert projections_moved > 0
+        assert rec.x_final.tobytes() == X.tobytes()
+
     @pytest.mark.parametrize("n_iters", [0, 1, 9])
     def test_primal_cloud_made_once_per_iteration(self, monkeypatch, n_iters):
         # one image per settled step, plus the image of the drawn cloud's
