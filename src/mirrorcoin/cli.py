@@ -1,8 +1,13 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 for configuration problems and unusable metrics
-inputs (every violation is listed) and unsupported requests, 2 for numeric or
-other runtime failures.
+``--seed``, ``sample``/``sweep``'s ``--n``, ``--lrs`` and ``--seeds`` stand
+for the config keys ``seed``, ``sampler.n_particles``, ``sweep.lrs`` and
+``sweep.seeds``: their text overrides the file's and is parsed and checked
+with it.
+
+Exit codes: 0 on success, 1 for configuration problems (a malformed flag
+value among them) and unusable metrics inputs (every violation is listed)
+and unsupported requests, 2 for numeric or other runtime failures.
 """
 
 from __future__ import annotations
@@ -13,14 +18,15 @@ import sys
 
 from .errors import ConfigError, Unsupported
 from .harness import (
-    as_floats,
-    as_ints,
     read_config,
     run_ground_truth,
     run_metrics,
     run_sample,
     run_sweep,
 )
+
+# the flags that stand for config keys, by their dest
+FLAG_KEYS = ("seed", "sampler.n_particles", "sweep.lrs", "sweep.seeds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,22 +39,25 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sample", help="run one sampler, write particles/trace/meta")
     ps.add_argument("--config", required=True, help="key = value config file")
     ps.add_argument("--out", required=True, help="output directory")
-    ps.add_argument("--seed", type=int, help="override the config seed")
-    ps.add_argument("--n", type=int, help="override sampler.n_particles")
+    ps.add_argument("--seed", help="override the config seed")
+    ps.add_argument("--n", dest="sampler.n_particles", metavar="N",
+                    help="override sampler.n_particles")
 
     pw = sub.add_parser("sweep", help="learning-rate grid plus the coin twin")
     pw.add_argument("--config", required=True)
     pw.add_argument("--out", required=True)
-    pw.add_argument("--lrs", type=as_floats, help="override sweep.lrs")
-    pw.add_argument("--seeds", type=as_ints, help="override sweep.seeds")
-    pw.add_argument("--n", type=int, help="override sampler.n_particles")
+    pw.add_argument("--lrs", dest="sweep.lrs", metavar="LRS", help="override sweep.lrs")
+    pw.add_argument("--seeds", dest="sweep.seeds", metavar="SEEDS",
+                    help="override sweep.seeds")
+    pw.add_argument("--n", dest="sampler.n_particles", metavar="N",
+                    help="override sampler.n_particles")
     pw.add_argument("--workers", type=int, help="process pool size")
 
     pg = sub.add_parser("ground-truth", help="draw reference samples from the target")
     pg.add_argument("--config", required=True)
     pg.add_argument("--out", required=True)
     pg.add_argument("--n", type=int, required=True, help="number of samples")
-    pg.add_argument("--seed", type=int, help="override the config seed")
+    pg.add_argument("--seed", help="override the config seed")
 
     pm = sub.add_parser("metrics", help="compare two particle CSV files")
     pm.add_argument("--cloud", required=True, help="particle cloud CSV")
@@ -63,10 +72,9 @@ def _load(args) -> dict:
         raw = read_config(args.config)
     except OSError as exc:
         raise ConfigError([f"cannot read config {args.config!r}: {exc}"])
-    if getattr(args, "seed", None) is not None and args.command != "ground-truth":
-        raw["seed"] = str(args.seed)
-    if getattr(args, "n", None) is not None and args.command != "ground-truth":
-        raw["sampler.n_particles"] = str(args.n)
+    for key in FLAG_KEYS:
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
     return raw
 
 
@@ -77,12 +85,10 @@ def main(argv=None) -> int:
             run_sample(_load(args), args.out)
             print(f"wrote particles_final.csv, trace.csv, meta.json to {args.out}")
         elif args.command == "sweep":
-            rows = run_sweep(_load(args), args.out, lrs=args.lrs,
-                             seeds=args.seeds, max_workers=args.workers)
+            rows = run_sweep(_load(args), args.out, max_workers=args.workers)
             print(f"wrote sweep.csv ({len(rows)} rows) to {args.out}")
         elif args.command == "ground-truth":
-            samples = run_ground_truth(_load(args), args.out, args.n,
-                                       seed=args.seed)
+            samples = run_ground_truth(_load(args), args.out, args.n)
             print(f"wrote ground_truth.csv ({samples.shape[0]} rows) to {args.out}")
         elif args.command == "metrics":
             result = run_metrics(args.cloud, args.ref)

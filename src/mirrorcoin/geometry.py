@@ -38,8 +38,8 @@ def as_dimension(d) -> int:
 
 class _MirrorMap:
     """The dimension and the interior check both maps share; each map
-    defines ``domain``, ``is_interior`` and ``_inside``, the scalar test
-    that every point is finite and interior."""
+    defines ``domain`` and ``inside``, the scalar test that every point is
+    finite and interior."""
 
     domain: str
 
@@ -52,7 +52,7 @@ class _MirrorMap:
             raise DomainViolation(
                 f"expected last axis {self.d}, got {x.shape[-1]}"
             )
-        if x.size and not self._inside(x):
+        if x.size and not self.inside(x):
             # only a failed check works out which error it is
             if not np.all(np.isfinite(x)):
                 raise DomainViolation("non-finite primal point")
@@ -74,15 +74,10 @@ class EntropicSimplexMap(_MirrorMap):
 
     # -- domain ---------------------------------------------------------
 
-    def is_interior(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        rest = 1.0 - x.sum(axis=-1)
-        return (x > INTERIOR_TOL).all(axis=-1) & (rest > INTERIOR_TOL)
-
     def _last(self, x: np.ndarray) -> np.ndarray:
         return 1.0 - x.sum(axis=-1)
 
-    def _inside(self, x: np.ndarray) -> bool:
+    def inside(self, x: np.ndarray) -> bool:
         # a NaN fails the minimum, and a +inf sends the remainder to -inf
         return x.min() > INTERIOR_TOL and self._last(x).min() > INTERIOR_TOL
 
@@ -181,11 +176,7 @@ class PositiveOrthantMap(_MirrorMap):
 
     domain = "orthant"
 
-    def is_interior(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x > INTERIOR_TOL).all(axis=-1)
-
-    def _inside(self, x: np.ndarray) -> bool:
+    def inside(self, x: np.ndarray) -> bool:
         return x.min() > INTERIOR_TOL and x.max() < np.inf
 
     def potential(self, x: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .samplers import (
     coin_twin,
     mirrored_density,
     run_sampler,
+    sampler_stepper,
 )
 from .targets import (
     ExpOrthant,
@@ -89,7 +91,6 @@ def _converter(parse, expected: str):
             return parse(text)
         except ValueError:
             raise ValueError(f"expected {expected}, got {text!r}") from None
-    convert.__name__ = expected  # argparse names a rejected value by this
     return convert
 
 
@@ -151,8 +152,8 @@ class _Reader:
             self.problems.append(f"unknown key {key!r}")
 
 
-# Each target kind: its constructor and the ``target.<key>`` values it takes,
-# as key -> (converter, default).
+# The keys of each section, as key -> (converter, default[, choices]).  A
+# section with kinds maps each ``<section>.kind`` to its constructor and keys.
 TARGETS = {
     "sparse_dirichlet": (SparseDirichlet.from_config, {
         "counts": (as_floats, REQUIRED), "alpha": (as_floats, [1.0]), "d": (as_int, None)}),
@@ -168,6 +169,53 @@ TARGETS = {
         "lam": (as_float, 2.0), "tau": (as_float, 1.0), "eps_ridge": (as_float, 1.0),
         "seed": (as_int, 0)}),
 }
+# every kind takes target.seed; it draws the instance of a synthetic kind
+TARGET_SHARED = {"seed": (as_int, 0)}
+INITS = {kind: (partial(InitSpec, kind), {p: (as_float, getattr(InitSpec, p)) for p in params})
+         for kind, params in INIT_PARAMS.items()}
+STEPPER = {"kind": (str, None, GRAD_STEPPERS + COIN_STEPPERS), "lr": (as_float, None),
+           "guard": (as_bool, False)}
+KERNEL = {"family": (str, "imq", FAMILIES),
+          "bandwidth": (lambda text: text if text == "median" else as_float(text), "median")}
+MOLLIFIER = {"kind": (str, "riesz", MOLLIFIERS), "eps": (as_float, 1e-8), "s": (as_float, None)}
+SWEEP = {"lrs": (as_floats, []), "seeds": (as_ints, []),
+         "coin_stepper": (str, "coin_adaptive", COIN_STEPPERS),
+         "metric": (str, "energy", ("energy", "ksd"))}
+
+
+def _build(r: _Reader, section: str, table, shared=None, kind_default=REQUIRED):
+    """The object the ``<section>.*`` keys describe, or None (with the
+    problems logged) when a key is missing or does not parse, or the
+    constructor refuses the values.
+
+    ``table`` is (constructor, params) or, for a section with kinds, a dict
+    from ``<section>.kind`` to such a pair.  A missing or invalid kind drains
+    the section; a kind absent with ``kind_default`` None leaves the section
+    None and its keys to be reported as unknown.  ``shared`` keys are read
+    and checked for every kind, and passed only where the kind's params
+    name them too.
+    """
+    logged = len(r.problems)
+    if isinstance(table, dict):
+        kind = r.get(f"{section}.kind", default=kind_default, choices=tuple(table))
+        if kind is None:
+            if len(r.problems) > logged:
+                # drain the section so its keys do not double-report as unknown
+                for key in [k for k in r.raw if k.startswith(f"{section}.")]:
+                    r.raw.pop(key)
+            return None
+        table = table[kind]
+    make, params = table
+    values = {key: r.get(f"{section}.{key}", *spec) for key, spec in params.items()}
+    for key, spec in (shared or {}).items():
+        r.get(f"{section}.{key}", *spec)
+    if len(r.problems) > logged:
+        return None
+    try:
+        return make(**values)
+    except ValueError as exc:
+        r.problems.extend(f"{section}: {v}" for v in getattr(exc, "violations", [exc]))
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -193,51 +241,6 @@ class RunPlan:
     sweep_metric: str = "energy"
 
 
-def _build_target(r: _Reader):
-    """The target the ``target.*`` keys describe, or None (with the problems
-    logged) when a key is missing or does not parse or the target refuses
-    the values."""
-    kind = r.get("target.kind", default=REQUIRED, choices=tuple(TARGETS))
-    if kind is None:
-        # drain the section so its keys do not double-report as unknown
-        for key in [k for k in r.raw if k.startswith("target.")]:
-            r.raw.pop(key)
-        return None
-    make, params = TARGETS[kind]
-    logged = len(r.problems)
-    values = {key: r.get(f"target.{key}", conv, default)
-              for key, (conv, default) in params.items()}
-    # every kind takes target.seed; it draws the instance of a synthetic kind
-    r.get("target.seed", as_int)
-    if len(r.problems) > logged:
-        return None
-    try:
-        return make(**values)
-    except (ValueError, ConfigError) as exc:
-        r.problems.append(f"target: {exc}")
-        return None
-
-
-def _build_stepper(r: _Reader, sampler):
-    kind = r.get("stepper.kind", choices=GRAD_STEPPERS + COIN_STEPPERS)
-    lr = r.get("stepper.lr", as_float)
-    guard = r.get("stepper.guard", as_bool, False)
-    if kind is None:
-        if sampler is None:
-            return None
-        if sampler.startswith("coin_"):
-            kind = "coin_adaptive"
-        elif sampler == "mla":
-            kind = "fixed_lr"
-        else:
-            kind = "rmsprop"
-    try:
-        return StepperConfig(kind, lr=lr, guard=bool(guard))
-    except ConfigError as exc:
-        r.problems.extend(f"stepper: {v}" for v in exc.violations)
-        return None
-
-
 def build_plan(raw: dict) -> RunPlan:
     problems: list = []
     r = _Reader(raw, problems)
@@ -248,37 +251,12 @@ def build_plan(raw: dict) -> RunPlan:
     n_iters = r.get("sampler.n_iters", as_int, REQUIRED)
     metric_every = r.get("sampler.metric_every", as_int, 10)
 
-    target = _build_target(r)
-    stepper = _build_stepper(r, sampler)
-
-    family = r.get("kernel.family", default="imq", choices=FAMILIES)
-    bandwidth = r.get("kernel.bandwidth",
-                      lambda text: text if text == "median" else as_float(text), "median")
-    kernel = KernelConfig()
-    if bandwidth is not None and family is not None:
-        try:
-            kernel = KernelConfig(family=family, bandwidth=bandwidth)
-        except ConfigError as exc:
-            problems.extend(f"kernel: {v}" for v in exc.violations)
-
-    mollifier = MollifierConfig()
-    mkind = r.get("mollifier.kind", default="riesz", choices=MOLLIFIERS)
-    meps = r.get("mollifier.eps", as_float, 1e-8)
-    ms = r.get("mollifier.s", as_float)
-    if mkind is not None and meps is not None:
-        try:
-            mollifier = MollifierConfig(kind=mkind, eps=meps, s=ms)
-        except ConfigError as exc:
-            problems.extend(f"mollifier: {v}" for v in exc.violations)
-
+    target = _build(r, "target", TARGETS, TARGET_SHARED)
+    stepper = _build(r, "stepper", (partial(sampler_stepper, sampler), STEPPER))
+    kernel = _build(r, "kernel", (KernelConfig, KERNEL))
+    mollifier = _build(r, "mollifier", (MollifierConfig, MOLLIFIER))
     spectral_terms = r.at_least(r.get("spectral.terms", as_int, 30), "spectral.terms", 1)
-
-    # read only the init.* keys the init kind uses; the rest are unknown keys
-    init = None
-    ikind = r.get("init.kind", default=None, choices=tuple(INIT_PARAMS))
-    if ikind is not None:
-        params = {p: r.get(f"init.{p}", as_float) for p in INIT_PARAMS[ikind]}
-        init = InitSpec(ikind, **{p: v for p, v in params.items() if v is not None})
+    init = _build(r, "init", INITS, kind_default=None)
 
     names_raw = r.get("metrics.names", default="")
     metric_names = tuple(
@@ -294,10 +272,7 @@ def build_plan(raw: dict) -> RunPlan:
                       "metrics.ground_truth_n", 1)
 
     # run_sweep reads the grid and the coin stepper; they are checked here
-    r.get("sweep.lrs", as_floats)
-    r.get("sweep.seeds", as_ints)
-    r.get("sweep.coin_stepper", choices=COIN_STEPPERS)
-    sweep_metric = r.get("sweep.metric", default="energy", choices=("energy", "ksd"))
+    sweep_metric = (_build(r, "sweep", (dict, SWEEP)) or {}).get("metric")
 
     r.leftover_check()
 
@@ -372,7 +347,18 @@ def write_particles_csv(path: str, x: np.ndarray) -> None:
 
 
 def read_particles_csv(path: str) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """The particles in ``path``, whose first line must be the header
+    ``x1,...,xd`` naming one column per value of each row."""
+    with open(path, "r", encoding="utf-8") as f:
+        header = f.readline().strip()
+        x = np.loadtxt(f, delimiter=",", ndmin=2)
+    names = header.split(",")
+    if names != [f"x{i + 1}" for i in range(len(names))]:
+        raise ValueError(f"line 1 must be the header x1,...,xd, got {header!r}")
+    if x.shape[0] and x.shape[1] != len(names):
+        raise ValueError(f"the header names {len(names)} columns, "
+                         f"the rows hold {x.shape[1]}")
+    return x
 
 
 def write_trace_csv(path: str, trace) -> None:
@@ -429,14 +415,11 @@ def _sweep_job(plan: RunPlan) -> float:
     return _metric(plan, plan.sweep_metric)(record.x_final, record.y_final)
 
 
-def run_sweep(raw: dict, out_dir: str, lrs=None, seeds=None,
-              max_workers=None) -> list:
+def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     problems = []
     r = _Reader(raw, problems)
-    lrs = list(lrs) if lrs else r.get("sweep.lrs", as_floats, [])
-    seeds = list(seeds) if seeds else r.get("sweep.seeds", as_ints, [])
-    coin_stepper = r.get("sweep.coin_stepper", default="coin_adaptive",
-                         choices=COIN_STEPPERS)
+    lrs, seeds, coin_stepper = (r.get(f"sweep.{key}", *SWEEP[key])
+                                for key in ("lrs", "seeds", "coin_stepper"))
     if lrs == []:
         problems.append("sweep needs sweep.lrs in the config or --lrs")
     if seeds == []:
@@ -510,25 +493,22 @@ def build_target_only(raw: dict, n: int = 1):
     r = _Reader(raw, problems)
     seed = r.at_least(r.get("seed", as_int, 0), "seed", 0)
     r.at_least(n, "--n", 1)
-    target = _build_target(r)
+    target = _build(r, "target", TARGETS, TARGET_SHARED)
     if problems:
         raise ConfigError(problems)
     return target, seed
 
 
-def run_ground_truth(raw: dict, out_dir: str, n: int, seed=None) -> np.ndarray:
-    # a --seed override is checked as the config's own seed is
-    target, use_seed = build_target_only(
-        raw if seed is None else {**raw, "seed": str(seed)}, n)
-    samples = target.sample_ground_truth(
-        n, substream(use_seed, "ground_truth"))
+def run_ground_truth(raw: dict, out_dir: str, n: int) -> np.ndarray:
+    target, seed = build_target_only(raw, n)
+    samples = target.sample_ground_truth(n, substream(seed, "ground_truth"))
     os.makedirs(out_dir, exist_ok=True)
     write_particles_csv(os.path.join(out_dir, "ground_truth.csv"), samples)
     write_meta_json(os.path.join(out_dir, "meta.json"), {
         "command": "ground-truth",
         "config": dict(raw),
         "n": int(n),
-        "seed": int(use_seed),
+        "seed": int(seed),
     })
     return samples
 

@@ -72,11 +72,10 @@ class StepperConfig:
                 problems.append(
                     f"stepper {self.kind!r} is learning-rate-free; remove lr"
                 )
-        else:
-            if self.lr is None or not self.lr > 0:
-                problems.append(f"stepper {self.kind!r} requires a positive lr")
-            if self.guard:
-                problems.append("guard is only meaningful for coin_adaptive")
+        elif self.lr is None or not self.lr > 0:
+            problems.append(f"stepper {self.kind!r} requires a positive lr")
+        if self.guard and self.kind != "coin_adaptive":
+            problems.append("guard is only meaningful for coin_adaptive")
         if problems:
             raise ConfigError(problems)
 
@@ -398,10 +397,6 @@ def mlawgd_direction(Y: np.ndarray, n_terms: int) -> np.ndarray:
 
 @dataclass
 class RunRecord:
-    sampler: str
-    n_particles: int
-    n_iters: int
-    seed: int
     trace: list = field(default_factory=list)  # (iteration, metric, value, wall_ms)
     x_final: np.ndarray | None = None
     y_final: np.ndarray | None = None
@@ -414,6 +409,21 @@ class RunRecord:
 # budget are refused.  2 GiB is a quarter of an 8 GiB host, so a two-worker
 # sweep stays under half of it.
 KSD_DESCENT_BUDGET = 2 * 2**30
+
+
+def sampler_stepper(sampler, kind=None, lr=None, guard=False):
+    """The stepper ``sampler`` runs with: ``kind``, or by default
+    coin_adaptive for a coin sampler, fixed_lr for mla and rmsprop
+    otherwise.  None when neither ``kind`` nor a known ``sampler`` says
+    which; StepperConfig's problems raise ConfigError."""
+    if kind is None:
+        if sampler not in SAMPLERS:
+            return None
+        if sampler.startswith("coin_"):
+            kind = "coin_adaptive"
+        else:
+            kind = "fixed_lr" if sampler == "mla" else "rmsprop"
+    return StepperConfig(kind, lr=lr, guard=guard)
 
 
 def check_run(target, sampler, stepper, init, n_particles) -> list:
@@ -552,7 +562,7 @@ def run_sampler(
         engine = _Langevin(stepper.lr, substream(seed, "mla_noise"))
     else:
         engine = make_stepper(stepper, Z)
-    record = RunRecord(sampler, n_particles, n_iters, seed)
+    record = RunRecord()
     t0 = time.perf_counter()
 
     def observe(it, x, z):
@@ -568,7 +578,7 @@ def run_sampler(
         X = mmap.dual_to_primal(Z)
     for it in range(1, n_iters + 1):
         Z, X = settle(engine.step(Z, direction(Z, X)))
-        if mmap is not None and not np.all(mmap.is_interior(X)):
+        if mmap is not None and not mmap.inside(X):
             raise DomainViolation(
                 f"{sampler}: particle left the open domain at iteration {it}"
             )

@@ -346,7 +346,6 @@ class SelectiveLasso:
         self.inactive = inactive
         XE = X[:, active]
         Xo = X[:, inactive]
-        self._XE = XE
         self._M = eps_ridge * np.eye(self.d) + XE.T @ XE
         self._c0 = XE.T @ y - self.lam * signs
         self._G = XE.T @ Xo                      # (q, p-q)

@@ -251,6 +251,14 @@ def _bad_point_id(value):
     return getattr(value, "domain", None) or {OUTSIDE: "outside"}.get(value, "non-finite")
 
 
+@pytest.mark.parametrize("mmap,bad,message", BAD_POINTS, ids=_bad_point_id)
+def test_inside_fails_on_every_bad_point(mmap, bad, message):
+    x = np.full((3, 2), 0.25)
+    assert mmap.inside(x)
+    x[1] = bad
+    assert not mmap.inside(x)
+
+
 @pytest.mark.parametrize("method", sorted(CHECKED))
 class TestInteriorChecks:
     """The same DomainViolation, message included, from every checked method."""

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,30 @@ class TestBuildPlan:
         del raw["init.mu"]
         assert build_plan(raw).init.alpha == 2.0
 
+    def test_invalid_init_kind_drains_its_keys(self):
+        raw = self.base()
+        raw["init.kind"] = "gamma"
+        raw["init.alpha"] = "2.0"
+        with pytest.raises(ConfigError) as err:
+            build_plan(raw)
+        assert [m for m in err.value.violations if "init" in m] == [
+            "init.kind: expected one of dirichlet, lognormal, box_uniform, got 'gamma'"]
+
+    @pytest.mark.parametrize("sampler,problem", [
+        (None, "sampler.kind is required"),
+        ("nuts", "sampler.kind: expected one of"),
+    ], ids=["missing", "invalid"])
+    def test_stepper_keys_read_without_a_sampler(self, sampler, problem):
+        raw = self.base()
+        del raw["sampler.kind"]
+        if sampler:
+            raw["sampler.kind"] = sampler
+        raw.update({"stepper.lr": "0.1", "stepper.guard": "true"})
+        with pytest.raises(ConfigError) as err:
+            build_plan(raw)
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(problem)
+
     def test_ksd_descent_over_memory_budget_is_refused(self):
         # N=6000, d=20 would need about 3.7 GiB per direction; the plan is
         # refused before anything is allocated
@@ -316,8 +341,8 @@ class TestGroundTruthAvailability:
         monkeypatch.setattr(harness, "run_sampler",
                             lambda **kw: calls.append(kw) or real(**kw))
         with pytest.raises(ConfigError) as err:
-            run_sweep(self.lasso_plan(), str(tmp_path / "s"), lrs=[0.01],
-                      seeds=[0], max_workers=1)
+            run_sweep(self.lasso_plan(**{"sweep.lrs": "0.01", "sweep.seeds": "0"}),
+                      str(tmp_path / "s"), max_workers=1)
         assert calls == []
         assert any(m.startswith("energy metric unavailable (no tractable sampler")
                    for m in err.value.violations)
@@ -394,7 +419,7 @@ class TestRunSweep:
     def test_rows_ordered_and_coin_twin_once_per_seed(self, tmp_path):
         raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
         out = str(tmp_path / "s")
-        rows = run_sweep(raw, out, lrs=[0.01, 0.1], seeds=[0, 1],
+        rows = run_sweep({**raw, "sweep.lrs": "0.01,0.1", "sweep.seeds": "0,1"}, out,
                          max_workers=1)
         assert [(r[0], r[1], r[2]) for r in rows] == [
             ("msvgd", 0.01, 0), ("msvgd", 0.1, 0), ("coin_msvgd", None, 0),
@@ -408,10 +433,9 @@ class TestRunSweep:
 
     def test_parallel_matches_serial(self, tmp_path):
         raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
-        serial = run_sweep(dict(raw), str(tmp_path / "s1"),
-                           lrs=[0.05, 0.2], seeds=[0], max_workers=1)
-        parallel = run_sweep(dict(raw), str(tmp_path / "s2"),
-                             lrs=[0.05, 0.2], seeds=[0], max_workers=2)
+        raw.update({"sweep.lrs": "0.05,0.2", "sweep.seeds": "0"})
+        serial = run_sweep(dict(raw), str(tmp_path / "s1"), max_workers=1)
+        parallel = run_sweep(dict(raw), str(tmp_path / "s2"), max_workers=2)
         assert serial == parallel
         b1 = (tmp_path / "s1" / "sweep.csv").read_bytes()
         b2 = (tmp_path / "s2" / "sweep.csv").read_bytes()
@@ -422,7 +446,7 @@ class TestRunSweep:
         raw["sampler.kind"] = "coin_msvgd"
         raw["stepper.kind"] = "coin_adaptive"
         with pytest.raises(ConfigError):
-            run_sweep(raw, str(tmp_path / "s"), lrs=[0.1], seeds=[0])
+            run_sweep({**raw, "sweep.lrs": "0.1", "sweep.seeds": "0"}, str(tmp_path / "s"))
 
     @pytest.mark.parametrize("asked,pool", [(5000, 3), (2, 2), (1, None), (0, None)])
     def test_pool_capped_at_job_count(self, tmp_path, monkeypatch, asked, pool):
@@ -444,8 +468,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
         raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
-        rows = run_sweep(raw, str(tmp_path / "s"), lrs=[0.05, 0.2], seeds=[0],
-                         max_workers=asked)
+        rows = run_sweep({**raw, "sweep.lrs": "0.05,0.2", "sweep.seeds": "0"},
+                         str(tmp_path / "s"), max_workers=asked)
         assert len(rows) == 3
         assert sizes == ([] if pool is None else [pool])
 
@@ -481,6 +505,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "sampler.kind" in err
+
+    def test_guard_with_kt_coin_exit_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SAMPLE_CONFIG + "stepper.kind = coin_kt\nstepper.guard = true\n")
+        out = str(tmp_path / "o")
+        assert main(["sample", "--config", cfg, "--out", out]) == 1
+        assert "  - stepper: guard is only meaningful for coin_adaptive\n" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command,argv,message", [
+        ("sample", ["--seed", "abc"], "seed: expected an integer, got 'abc'"),
+        ("sample", ["--n", "x"], "sampler.n_particles: expected an integer, got 'x'"),
+        ("sweep", ["--lrs", "1,x"], "sweep.lrs: expected comma-separated numbers, got '1,x'"),
+        ("sweep", ["--lrs", "0.05", "--seeds", "0,y"],
+         "sweep.seeds: expected comma-separated integers, got '0,y'"),
+        ("ground-truth", ["--n", "5", "--seed", "x"], "seed: expected an integer, got 'x'"),
+    ], ids=["sample-seed", "sample-n", "sweep-lrs", "sweep-seeds", "ground-truth-seed"])
+    def test_malformed_flag_reported_with_config_problems(self, tmp_path, capsys,
+                                                          command, argv, message):
+        if command == "ground-truth":
+            # ground-truth reads only the target section of a config
+            text = SAMPLE_CONFIG.replace("target.alpha = 0.5", "target.alpha = -1")
+            problem = "target: all alpha must be positive"
+        else:
+            text = (SWEEP_CONFIG if command == "sweep" else SAMPLE_CONFIG) + "mystery.key = 1\n"
+            problem = "unknown key 'mystery.key'"
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "o")
+        code = main([command, "--config", cfg, "--out", out] + argv
+                    + (["--workers", "1"] if command == "sweep" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:\n")
+        assert f"  - {message}\n" in err and f"  - {problem}\n" in err
+        assert not os.path.exists(out)
 
     def test_bad_kernel_bandwidth_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SAMPLE_CONFIG + "kernel.bandwidth = -1\n")
@@ -704,3 +762,58 @@ class TestCli:
         assert code == 0
         lines = Path(out, "sweep.csv").read_text().splitlines()
         assert len(lines) == 4  # header + 2 lr rows + coin twin
+
+    @pytest.mark.parametrize("cloud,problem", [
+        ("0.1,0.2\n0.3,0.4\n0.5,0.6\n", "line 1 must be the header x1,...,xd, got '0.1,0.2'"),
+        ("x1,x2,x3\n0.1,0.2\n0.3,0.4\n", "the header names 3 columns, the rows hold 2"),
+    ], ids=["headerless", "header_too_wide"])
+    def test_metrics_needs_the_particle_header(self, tmp_path, capsys, cloud, problem):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("x1,x2\n0.1,0.2\n0.3,0.4\n")
+        path = tmp_path / "cloud.csv"
+        path.write_text(cloud)
+        code = main(["metrics", "--cloud", str(path), "--ref", str(ref)])
+        assert code == 1
+        assert f"  - cannot read {str(path)!r}: {problem}\n" in capsys.readouterr().err
+
+    def test_sweep_flags_match_config_keys(self, tmp_path):
+        flagged = write_cfg(tmp_path, SWEEP_CONFIG)
+        keyed = write_cfg(tmp_path, SWEEP_CONFIG + "sweep.lrs = 0.05,0.2\nsweep.seeds = 0,1\n",
+                          name="keyed.txt")
+        assert main(["sweep", "--config", flagged, "--out", str(tmp_path / "f"),
+                     "--lrs", "0.05,0.2", "--seeds", "0,1", "--workers", "1"]) == 0
+        assert main(["sweep", "--config", keyed, "--out", str(tmp_path / "k"),
+                     "--workers", "1"]) == 0
+        assert (tmp_path / "f" / "sweep.csv").read_bytes() == \
+            (tmp_path / "k" / "sweep.csv").read_bytes()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadmeConfig:
+    """README's config reference and worked example against the reader."""
+
+    def test_reference_names_every_key_the_reader_reads(self, monkeypatch):
+        read = set()
+        get = harness._Reader.get
+        monkeypatch.setattr(harness._Reader, "get",
+                            lambda self, key, *a, **kw: read.add(key) or get(self, key, *a, **kw))
+        run = {"seed": "0", "sampler.n_particles": "4", "sampler.n_iters": "1"}
+        sampler = {"uniform_box": "coin_mied"}
+        for kind, (keys, _, _) in MINIMAL_TARGETS.items():
+            build_plan({**run, "target.kind": kind, **keys,
+                        "sampler.kind": sampler.get(kind, "coin_msvgd")})
+        for init, kind in (("dirichlet", "sparse_dirichlet"), ("lognormal", "exp_orthant"),
+                           ("box_uniform", "uniform_box")):
+            build_plan({**run, "target.kind": kind, **MINIMAL_TARGETS[kind][0],
+                        "sampler.kind": sampler.get(kind, "coin_msvgd"), "init.kind": init})
+        text = README.read_text(encoding="utf-8")
+        table = text.split("### Config reference", 1)[1].split("\n\n", 2)[1]
+        assert read == {"seed"} | set(re.findall(r"`([a-z_]+\.[a-z_]+)`", table))
+
+    def test_worked_example_builds(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        example = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+        plan = build_plan(read_config(write_cfg(tmp_path, example)))
+        assert plan.sampler == "coin_msvgd"

@@ -25,6 +25,7 @@ from mirrorcoin.samplers import (
     msvgd_direction,
     project_to_domain,
     run_sampler,
+    sampler_stepper,
     stein_kernel_matrix,
     stein_vstat,
     svgd_direction,
@@ -81,6 +82,25 @@ class TestSteppers:
         with pytest.raises(ConfigError):
             StepperConfig("fixed_lr", lr=0.1, guard=True)
         StepperConfig("coin_adaptive", guard=True)  # fine
+
+    @pytest.mark.parametrize("kind,lr", [("coin_kt", None), ("rmsprop", 0.1)])
+    def test_guard_refused_for_every_kind_but_adaptive_coin(self, kind, lr):
+        with pytest.raises(ConfigError) as err:
+            StepperConfig(kind, lr=lr, guard=True)
+        assert err.value.violations == ["guard is only meaningful for coin_adaptive"]
+
+    @pytest.mark.parametrize("sampler,kind", [
+        ("coin_msvgd", "coin_adaptive"), ("coin_mied", "coin_adaptive"),
+        ("mla", "fixed_lr"), ("msvgd", "rmsprop"), ("svgd_proj", "rmsprop")])
+    def test_sampler_default_stepper_kind(self, sampler, kind):
+        lr = None if kind == "coin_adaptive" else 0.1
+        assert sampler_stepper(sampler, lr=lr) == StepperConfig(kind, lr=lr)
+        assert sampler_stepper(sampler, "coin_kt") == StepperConfig("coin_kt")
+
+    def test_no_stepper_without_kind_or_known_sampler(self):
+        assert sampler_stepper(None) is None
+        assert sampler_stepper("nuts", lr=0.1) is None
+        assert sampler_stepper(None, "fixed_lr", lr=0.1) == StepperConfig("fixed_lr", lr=0.1)
 
     def test_fixed_lr_step(self):
         y = np.zeros((2, 2))
