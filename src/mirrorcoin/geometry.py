@@ -38,10 +38,12 @@ def as_dimension(d) -> int:
 
 class _MirrorMap:
     """The dimension and the interior check both maps share; each map
-    defines ``domain`` and ``inside``, the scalar test that every point is
-    finite and interior."""
+    defines ``domain``, ``inside``, the scalar test that every point is
+    finite and interior, and ``sigma``, the structure of its inverse
+    Hessian A(x) = diag(x) - sigma x x^T."""
 
     domain: str
+    sigma: float
 
     def __init__(self, d: int):
         self.d = as_dimension(d)
@@ -71,6 +73,7 @@ class EntropicSimplexMap(_MirrorMap):
     """
 
     domain = "simplex"
+    sigma = 1.0
 
     # -- domain ---------------------------------------------------------
 
@@ -157,24 +160,22 @@ class EntropicSimplexMap(_MirrorMap):
         out[..., idx, idx] += x
         return out
 
-    def d_inv_hessian_contract(self, x: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """Vector g with g_m = <dA/dx_m, M>_F where A = [grad^2 phi]^-1.
+    def d_inv_hessian_contract(self, x: np.ndarray, diag: np.ndarray, mx, mtx) -> np.ndarray:
+        """Vector g with g_m = <dA/dx_m, M>_F where A = [grad^2 phi]^-1,
+        from three pieces of M: its diagonal, M x and M^T x.
 
         For this map dA/dx_m = E_mm - e_m x^T - x e_m^T, so
         g_m = M_mm - (M x)_m - (M^T x)_m.
         """
-        x = self.assert_interior(x)
-        M = np.asarray(M, dtype=float)
-        diag = np.einsum("...mm->...m", M)
-        mx = np.einsum("...mb,...b->...m", M, x)
-        xm = np.einsum("...a,...am->...m", x, M)
-        return diag - mx - xm
+        self.assert_interior(x)
+        return np.asarray(diag, dtype=float) - mx - mtx
 
 
 class PositiveOrthantMap(_MirrorMap):
     """Coordinatewise log/exp mirror map on the open positive orthant."""
 
     domain = "orthant"
+    sigma = 0.0
 
     def inside(self, x: np.ndarray) -> bool:
         return x.min() > INTERIOR_TOL and x.max() < np.inf
@@ -228,10 +229,11 @@ class PositiveOrthantMap(_MirrorMap):
         out[..., idx, idx] = x
         return out
 
-    def d_inv_hessian_contract(self, x: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """dA/dx_m = E_mm here, so the contraction is just diag(M)."""
+    def d_inv_hessian_contract(self, x: np.ndarray, diag: np.ndarray, mx, mtx) -> np.ndarray:
+        """g_m = <dA/dx_m, M>_F from M's diagonal, M x and M^T x: dA/dx_m
+        = E_mm here, so the contraction is just diag(M)."""
         self.assert_interior(x)
-        return np.einsum("...mm->...m", np.asarray(M, dtype=float)).copy()
+        return np.array(diag, dtype=float)
 
 
 def make_map(domain: str, d: int):

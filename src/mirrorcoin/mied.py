@@ -48,32 +48,42 @@ class MollifierConfig:
 
 
 def _mollifier_terms(config: MollifierConfig, d: int, r2: np.ndarray):
-    """Log mollifier values and their gradient scale.
+    """Log mollifier values and their gradient scale, formed in r2's memory.
 
-    r2[i, j] = ||x_i - x_j||^2.  Returns (logphi, scale), where the gradient
-    of logphi[i, j] in x_i is scale[i, j] (x_i - x_j); scale is (N, N) or a
-    scalar, and is 0 for the laplace kernel at r2 = 0 (subgradient choice).
+    r2[i, j] = ||x_i - x_j||^2 is overwritten.  Returns (logphi, scale),
+    where the gradient of logphi[i, j] in x_i is scale[i, j] (x_i - x_j);
+    scale is (N, N) or a scalar, and is 0 for the laplace kernel at r2 = 0
+    (subgradient choice).
     """
     eps = config.eps
     if config.kind == "riesz":
         s = config.s if config.s is not None else d + 1e-4
-        base = r2 + eps * eps
-        return -0.5 * s * np.log(base), -s / base
+        r2 += eps * eps
+        logphi = np.log(r2)
+        logphi *= -0.5 * s
+        return logphi, np.divide(-s, r2, out=r2)
     if config.kind == "gaussian":
-        return -r2 / (2.0 * eps * eps), -1.0 / (eps * eps)
+        return np.divide(r2, -2.0 * eps * eps, out=r2), -1.0 / (eps * eps)
     # laplace: -||z|| / eps
-    r = np.sqrt(r2)
-    return -r / eps, np.divide(-1.0, eps * r, out=np.zeros_like(r), where=r > 0.0)
+    r = np.sqrt(r2, out=r2)
+    scale = np.divide(-1.0, eps * r, out=np.zeros_like(r), where=r > 0.0)
+    np.negative(r, out=r)
+    r /= eps
+    return r, scale
 
 
 def _log_terms(x: np.ndarray, target, config: MollifierConfig):
-    """The N x N log terms, the mollifier gradient scale and r2."""
+    """The N x N log terms, the mollifier gradient scale and the mask of
+    pairs at r2 = 0."""
     x = np.asarray(x, dtype=float)
     r2 = cdist(x, x, "sqeuclidean")
+    zero = r2 == 0.0
     logphi, scale = _mollifier_terms(config, x.shape[-1], r2)
     logp = target.log_density(x)
-    logphi -= 0.5 * (logp[:, None] + logp[None, :])
-    return logphi, scale, r2
+    lp = np.add.outer(logp, logp)
+    lp *= 0.5
+    logphi -= lp
+    return logphi, scale, zero
 
 
 def mie_log_energy(x: np.ndarray, target, config: MollifierConfig) -> float:
@@ -88,21 +98,22 @@ def mie_gradient(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
 
     With softmax weights w over the term matrix, particle m collects the
     mollifier gradients of its row and column plus a score term weighted by
-    its total softmax mass.
+    its total softmax mass.  The weights are formed in place in the term
+    matrix, and the mollifier scale in the pair distances.
     """
-    T, scale, r2 = _log_terms(x, target, config)
+    T, scale, zero = _log_terms(x, target, config)
     T -= T.max()
     w = np.exp(T, out=T)
     w /= w.sum()
-    # row m pairs (m, j), column (i, m); T is bitwise symmetric (so are r2
-    # and the log-density sum), so w + w^T is exactly 2 w
-    w2 = 2.0 * w
+    # row m pairs (m, j), column (i, m); T is bitwise symmetric (so are the
+    # pair distances and the log-density sum), so w + w^T is exactly 2 w
+    w *= 2.0
+    mass = w.sum(axis=1)
     # pair[m] = sum_j c[m, j] (x_m - x_j); at r2 = 0 the difference is 0, so
     # c is too there, whatever the scale (the riesz self term is ~1e16)
-    c = w2 * scale
-    c[r2 == 0.0] = 0.0
+    c = np.multiply(w, scale, out=w)
+    c[zero] = 0.0
     pair = c.sum(axis=1)[:, None] * x - c @ x
-    mass = w2.sum(axis=1)
     return pair - 0.5 * mass[:, None] * target.score(x)
 
 

@@ -142,9 +142,11 @@ class InitSpec:
     scale: float = 0.5       # box_uniform: central fraction of the box
 
 
-# the InitSpec fields each init kind reads, and the domain it draws on
-INIT_PARAMS = {"dirichlet": ("alpha",), "lognormal": ("mu", "sigma"),
-               "box_uniform": ("scale",)}
+# the InitSpec fields each init kind reads, each with the open interval its
+# value must lie in, and the domain each kind draws on
+INIT_PARAMS = {"dirichlet": {"alpha": (0.0, np.inf)},
+               "lognormal": {"mu": (-np.inf, np.inf), "sigma": (0.0, np.inf)},
+               "box_uniform": {"scale": (0.0, 1.0)}}
 INIT_DOMAIN = {"dirichlet": "simplex", "lognormal": "orthant", "box_uniform": "box"}
 
 
@@ -155,10 +157,13 @@ def default_init(target) -> InitSpec:
 def _init_problems(spec: InitSpec, domain_kind: str) -> list:
     if spec.kind not in INIT_DOMAIN:
         return [f"unknown init kind {spec.kind!r}"]
+    problems = [f"init.{key} must lie in ({lo:g}, {hi:g}), got {getattr(spec, key)!r}"
+                for key, (lo, hi) in INIT_PARAMS[spec.kind].items()
+                if not lo < getattr(spec, key) < hi]
     if INIT_DOMAIN[spec.kind] != domain_kind:
-        return [f"{spec.kind} init needs the {INIT_DOMAIN[spec.kind]} domain, "
-                f"not the {domain_kind}"]
-    return []
+        problems.append(f"{spec.kind} init needs the {INIT_DOMAIN[spec.kind]} domain, "
+                        f"not the {domain_kind}")
+    return problems
 
 
 def draw_init(spec: InitSpec, target, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -224,11 +229,6 @@ def _apply(B: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("iab,ib->ia", B, v)
 
 
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row j = u_j v_j^T, flattened to d*d entries."""
-    return (u[:, :, None] * v[:, None, :]).reshape(u.shape[0], -1)
-
-
 def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
                     X: np.ndarray | None = None) -> np.ndarray:
     """Mirrored SVGD update direction for every particle.
@@ -261,33 +261,97 @@ def svgd_direction(X: np.ndarray, target, family: str, h: float) -> np.ndarray:
 # -- Stein kernel of the mirrored target ------------------------------------
 #
 # Matrices indexed [j, i] pair the first argument y_j with the second y_i;
-# dx = x_j - x_i is their primal difference and A_j the inverse mirror
-# Hessian at x_j.  Every pair term is an N x N scalar matrix built from matrix
-# products, so nothing of size N^2 d is held at once.  X, when given, is the
-# primal image of Y.
+# dx = x_j - x_i is their primal difference and A_j = diag(x_j) - sigma x_j x_j^T
+# the inverse mirror Hessian at x_j, with sigma the map's.  Every pair term
+# in one or two A's splits into N x N products of the primal coordinates X,
+# their squares X2, the dual scores S, and U (row j is A_j x_j): with
+# G = X X^T and H = X X2^T (H[j, i] = x_j . x_i^2),
+#   tr(A_j A_i)        = G - sigma (H + H^T) + sigma^2 G G
+#   x_i^T A_j A_i x_j  = X2 X2^T - sigma G (H + H^T) + sigma^2 G G G
+#   x_j^T A_i S_j      = (X S) X^T - sigma G (S X^T)
+# and a weighted sum over j of A_j applied to a vector is (c^T X) times that
+# vector minus sigma times a product weighted by c G (see _pair_apply).  So
+# nothing larger than N x N or N x d is held, and the cost is O(N^2 d); the
+# N x N temporaries are updated in place to keep the peak low.  X, when
+# given, is the primal image of Y; score_shift checks it interior once, so
+# the helpers below skip the map's check.
+
+
+def _rowdot(a, b):
+    """Column of the row-wise dot products a_i . b_i."""
+    return (a * b).sum(axis=1, keepdims=True)
+
+
+def _inv_apply(X, V, sigma):
+    """Row i = A_i v_i = x_i v_i - sigma (x_i . v_i) x_i; the map's
+    hessian_inverse_apply without its interior check."""
+    out = X * V
+    if sigma:
+        out -= sigma * out.sum(axis=1, keepdims=True) * X
+    return out
+
+
+def _pair_apply(c, X, V, sigma):
+    """Row i = sum_j c[j, i] A_j v_i = (c^T X) v_i - sigma sum_j c[j, i] (x_j . v_i) x_j."""
+    out = (c.T @ X) * V
+    if sigma:
+        out -= sigma * ((c * (X @ V.T)).T @ X)
+    return out
 
 
 def _stein_context(Y, md, family, h, X=None):
     mmap = md.mmap
-    n, d = Y.shape
+    sigma = mmap.sigma
     if X is None:
         X = mmap.dual_to_primal(Y)
-    A = mmap.inverse_hessian(X)                    # (N,d,d)
-    Af = A.reshape(n, d * d)
     q = md.score_shift(X)                          # (N,d)
-    S = _apply(A, q)                               # dual scores
-    u = _apply(A, X)                               # A_j x_j
+    S = _inv_apply(X, q, sigma)                    # dual scores
+    U = _inv_apply(X, X, sigma)
+    X2 = X * X
     f, f1, f2, f3 = radial_profile(family, cdist(X, X, "sqeuclidean"), h)
-    s4 = _outer(X, S) @ Af.T - S @ u.T             # dx^T A_i S_j
-    # dx^T (A_i S_j - A_j S_i) + tr(A_j A_i), the two terms that share weights
-    st = s4 + s4.T + Af @ Af.T
-    z = _outer(u, X) @ Af.T                        # x_j^T A_j A_i x_j
-    cross = np.zeros((n, n))                       # x_i^T A_j A_i x_j
-    for Ac in A.transpose(1, 0, 2):
-        Tc = Ac @ X.T                              # [j, i] = (A_j x_i)_c
-        cross += Tc * Tc.T
-    qp = z + z.T - u @ u.T - cross                 # dx^T A_j A_i dx
-    return X, A, q, S, u, f, f1, f2, f3, S @ S.T, st, qp
+    G = X @ X.T
+    st = G.copy()                                  # tr(A_j A_i)
+    cross = X2 @ X2.T                              # x_i^T A_j A_i x_j
+    if sigma:
+        t = X @ X2.T
+        t = t + t.T
+        t *= sigma
+        st -= t
+        t *= G
+        cross -= t
+        t = G * G
+        t *= sigma**2
+        st += t
+        t *= G
+        cross += t
+        del t
+    # st += dx^T (A_i S_j - A_j S_i), the term that shares its weight with
+    # the trace; s4 = dx^T A_i S_j
+    s4 = (X * S) @ X.T
+    s4 -= S @ U.T
+    if sigma:
+        t = S @ X.T
+        t *= G
+        t *= sigma
+        s4 -= t
+        del t
+    st += s4
+    st += s4.T
+    del s4
+    # qp = dx^T A_j A_i dx = z + z^T - u_j . u_i - cross, z = x_j^T A_j A_i x_j
+    z = (U * X) @ X.T
+    if sigma:
+        t = U @ X.T
+        t *= G
+        t *= sigma
+        z -= t
+        del t
+    qp = z + z.T
+    del z
+    qp -= U @ U.T
+    qp -= cross
+    del cross
+    return X, q, S, U, G, f, f1, f2, f3, S @ S.T, st, qp
 
 
 def stein_kernel_matrix(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
@@ -314,56 +378,95 @@ def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
     Differentiates every term of the kernel through the second argument's
     primal image and sums over j before any contraction: derivatives of the
     inverse mirror Hessian enter via the map's Frobenius contraction, which
-    is linear and so is applied once to sum_j M[j, i], and the dual-score
-    Jacobian via the score-shift Jacobian.  ``X`` is the primal image of
-    ``Y`` when the caller has it already; None maps ``Y`` back.
+    is linear and so is applied once to M_i = sum_j M[j, i], given as
+    diag(M_i), M_i x_i and M_i^T x_i; the dual-score Jacobian enters via
+    the score-shift Jacobian.  ``X`` is the primal image of ``Y`` when the
+    caller has it already; None maps ``Y`` back.
     """
     mmap = md.mmap
-    n, d = Y.shape
-    X, A, q, S, u, f, f1, f2, f3, ss, st, qp = _stein_context(Y, md, family, h, X)
-    Af = A.reshape(n, d * d)
-    f1A = (f1.T @ Af).reshape(n, d, d)             # sum_j f1 A_j
-    f2A = (f2.T @ Af).reshape(n, d, d)
-    f1S = f1.T @ S
-    f2Adx = f2.T @ u - _apply(f2A, X)              # sum_j f2 A_j dx
+    sigma = mmap.sigma
+    X, q, S, U, G, f, f1, f2, f3, ss, st, qp = _stein_context(Y, md, family, h, X)
+    n = X.shape[0]
+    X2 = X * X
 
-    # the terms cubic in A and x: sum_j f2 (A_j x_i) x_j^T and sum_j f2 A_j A_i x_j
-    cub = np.empty((n, d, d))
-    aax = np.zeros((n, d))
-    for c in range(d):
-        Tc = A[:, c, :] @ X.T                      # [j, i] = (A_j x_i)_c
-        cub[:, c, :] = (f2 * Tc).T @ X
-        aax += (f2.T * Tc) @ A[:, :, c]
+    # every term along dx: (S_j . S_i) grad_{x'} k, the Hessians acting on
+    # A_i S_j and A_j S_i, and the trace tr[A_j dHk A_i]
+    ss *= f1
+    ss *= -2.0
+    st *= f2
+    st *= 4.0
+    ss += st
+    qp *= f3
+    qp *= 8.0
+    ss += qp
+    del st, qp, f3
+    g = pair_sum(ss, X)
+    del ss
 
+    # f1Ax_i = sum_j f1 A_j x_i, and likewise for f2; the rank-one part of A
+    # brings in the same sums weighted by f1 G, f2 G and f2 G G
+    f1X, f1S, f2X2 = f1.T @ X, f1.T @ S, f2.T @ X2
+    f1Ax, f2Ax = f1X * X, (f2.T @ X) * X
+    if sigma:
+        F = f1 * G
+        f1GX, f1GS = F.T @ X, F.T @ S
+        F = f2 * G
+        f2GX, f2GX2, f2GU = F.T @ X, F.T @ X2, F.T @ U
+        F *= G
+        f2GGX = F.T @ X
+        del F
+        f1Ax -= sigma * f1GX
+        f2Ax -= sigma * f2GX
+    f2Adx = f2.T @ U - f2Ax                        # sum_j f2 A_j dx
     # W_i = sum_j w[j,i], w = f S_j + A_j grad_x k = f S_j + 2 f1 A_j dx
-    W = f.T @ S + 2.0 * (f1.T @ u - _apply(f1A, X))
+    W = f.T @ S + 2.0 * (f1.T @ U - f1Ax)
+    del f
 
     # One Frobenius contraction <dA/dx_m, M> at x_i collects three sources:
     #   w q_i^T        (dual-score Jacobian, dA part)
     #   S_j (grad_{x'} k)^T = -2 f1 S_j dx^T
     #   A_j Hk = -2 f1 A_j - 4 f2 A_j dx dx^T
-    M = W[:, :, None] * q[:, None, :]
-    M -= 2.0 * ((f1.T @ _outer(S, X)).reshape(n, d, d) - f1S[:, :, None] * X[:, None, :])
-    M -= 2.0 * f1A
-    M -= 4.0 * ((f2.T @ _outer(u, X)).reshape(n, d, d) - cub
-                - f2Adx[:, :, None] * X[:, None, :])
-    g = mmap.d_inv_hessian_contract(X, M)
+    # with sum_j f2 A_j dx dx^T = sum_j f2 u_j x_j^T - C_i - f2Adx x_i^T and
+    # C_i = sum_j f2 (A_j x_i) x_j^T = diag(x_i) P_i - sigma Q_i, where
+    # P_i = sum_j f2 x_j x_j^T and Q_i = sum_j f2 G x_j x_j^T.  M_i x_i and
+    # M_i^T x_i enter only through the rank-one part of A, so a map with
+    # sigma = 0 gets zeros for them.
+    diag = (W * q - 2.0 * (f1.T @ (S * X) - f1S * X) - 2.0 * f1X
+            - 4.0 * (f2.T @ (U * X) - X * f2X2 - f2Adx * X))
+    aax = X * f2X2                                 # sum_j f2 A_j A_i x_j
+    mx = mtx = 0.0
+    if sigma:
+        diag += sigma * (2.0 * (f1.T @ X2) - 4.0 * f2GX2)
+        H = X @ X2.T
+        f2HX, f2HtX = (f2 * H).T @ X, (f2 * H.T).T @ X
+        del H
+        aax -= sigma * (X * f2GX + f2HtX - sigma * f2GGX)
+        F = S @ X.T
+        F *= f1
+        f1SXX = F.T @ X                            # sum_j f1 (S_j . x_i) x_j
+        F = U @ X.T
+        F *= f2
+        f2UXX = F.T @ X                            # sum_j f2 (u_j . x_i) x_j
+        del F
+        xx = _rowdot(X, X)
+        both = -2.0 * f1Ax - 4.0 * sigma * f2GGX
+        mx = (both + W * _rowdot(q, X) - 2.0 * (f1GS - f1S * xx)
+              - 4.0 * (f2GU - X * f2GX - f2Adx * xx))
+        mtx = (both + q * _rowdot(W, X) - 2.0 * (f1SXX - X * _rowdot(f1S, X))
+               - 4.0 * (f2UXX - f2HX - X * _rowdot(f2Adx, X)))
+    g += mmap.d_inv_hessian_contract(X, diag, mx, mtx)
 
     # dual-score Jacobian, A Hq part: Hq_i (A_i W_i)
-    g += _apply(md.score_shift_jacobian(X), _apply(A, W))
-
-    # every term along dx: (S_j . S_i) grad_{x'} k, the Hessians acting on
-    # A_i S_j and A_j S_i, and the trace tr[A_j dHk A_i]
-    g += pair_sum(-2.0 * f1 * ss + 4.0 * f2 * st + 8.0 * f3 * qp, X)
+    g += np.einsum("iab,ib->ia", md.score_shift_jacobian(X), _inv_apply(X, W, sigma))
 
     # the Hessians acting on A_i S_j and A_j S_i, identity part
-    g += 2.0 * _apply(A, f1S) - 2.0 * _apply(f1A, S)
+    g += 2.0 * (_inv_apply(X, f1S, sigma) - _pair_apply(f1, X, S, sigma))
 
     # trace term, rest: 4 f2 (A_i A_j dx + A_j A_i dx)
-    g += 4.0 * (_apply(A, f2Adx) + aax - _apply(f2A, u))
+    g += 4.0 * (_inv_apply(X, f2Adx, sigma) + aax - _pair_apply(f2, X, U, sigma))
 
     # chain to dual coordinates through A_i
-    return -_apply(A, g) / n**2
+    return -_inv_apply(X, g, sigma) / n**2
 
 
 # -- spectral (Hermite) kernel flow ------------------------------------------
@@ -402,13 +505,19 @@ class RunRecord:
     y_final: np.ndarray | None = None
 
 
-# KSD descent holds at most about 13 float64 (N, N) matrices (the radial
-# profile, the Stein kernel's scalar pair terms and their weights) and 10
-# (N, d, d) stacks (inverse Hessians, their weighted sums and the contraction)
-# per direction, 8 N (13 N + 10 d^2) bytes; runs whose estimate passes this
-# budget are refused.  2 GiB is a quarter of an 8 GiB host, so a two-worker
-# sweep stays under half of it.
+# KSD descent holds nine float64 (N, N) matrices at its peak (the four
+# radial profiles, G, three pair terms of the Stein kernel and one product
+# being formed), and up to three (N, d, d) stacks while it applies the
+# score-shift Jacobian; the estimate counts ten (N, N) matrices, the tenth
+# for the (N, d) rows.  Runs whose estimate passes this budget are refused.
+# 2 GiB is a quarter of an 8 GiB host, so a two-worker sweep stays under
+# half of it.
 KSD_DESCENT_BUDGET = 2 * 2**30
+
+
+def ksd_descent_bytes(n: int, d: int) -> int:
+    """Estimated peak bytes of one KSD-descent direction, 8 N (10 N + 3 d^2)."""
+    return 8 * n * (10 * n + 3 * d * d)
 
 
 def sampler_stepper(sampler, kind=None, lr=None, guard=False):
@@ -457,7 +566,7 @@ def check_run(target, sampler, stepper, init, n_particles) -> list:
     if init is not None:
         problems += _init_problems(init, target.domain)
     if sampler in ("mksdd", "coin_mksdd") and n_particles is not None:
-        need = 8 * n_particles * (13 * n_particles + 10 * target.d**2)
+        need = ksd_descent_bytes(n_particles, target.d)
         if need > KSD_DESCENT_BUDGET:
             problems.append(
                 f"{sampler} at N={n_particles}, d={target.d} needs about "

@@ -4,7 +4,7 @@ for the test suite."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
 from mirrorcoin.kernels import radial_profile
@@ -199,6 +199,13 @@ def stein_kernel_matrix(Y: np.ndarray, md: MirroredDensity, family: str, h: floa
     return t1 + t2 + t3 + t4
 
 
+def contract_pieces(x, M):
+    """The pieces of dense matrices M (..., d, d) at points x (..., d) that
+    ``d_inv_hessian_contract`` takes: diag(M), M x and M^T x."""
+    return (np.einsum("...mm->...m", M), np.einsum("...mb,...b->...m", M, x),
+            np.einsum("...a,...am->...m", x, M))
+
+
 def stein_kernel_grad2(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
     """grad of the stein kernel in its second argument: out[j, i] =
     grad_{y_i} K(y_j, y_i), shape (N, N, d).
@@ -223,7 +230,7 @@ def stein_kernel_grad2(Y: np.ndarray, md: MirroredDensity, family: str, h: float
     M -= 2.0 * f1[..., None, None] * np.einsum("ja,jib->jiab", S, diff)
     M -= 2.0 * f1[..., None, None] * A[:, None, :, :]
     M -= 4.0 * f2[..., None, None] * np.einsum("jia,jib->jiab", Q, diff)
-    g = mmap.d_inv_hessian_contract(X[None, :, :], M)
+    g = mmap.d_inv_hessian_contract(X[None, :, :], *contract_pieces(X[None, :, :], M))
 
     # dual-score Jacobian, A Hq part: Hq_i (A_i w)
     Aw = np.einsum("iab,jib->jia", A, w)
@@ -297,5 +304,32 @@ def mie_gradient(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
     w = np.exp(T - logsumexp(T))
     w2 = w + w.T                       # row m pairs (m, j); column (i, m)
     pair = np.einsum("mj,mja->ma", w2, gphi)
+    mass = w2.sum(axis=1)
+    return pair - 0.5 * mass[:, None] * target.score(x)
+
+
+def mie_gradient_unfused(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
+    """The matrix-product MIED gradient with every N x N temporary a fresh
+    array; the library computes it in place and must match it bit for bit."""
+    r2 = cdist(x, x, "sqeuclidean")
+    eps = config.eps
+    if config.kind == "riesz":
+        s = config.s if config.s is not None else x.shape[-1] + 1e-4
+        base = r2 + eps * eps
+        T, scale = -0.5 * s * np.log(base), -s / base
+    elif config.kind == "gaussian":
+        T, scale = -r2 / (2.0 * eps * eps), -1.0 / (eps * eps)
+    else:
+        r = np.sqrt(r2)
+        T, scale = -r / eps, np.divide(-1.0, eps * r, out=np.zeros_like(r), where=r > 0.0)
+    logp = target.log_density(x)
+    T -= 0.5 * (logp[:, None] + logp[None, :])
+    T -= T.max()
+    w = np.exp(T, out=T)
+    w /= w.sum()
+    w2 = 2.0 * w
+    c = w2 * scale
+    c[r2 == 0.0] = 0.0
+    pair = c.sum(axis=1)[:, None] * x - c @ x
     mass = w2.sum(axis=1)
     return pair - 0.5 * mass[:, None] * target.score(x)

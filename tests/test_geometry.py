@@ -21,6 +21,7 @@ from mirrorcoin.geometry import (
 )
 
 from helpers import (
+    contract_pieces,
     fd_grad,
     fd_jacobian,
     orthant_interior_points,
@@ -119,7 +120,14 @@ class TestClosedForms:
             want = fd_grad(
                 lambda z: float(np.sum(mmap.inverse_hessian(z) * M)), x, h=1e-6
             )
-            assert rel_err(mmap.d_inv_hessian_contract(x, M), want) < 1e-5
+            assert rel_err(mmap.d_inv_hessian_contract(x, *contract_pieces(x, M)), want) < 1e-5
+
+    def test_inverse_hessian_structure(self, mmap):
+        """The dense inverse Hessian is diag(x) - sigma x x^T."""
+        rng = np.random.default_rng(11)
+        x = _points(mmap, 6, rng)
+        want = np.stack([np.diag(p) - mmap.sigma * np.outer(p, p) for p in x])
+        assert rel_err(mmap.inverse_hessian(x), want) < 1e-15
 
     def test_batched_matches_pointwise(self, mmap):
         rng = np.random.default_rng(10)
@@ -207,8 +215,8 @@ class TestOrthantSpecifics:
                 m.primal_to_dual(bad)
 
 
-# Every map method that takes a primal point checks it; the second argument
-# of the methods that take one has the shape of x (v) or x's (d, d) matrices.
+# Every map method that takes a primal point checks it; the further
+# arguments of the methods that take them have the shape of x.
 CHECKED = {
     "potential": lambda m, x: m.potential(x),
     "primal_to_dual": lambda m, x: m.primal_to_dual(x),
@@ -219,7 +227,7 @@ CHECKED = {
     "hessian_inverse_apply": lambda m, x: m.hessian_inverse_apply(x, np.ones_like(x)),
     "inverse_hessian": lambda m, x: m.inverse_hessian(x),
     "d_inv_hessian_contract": lambda m, x: m.d_inv_hessian_contract(
-        x, np.ones(x.shape + (x.shape[-1],))),
+        x, np.ones_like(x), np.ones_like(x), np.ones_like(x)),
     "assert_interior": lambda m, x: m.assert_interior(x),
 }
 

@@ -203,7 +203,7 @@ class TestBuildPlan:
         assert err.value.violations[0].startswith(problem)
 
     def test_ksd_descent_over_memory_budget_is_refused(self):
-        # N=6000, d=20 would need about 3.7 GiB per direction; the plan is
+        # N=6000, d=20 would need about 2.7 GiB per direction; the plan is
         # refused before anything is allocated
         raw = {
             "target.kind": "exp_orthant", "target.d": "20",
@@ -212,7 +212,7 @@ class TestBuildPlan:
         }
         with pytest.raises(ConfigError) as err:
             build_plan(raw)
-        assert any("3.7 GiB" in m and "2 GiB budget" in m for m in err.value.violations)
+        assert any("2.7 GiB" in m and "2 GiB budget" in m for m in err.value.violations)
         raw["sampler.n_particles"] = "1000"
         assert build_plan(raw).n_particles == 1000
 
@@ -581,6 +581,29 @@ class TestCli:
         assert "spectral kernel flow ships only for d = 1" in err
         assert "dirichlet init needs the simplex domain, not the orthant" in err
         assert not os.path.exists(str(tmp_path / "o"))
+
+    @pytest.mark.parametrize("config,message", [
+        ("target.kind = sparse_dirichlet\ntarget.counts = 4,2,1\n"
+         "sampler.kind = coin_msvgd\ninit.kind = dirichlet\ninit.alpha = -1\n",
+         "init.alpha must lie in (0, inf), got -1.0"),
+        ("target.kind = exp_orthant\ntarget.d = 2\n"
+         "sampler.kind = coin_msvgd\ninit.kind = lognormal\ninit.sigma = -1\n",
+         "init.sigma must lie in (0, inf), got -1.0"),
+        ("target.kind = exp_orthant\ntarget.d = 2\n"
+         "sampler.kind = coin_msvgd\ninit.kind = lognormal\ninit.mu = inf\n",
+         "init.mu must lie in (-inf, inf), got inf"),
+        ("target.kind = uniform_box\ntarget.d = 2\n"
+         "sampler.kind = coin_mied\ninit.kind = box_uniform\ninit.scale = 3\n",
+         "init.scale must lie in (0, 1), got 3.0"),
+    ], ids=["alpha", "sigma", "mu", "scale"])
+    def test_init_value_out_of_range_exit_one(self, tmp_path, capsys, config, message):
+        cfg = write_cfg(tmp_path, config + "sampler.n_particles = 5\nsampler.n_iters = 2\n")
+        out = str(tmp_path / "o")
+        assert main(["sample", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert "runtime failure" not in err
+        assert not os.path.exists(out)
 
     def test_sweep_ksd_on_projected_sampler_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SWEEP_CONFIG.replace(

@@ -110,9 +110,9 @@ class TestGradient:
         rng = np.random.default_rng(4)
         x = rng.dirichlet(np.ones(4), size=60)[:, :3]
         x[7] = x[3]                                 # a coincident pair
-        T, scale, r2 = _log_terms(x, target, MollifierConfig(kind=kind, eps=0.3))
+        T, scale, zero = _log_terms(x, target, MollifierConfig(kind=kind, eps=0.3))
         assert T.tobytes() == T.T.tobytes()
-        assert r2.tobytes() == r2.T.tobytes()
+        assert zero.tobytes() == zero.T.tobytes()
         assert np.ndim(scale) == 0 or scale.tobytes() == scale.T.tobytes()
 
 

@@ -2,7 +2,9 @@
 
 The library sums over particle pairs through N x N weights and matrix
 products; ``helpers`` keeps the term-by-term einsum forms, which build the
-(N, N, d) differences and, for KSD descent, the (N, N, d, d) contraction.
+(N, N, d) differences and, for KSD descent, the (N, N, d, d) contraction,
+and the MIED gradient with a fresh array for every N x N temporary, which
+the in-place library form matches bit for bit.
 """
 
 import tracemalloc
@@ -13,6 +15,7 @@ import pytest
 from mirrorcoin.geometry import EntropicSimplexMap, PositiveOrthantMap
 from mirrorcoin.mied import MollifierConfig, mie_gradient
 from mirrorcoin.samplers import (
+    ksd_descent_bytes,
     mksdd_direction,
     msvgd_direction,
     stein_kernel_matrix,
@@ -23,7 +26,7 @@ from mirrorcoin.targets import ExpOrthant, MirroredDensity, SparseDirichlet, Uni
 import helpers
 from helpers import orthant_interior_points, simplex_interior_points
 
-SIZES = [(n, d) for n in (1, 7, 50) for d in (2, 20)]
+SIZES = [(n, d) for n in (1, 7, 50) for d in (1, 2, 20)]
 MOLLIFIERS = [
     MollifierConfig(),
     MollifierConfig(kind="riesz", eps=0.5),
@@ -42,7 +45,7 @@ def mirrored_cloud(domain, n, d, seed=0):
     rng = np.random.default_rng([seed, n, d])
     if domain == "simplex":
         counts = np.zeros(d + 1)
-        counts[:3] = (6.0, 3.0, 1.0)
+        counts[:3] = (6.0, 3.0, 1.0)[:d + 1]
         target, mmap = SparseDirichlet(alpha=0.5, counts=counts), EntropicSimplexMap(d)
         x = simplex_interior_points(n, d, rng, margin=0.1)
     else:
@@ -110,3 +113,45 @@ def test_mksdd_direction_holds_no_pair_tensor(domain):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n * d * d
+
+
+@pytest.mark.parametrize("n,d", [(300, 20), (1000, 2)])
+@pytest.mark.parametrize("domain", ["simplex", "orthant"])
+def test_mksdd_memory_estimate_bounds_peak(domain, n, d):
+    # the estimate the KSD-descent budget refuses runs by, against the
+    # tracemalloc peak of one direction
+    md, Y = mirrored_cloud(domain, n, d)
+    tracemalloc.start()
+    try:
+        mksdd_direction(Y, md, "imq", 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ksd_descent_bytes(n, d)
+
+
+class _Tilted:
+    """Log density a . x on a box, for a score term that is not 0."""
+
+    def __init__(self, d):
+        self.a = np.linspace(-1.5, 2.0, d)
+
+    def log_density(self, x):
+        return x @ self.a
+
+    def score(self, x):
+        return np.broadcast_to(self.a, x.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 50, 400])
+@pytest.mark.parametrize("tilted", [False, True], ids=["flat", "tilted"])
+@pytest.mark.parametrize("moll", MOLLIFIERS, ids=["riesz", "riesz_wide", "gaussian", "laplace"])
+def test_mie_gradient_bitwise(moll, tilted, n):
+    # the in-place gradient against the same sums with fresh temporaries,
+    # bit for bit, with coincident particles where there are two or more
+    rng = np.random.default_rng([3, n])
+    x = rng.uniform(-1.0, 1.0, size=(n, 2))
+    x[n // 2] = x[0]
+    target = _Tilted(2) if tilted else UniformBox(-np.ones(2), np.ones(2))
+    got = mie_gradient(x, target, moll)
+    assert got.tobytes() == helpers.mie_gradient_unfused(x, target, moll).tobytes()

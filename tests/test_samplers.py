@@ -615,7 +615,7 @@ class TestRunLoop:
 
     def test_ksd_descent_over_memory_budget_is_refused(self):
         # n_iters=0 computes no direction, so a missing check fails the test
-        # without allocating the 3.7 GiB
+        # without allocating the 2.7 GiB
         with pytest.raises(ConfigError, match="over the 2 GiB budget"):
             run_sampler(target=ExpOrthant(20, rate=1.0), sampler="coin_mksdd",
                         n_particles=6000, n_iters=0, seed=0)
