@@ -270,25 +270,15 @@ def svgd_direction(X: np.ndarray, target, family: str, h: float) -> np.ndarray:
 #   x_i^T A_j A_i x_j  = X2 X2^T - sigma G (H + H^T) + sigma^2 G G G
 #   x_j^T A_i S_j      = (X S) X^T - sigma G (S X^T)
 # and a weighted sum over j of A_j applied to a vector is (c^T X) times that
-# vector minus sigma times a product weighted by c G (see _pair_apply).  So
-# nothing larger than N x N or N x d is held, and the cost is O(N^2 d); the
-# N x N temporaries are updated in place to keep the peak low.  X, when
-# given, is the primal image of Y; score_shift checks it interior once, so
-# the helpers below skip the map's check.
+# vector minus sigma times a product weighted by c (X V^T) (see _pair_apply).
+# So nothing larger than N x N or N x d is held, and the cost is O(N^2 d);
+# the N x N temporaries are updated in place to keep the peak low.  X, when
+# given, is the primal image of Y.
 
 
 def _rowdot(a, b):
     """Column of the row-wise dot products a_i . b_i."""
     return (a * b).sum(axis=1, keepdims=True)
-
-
-def _inv_apply(X, V, sigma):
-    """Row i = A_i v_i = x_i v_i - sigma (x_i . v_i) x_i; the map's
-    hessian_inverse_apply without its interior check."""
-    out = X * V
-    if sigma:
-        out -= sigma * out.sum(axis=1, keepdims=True) * X
-    return out
 
 
 def _pair_apply(c, X, V, sigma):
@@ -305,8 +295,8 @@ def _stein_context(Y, md, family, h, X=None):
     if X is None:
         X = mmap.dual_to_primal(Y)
     q = md.score_shift(X)                          # (N,d)
-    S = _inv_apply(X, q, sigma)                    # dual scores
-    U = _inv_apply(X, X, sigma)
+    S = mmap.hessian_inverse_apply(X, q)          # dual scores
+    U = mmap.hessian_inverse_apply(X, X)
     X2 = X * X
     f, f1, f2, f3 = radial_profile(family, cdist(X, X, "sqeuclidean"), h)
     G = X @ X.T
@@ -429,8 +419,8 @@ def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
     # with sum_j f2 A_j dx dx^T = sum_j f2 u_j x_j^T - C_i - f2Adx x_i^T and
     # C_i = sum_j f2 (A_j x_i) x_j^T = diag(x_i) P_i - sigma Q_i, where
     # P_i = sum_j f2 x_j x_j^T and Q_i = sum_j f2 G x_j x_j^T.  M_i x_i and
-    # M_i^T x_i enter only through the rank-one part of A, so a map with
-    # sigma = 0 gets zeros for them.
+    # M_i^T x_i come from the rank-one part of A and the contraction scales
+    # them by sigma, so with sigma = 0 they are left at zero.
     diag = (W * q - 2.0 * (f1.T @ (S * X) - f1S * X) - 2.0 * f1X
             - 4.0 * (f2.T @ (U * X) - X * f2X2 - f2Adx * X))
     aax = X * f2X2                                 # sum_j f2 A_j A_i x_j
@@ -457,16 +447,16 @@ def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
     g += mmap.d_inv_hessian_contract(X, diag, mx, mtx)
 
     # dual-score Jacobian, A Hq part: Hq_i (A_i W_i)
-    g += np.einsum("iab,ib->ia", md.score_shift_jacobian(X), _inv_apply(X, W, sigma))
+    g += _apply(md.score_shift_jacobian(X), mmap.hessian_inverse_apply(X, W))
 
     # the Hessians acting on A_i S_j and A_j S_i, identity part
-    g += 2.0 * (_inv_apply(X, f1S, sigma) - _pair_apply(f1, X, S, sigma))
+    g += 2.0 * (mmap.hessian_inverse_apply(X, f1S) - _pair_apply(f1, X, S, sigma))
 
     # trace term, rest: 4 f2 (A_i A_j dx + A_j A_i dx)
-    g += 4.0 * (_inv_apply(X, f2Adx, sigma) + aax - _pair_apply(f2, X, U, sigma))
+    g += 4.0 * (mmap.hessian_inverse_apply(X, f2Adx) + aax - _pair_apply(f2, X, U, sigma))
 
     # chain to dual coordinates through A_i
-    return -_inv_apply(X, g, sigma) / n**2
+    return -mmap.hessian_inverse_apply(X, g) / n**2
 
 
 # -- spectral (Hermite) kernel flow ------------------------------------------

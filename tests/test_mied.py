@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from mirrorcoin.errors import ConfigError
 from mirrorcoin.mied import (
@@ -110,6 +111,8 @@ class TestGradient:
         rng = np.random.default_rng(4)
         x = rng.dirichlet(np.ones(4), size=60)[:, :3]
         x[7] = x[3]                                 # a coincident pair
+        r2 = cdist(x, x, "sqeuclidean")            # the pair distances it starts from
+        assert r2.tobytes() == r2.T.tobytes()
         T, scale, zero = _log_terms(x, target, MollifierConfig(kind=kind, eps=0.3))
         assert T.tobytes() == T.T.tobytes()
         assert zero.tobytes() == zero.T.tobytes()
