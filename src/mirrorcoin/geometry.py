@@ -2,13 +2,24 @@
 
 A mirror map ``phi`` is a strictly convex potential on an open domain.  Its
 gradient sends primal points ``x`` to dual points ``y = grad phi(x)`` living in
-all of R^d; the inverse gradient maps back.  Two maps are provided:
+all of R^d; the inverse gradient maps back.  Both maps share one algebra in a
+constant ``sigma`` and the remainder ``r`` of a point:
+
+    phi(x) = sum_k (x_k log x_k - x_k) + sigma (r log r - r)
 
 * :class:`EntropicSimplexMap` -- the open probability simplex in ``d`` free
-  coordinates (the implicit ``d+1``-th coordinate is ``1 - sum(x)``), with the
-  negative-entropy potential.
-* :class:`PositiveOrthantMap` -- the open positive orthant with the
-  ``sum(x log x - x)`` potential, i.e. coordinatewise log/exp.
+  coordinates: sigma = 1 and r = 1 - sum(x), the implicit ``d+1``-th
+  coordinate (the entropic map).
+* :class:`PositiveOrthantMap` -- the open positive orthant: sigma = 0 and
+  r = 1, as there is no implicit coordinate, so every sigma term drops out
+  and the map is coordinatewise log/exp.
+
+The Hessian is grad^2 phi = diag(1/x) + (sigma / r) 1 1^T, and since
+sum(x) + r = 1 wherever sigma = 1 its inverse is A(x) = diag(x) - sigma x x^T.
+The maps differ only in their inverse gradient, ``dual_to_primal``.
+``potential`` is defined up to a constant: on the simplex it is the negative
+entropy minus 1.  Only its gradient, ``primal_to_dual``, is used or checked
+(acceptance criterion 01).
 
 All operations act on the last axis of their inputs and broadcast over any
 leading axes.  They are pure functions of their arguments: no instance state
@@ -37,11 +48,9 @@ def as_dimension(d) -> int:
 
 
 class _MirrorMap:
-    """The dimension, the interior check and the derivative contraction of
-    the inverse Hessian, which both maps share; each map
-    defines ``domain``, ``inside``, the scalar test that every point is
-    finite and interior, and ``sigma``, the structure of its inverse
-    Hessian A(x) = diag(x) - sigma x x^T."""
+    """The map algebra, written once in ``sigma`` and the remainder
+    ``_rest(x)``; each map defines those two, ``domain`` and
+    ``dual_to_primal``."""
 
     domain: str
     sigma: float
@@ -49,15 +58,13 @@ class _MirrorMap:
     def __init__(self, d: int):
         self.d = as_dimension(d)
 
-    def d_inv_hessian_contract(self, x: np.ndarray, diag: np.ndarray, mx, mtx) -> np.ndarray:
-        """Vector g with g_m = <dA/dx_m, M>_F where A = [grad^2 phi]^-1,
-        from three pieces of M: its diagonal, M x and M^T x.
+    # -- domain ---------------------------------------------------------
 
-        dA/dx_m = E_mm - sigma (e_m x^T + x e_m^T), so
-        g_m = M_mm - sigma ((M x)_m + (M^T x)_m).
-        """
-        self.assert_interior(x)
-        return np.asarray(diag, dtype=float) - self.sigma * (mx + mtx)
+    def inside(self, x: np.ndarray) -> bool:
+        """Every coordinate and remainder is finite and above INTERIOR_TOL."""
+        # a NaN fails the minimum
+        return (x.min() > INTERIOR_TOL and x.max() < np.inf
+                and self._rest(x).min() > INTERIOR_TOL)
 
     def assert_interior(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -74,40 +81,90 @@ class _MirrorMap:
             )
         return x
 
+    # -- potential and forward map ----------------------------------------
+
+    def potential(self, x: np.ndarray) -> np.ndarray:
+        """phi(x) = sum_k (x_k log x_k - x_k) + sigma (r log r - r)."""
+        x = self.assert_interior(x)
+        rest = self._rest(x)
+        return (x * np.log(x) - x).sum(axis=-1) + self.sigma * (rest * np.log(rest) - rest)
+
+    def primal_to_dual(self, x: np.ndarray) -> np.ndarray:
+        """grad phi: y_k = log x_k - sigma log r."""
+        x = self.assert_interior(x)
+        return np.log(x) - self.sigma * np.log(self._rest(x))[..., None]
+
+    # -- Hessian algebra --------------------------------------------------
+
+    def log_det_hessian(self, x: np.ndarray) -> np.ndarray:
+        """log det grad^2 phi(x) = -sum_k log x_k - sigma log r."""
+        x = self.assert_interior(x)
+        return -np.log(x).sum(axis=-1) - self.sigma * np.log(self._rest(x))
+
+    def grad_log_det_hessian(self, x: np.ndarray) -> np.ndarray:
+        x = self.assert_interior(x)
+        return -1.0 / x + (self.sigma / self._rest(x))[..., None]
+
+    def hess_log_det_hessian(self, x: np.ndarray) -> np.ndarray:
+        x = self.assert_interior(x)
+        out = np.zeros(x.shape + (self.d,))
+        idx = np.arange(self.d)
+        out[..., idx, idx] = 1.0 / x**2
+        out += (self.sigma / self._rest(x)**2)[..., None, None]
+        return out
+
+    # The rank-one terms of the two applies are zero where sigma = 0, and
+    # their row sums can overflow where the diagonal terms do not.
+
+    def hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """grad^2 phi(x) v = v / x + sigma (sum v) / r."""
+        x = self.assert_interior(x)
+        v = np.asarray(v, dtype=float)
+        out = v / x
+        if self.sigma:
+            out = out + (self.sigma * v.sum(axis=-1) / self._rest(x))[..., None]
+        return out
+
+    def hessian_inverse_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A(x) v = x v - sigma (x . v) x  (Sherman-Morrison)."""
+        x = self.assert_interior(x)
+        out = x * np.asarray(v, dtype=float)
+        if self.sigma:
+            out = out - self.sigma * out.sum(axis=-1, keepdims=True) * x
+        return out
+
+    def inverse_hessian(self, x: np.ndarray) -> np.ndarray:
+        """Dense A(x) = diag(x) - sigma x x^T."""
+        x = self.assert_interior(x)
+        out = np.zeros(x.shape + (self.d,))
+        idx = np.arange(self.d)
+        out[..., idx, idx] = x
+        out -= self.sigma * x[..., :, None] * x[..., None, :]
+        return out
+
+    def d_inv_hessian_contract(self, x: np.ndarray, diag: np.ndarray, mx, mtx) -> np.ndarray:
+        """Vector g with g_m = <dA/dx_m, M>_F from three pieces of M: its
+        diagonal, M x and M^T x.
+
+        dA/dx_m = E_mm - sigma (e_m x^T + x e_m^T), so
+        g_m = M_mm - sigma ((M x)_m + (M^T x)_m).
+        """
+        self.assert_interior(x)
+        return np.asarray(diag, dtype=float) - self.sigma * (mx + mtx)
+
 
 class EntropicSimplexMap(_MirrorMap):
     """Entropic mirror map on the open unit simplex.
 
-    Points are the ``d`` free coordinates; interiority requires every
-    coordinate and the implicit remainder ``1 - sum(x)`` to exceed
-    ``INTERIOR_TOL``.
+    Points are the ``d`` free coordinates; the remainder is the implicit
+    coordinate ``1 - sum(x)``.
     """
 
     domain = "simplex"
     sigma = 1.0
 
-    # -- domain ---------------------------------------------------------
-
-    def _last(self, x: np.ndarray) -> np.ndarray:
+    def _rest(self, x: np.ndarray) -> np.ndarray:
         return 1.0 - x.sum(axis=-1)
-
-    def inside(self, x: np.ndarray) -> bool:
-        # a NaN fails the minimum, and a +inf sends the remainder to -inf
-        return x.min() > INTERIOR_TOL and self._last(x).min() > INTERIOR_TOL
-
-    # -- potential and conjugate maps ------------------------------------
-
-    def potential(self, x: np.ndarray) -> np.ndarray:
-        """phi(x) = sum_k x_k log x_k + (1 - sum x) log(1 - sum x)."""
-        x = self.assert_interior(x)
-        rest = self._last(x)
-        return (x * np.log(x)).sum(axis=-1) + rest * np.log(rest)
-
-    def primal_to_dual(self, x: np.ndarray) -> np.ndarray:
-        """grad phi: y_k = log(x_k / (1 - sum x))."""
-        x = self.assert_interior(x)
-        rest = self._last(x)
-        return np.log(x) - np.log(rest)[..., None]
 
     def dual_to_primal(self, y: np.ndarray) -> np.ndarray:
         """Inverse gradient: x_k = exp(y_k) / (1 + sum_j exp(y_j)).
@@ -125,53 +182,8 @@ class EntropicSimplexMap(_MirrorMap):
         denom = np.exp(-shift) + e.sum(axis=-1, keepdims=True)
         return e / denom
 
-    # -- Hessian algebra --------------------------------------------------
-
-    def log_det_hessian(self, x: np.ndarray) -> np.ndarray:
-        """log det grad^2 phi(x) = -sum_k log x_k - log(1 - sum x)."""
-        x = self.assert_interior(x)
-        rest = self._last(x)
-        return -np.log(x).sum(axis=-1) - np.log(rest)
-
-    def grad_log_det_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = self.assert_interior(x)
-        rest = self._last(x)
-        return -1.0 / x + (1.0 / rest)[..., None]
-
-    def hess_log_det_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = self.assert_interior(x)
-        rest = self._last(x)
-        d = self.d
-        out = np.zeros(x.shape + (d,))
-        idx = np.arange(d)
-        out[..., idx, idx] = 1.0 / x**2
-        out += (1.0 / rest**2)[..., None, None]
-        return out
-
-    def hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """grad^2 phi(x) v = v / x + (sum v) / (1 - sum x)."""
-        x = self.assert_interior(x)
-        v = np.asarray(v, dtype=float)
-        rest = self._last(x)
-        return v / x + (v.sum(axis=-1) / rest)[..., None]
-
-    def hessian_inverse_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """[grad^2 phi(x)]^-1 v = x*v - (x . v) x  (Sherman-Morrison)."""
-        x = self.assert_interior(x)
-        v = np.asarray(v, dtype=float)
-        xv = (x * v).sum(axis=-1, keepdims=True)
-        return x * v - xv * x
-
-    def inverse_hessian(self, x: np.ndarray) -> np.ndarray:
-        """Dense [grad^2 phi(x)]^-1 = diag(x) - x x^T."""
-        x = self.assert_interior(x)
-        d = self.d
-        out = -x[..., :, None] * x[..., None, :]
-        idx = np.arange(d)
-        out[..., idx, idx] += x
-        return out
-
     # named in the class itself, where perfbench's tracer finds its layers
+    hessian_inverse_apply = _MirrorMap.hessian_inverse_apply
     d_inv_hessian_contract = _MirrorMap.d_inv_hessian_contract
 
 
@@ -181,17 +193,10 @@ class PositiveOrthantMap(_MirrorMap):
     domain = "orthant"
     sigma = 0.0
 
-    def inside(self, x: np.ndarray) -> bool:
-        return x.min() > INTERIOR_TOL and x.max() < np.inf
-
-    def potential(self, x: np.ndarray) -> np.ndarray:
-        """phi(x) = sum_k (x_k log x_k - x_k)."""
-        x = self.assert_interior(x)
-        return (x * np.log(x) - x).sum(axis=-1)
-
-    def primal_to_dual(self, x: np.ndarray) -> np.ndarray:
-        x = self.assert_interior(x)
-        return np.log(x)
+    def _rest(self, x: np.ndarray) -> np.ndarray:
+        # 1 rather than 1 - sigma sum(x): a sum of coordinates as large as
+        # exp(_EXP_MAX) overflows, and 0 * inf is NaN
+        return np.ones(x.shape[:-1])
 
     def dual_to_primal(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -203,45 +208,15 @@ class PositiveOrthantMap(_MirrorMap):
             )
         return np.exp(y)
 
-    def log_det_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = self.assert_interior(x)
-        return -np.log(x).sum(axis=-1)
-
-    def grad_log_det_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = self.assert_interior(x)
-        return -1.0 / x
-
-    def hess_log_det_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = self.assert_interior(x)
-        out = np.zeros(x.shape + (self.d,))
-        idx = np.arange(self.d)
-        out[..., idx, idx] = 1.0 / x**2
-        return out
-
-    def hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x = self.assert_interior(x)
-        return np.asarray(v, dtype=float) / x
-
-    def hessian_inverse_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x = self.assert_interior(x)
-        return x * np.asarray(v, dtype=float)
-
-    def inverse_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = self.assert_interior(x)
-        out = np.zeros(x.shape + (self.d,))
-        idx = np.arange(self.d)
-        out[..., idx, idx] = x
-        return out
-
+    hessian_inverse_apply = _MirrorMap.hessian_inverse_apply
     d_inv_hessian_contract = _MirrorMap.d_inv_hessian_contract
 
 
+_MAPS = {"simplex": EntropicSimplexMap, "orthant": PositiveOrthantMap}
+
+
 def make_map(domain: str, d: int):
-    """The mirror map of a domain kind; None for the box, which no map covers."""
-    if domain == "simplex":
-        return EntropicSimplexMap(d)
-    if domain == "orthant":
-        return PositiveOrthantMap(d)
-    if domain == "box":
-        return None
-    raise ValueError(f"unknown domain kind {domain!r}")
+    """The mirror map of a domain kind; no map covers any other, the box included."""
+    if domain not in _MAPS:
+        raise ValueError(f"no mirror map covers the {domain!r} domain")
+    return _MAPS[domain](d)

@@ -147,8 +147,8 @@ class _Reader:
             self.problems.append(f"{key} must be >= {low}")
         return got
 
-    def leftover_check(self):
-        for key in sorted(self.raw):
+    def leftover_check(self, prefix=""):
+        for key in sorted(k for k in self.raw if k.startswith(prefix)):
             self.problems.append(f"unknown key {key!r}")
 
 
@@ -487,13 +487,14 @@ def build_target_only(raw: dict, n: int = 1):
     check the size ``n`` of a draw from it.
 
     Other sections are left alone so any sampler config can double as a
-    ground-truth config.
+    ground-truth config; a ``target.*`` key the kind does not read is unknown.
     """
     problems: list = []
     r = _Reader(raw, problems)
     seed = r.at_least(r.get("seed", as_int, 0), "seed", 0)
     r.at_least(n, "--n", 1)
     target = _build(r, "target", TARGETS, TARGET_SHARED)
+    r.leftover_check("target.")
     if problems:
         raise ConfigError(problems)
     return target, seed

@@ -28,6 +28,13 @@ from .rng import substream
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
+def _check_finite(**params):
+    """Refuse a parameter that holds a NaN or an infinity."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
 class SparseDirichlet:
     """Dirichlet posterior from multinomial counts on the open simplex.
 
@@ -44,6 +51,7 @@ class SparseDirichlet:
         if counts.ndim != 1 or counts.size < 2:
             raise ValueError("counts must be a vector over d+1 >= 2 categories")
         alpha = np.broadcast_to(np.asarray(alpha, dtype=float), counts.shape).copy()
+        _check_finite(alpha=alpha, counts=counts)
         if np.any(alpha <= 0):
             raise ValueError("all alpha must be positive")
         if np.any(counts < 0):
@@ -106,6 +114,7 @@ class QuadraticSimplex:
             raise ValueError("A must be square")
         if not np.allclose(A, A.T):
             raise ValueError("A must be symmetric")
+        _check_finite(sigma=sigma)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         self.A = A
@@ -184,6 +193,7 @@ class UniformBox:
     def __init__(self, lo, hi):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        _check_finite(lo=lo, hi=hi)
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise ValueError("box bounds must satisfy lo < hi componentwise")
         self.lo = lo
@@ -221,6 +231,7 @@ class ExpOrthant:
     no_ground_truth = None
 
     def __init__(self, d: int, rate: float = 1.0):
+        _check_finite(rate=rate)
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.d = as_dimension(d)
@@ -254,6 +265,7 @@ class LogNormalOrthant:
     no_ground_truth = None
 
     def __init__(self, d: int, mu: float = 0.0, sigma: float = 1.0):
+        _check_finite(mu=mu, sigma=sigma)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         self.d = as_dimension(d)
@@ -327,6 +339,7 @@ class SelectiveLasso:
         signs = np.asarray(signs, dtype=float)
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise ValueError("X must be (n, p) and y (n,)")
+        _check_finite(lam=lam, tau=tau, eps_ridge=eps_ridge)
         if lam <= 0 or tau <= 0 or eps_ridge <= 0:
             raise ValueError("lam, tau, eps_ridge must be positive")
         if active.size == 0 or active.size != signs.size:

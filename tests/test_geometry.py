@@ -7,6 +7,8 @@ inverse-Hessian derivative contraction against finite differences of the
 dense inverse Hessian.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from mirrorcoin.geometry import (
     PositiveOrthantMap,
     make_map,
 )
+from mirrorcoin.samplers import mirrored_density
+from mirrorcoin.targets import UniformBox
 
 from helpers import (
     contract_pieces,
@@ -214,6 +218,18 @@ class TestOrthantSpecifics:
             with pytest.raises(DomainViolation):
                 m.primal_to_dual(bad)
 
+    def test_largest_coordinates_stay_finite(self):
+        # dual_to_primal reaches exp(709) ~ 8e307 per coordinate; a sum over
+        # three of them overflows, and no sigma term may take that sum
+        m = PositiveOrthantMap(3)
+        x = np.full((4, 3), 8e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert m.inside(x)
+            for got in (m.primal_to_dual(x), m.log_det_hessian(x),
+                        m.grad_log_det_hessian(x), m.hessian_inverse_apply(x, np.ones_like(x))):
+                assert np.all(np.isfinite(got))
+
 
 # Every map method that takes a primal point checks it; the further
 # arguments of the methods that take them have the shape of x.
@@ -299,11 +315,16 @@ class TestFactory:
     def test_known_kinds(self):
         assert isinstance(make_map("simplex", 2), EntropicSimplexMap)
         assert isinstance(make_map("orthant", 2), PositiveOrthantMap)
-        assert make_map("box", 2) is None
+        with pytest.raises(ValueError, match="no mirror map covers the 'box' domain"):
+            make_map("box", 2)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_map("hyperbolic", 2)
+
+    def test_mirrored_density_of_a_box_is_refused(self):
+        with pytest.raises(ValueError, match="'box'"):
+            mirrored_density(UniformBox(np.zeros(2), np.ones(2)))
 
 
 @settings(max_examples=50, deadline=None)

@@ -651,6 +651,33 @@ class TestCli:
         assert "target: dimension must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "o"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("kind,key", [
+        ("sparse_dirichlet", "alpha"), ("sparse_dirichlet", "counts"),
+        ("quadratic_simplex", "sigma"), ("uniform_box", "lo"), ("uniform_box", "hi"),
+        ("exp_orthant", "rate"), ("lognormal_orthant", "mu"), ("lognormal_orthant", "sigma"),
+        ("selective_lasso", "lam"), ("selective_lasso", "tau"),
+        ("selective_lasso", "eps_ridge"),
+    ])
+    def test_non_finite_target_parameter_exit_one(self, tmp_path, capsys, kind, key, value):
+        keys = {"target.kind": kind, **MINIMAL_TARGETS[kind][0],
+                f"target.{key}": f"4,{value},1" if key == "counts" else value}
+        cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out = str(tmp_path / "o")
+        assert main(["ground-truth", "--config", cfg, "--out", out, "--n", "5"]) == 1
+        assert f"  - target: {key} must be finite\n" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_ground_truth_unknown_target_key_exit_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, (
+            "target.kind = quadratic_simplex\ntarget.d = 2\ntarget.sigm = 0.1\n"
+            "sampler.kind = coin_msvgd\n"
+        ))
+        out = str(tmp_path / "o")
+        assert main(["ground-truth", "--config", cfg, "--out", out, "--n", "5"]) == 1
+        assert "  - unknown key 'target.sigm'\n" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_selective_lasso_without_observations_exit_one(self, tmp_path, capsys, n):
         cfg = write_cfg(tmp_path, (
