@@ -16,7 +16,9 @@ constant ``sigma`` and the remainder ``r`` of a point:
 
 The Hessian is grad^2 phi = diag(1/x) + (sigma / r) 1 1^T, and since
 sum(x) + r = 1 wherever sigma = 1 its inverse is A(x) = diag(x) - sigma x x^T.
-The maps differ only in their inverse gradient, ``dual_to_primal``.
+Each of these d x d matrices is a diagonal plus a rank-one term, so the map
+applies it to a vector and never stores it.  The maps differ only in their
+inverse gradient, ``dual_to_primal``.
 ``potential`` is defined up to a constant: on the simplex it is the negative
 entropy minus 1.  Only its gradient, ``primal_to_dual``, is used or checked
 (acceptance criterion 01).
@@ -105,16 +107,17 @@ class _MirrorMap:
         x = self.assert_interior(x)
         return -1.0 / x + (self.sigma / self._rest(x))[..., None]
 
-    def hess_log_det_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = self.assert_interior(x)
-        out = np.zeros(x.shape + (self.d,))
-        idx = np.arange(self.d)
-        out[..., idx, idx] = 1.0 / x**2
-        out += (self.sigma / self._rest(x)**2)[..., None, None]
-        return out
+    # The rank-one terms of the applies are zero where sigma = 0, and their
+    # row sums can overflow where the diagonal terms do not.
 
-    # The rank-one terms of the two applies are zero where sigma = 0, and
-    # their row sums can overflow where the diagonal terms do not.
+    def hess_log_det_hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """grad^2 log det grad^2 phi(x) v = v / x^2 + sigma (sum v) / r^2."""
+        x = self.assert_interior(x)
+        v = np.asarray(v, dtype=float)
+        out = v / x**2
+        if self.sigma:
+            out = out + (self.sigma * v.sum(axis=-1) / self._rest(x)**2)[..., None]
+        return out
 
     def hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """grad^2 phi(x) v = v / x + sigma (sum v) / r."""
@@ -131,15 +134,6 @@ class _MirrorMap:
         out = x * np.asarray(v, dtype=float)
         if self.sigma:
             out = out - self.sigma * out.sum(axis=-1, keepdims=True) * x
-        return out
-
-    def inverse_hessian(self, x: np.ndarray) -> np.ndarray:
-        """Dense A(x) = diag(x) - sigma x x^T."""
-        x = self.assert_interior(x)
-        out = np.zeros(x.shape + (self.d,))
-        idx = np.arange(self.d)
-        out[..., idx, idx] = x
-        out -= self.sigma * x[..., :, None] * x[..., None, :]
         return out
 
     def d_inv_hessian_contract(self, x: np.ndarray, diag: np.ndarray, mx, mtx) -> np.ndarray:

@@ -37,20 +37,12 @@ MIRRORED_SAMPLERS = ("msvgd", "coin_msvgd", "mksdd", "coin_mksdd",
 PROJECTED_SAMPLERS = ("svgd_proj", "coin_svgd_proj")
 SAMPLERS = MIRRORED_SAMPLERS + PROJECTED_SAMPLERS + ("mied", "coin_mied")
 
-_COIN_TWINS = {
-    "msvgd": "coin_msvgd",
-    "mksdd": "coin_mksdd",
-    "mlawgd": "coin_mlawgd",
-    "svgd_proj": "coin_svgd_proj",
-    "mied": "coin_mied",
-}
-
 
 def coin_twin(sampler: str) -> str:
-    try:
-        return _COIN_TWINS[sampler]
-    except KeyError:
+    """The coin-betting twin of a gradient sampler, ``coin_<sampler>``."""
+    if "coin_" + sampler not in SAMPLERS:
         raise ConfigError(f"sampler {sampler!r} has no coin twin")
+    return "coin_" + sampler
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +216,13 @@ def project_to_domain(target, x: np.ndarray, tol: float = INTERIOR_TOL) -> np.nd
 # directions
 
 
-def _apply(B: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row i = B_i v_i for a stack of matrices B (N, d, d) and rows v (N, d)."""
-    return np.einsum("iab,ib->ia", B, v)
+def _pair_apply(c, X, V, sigma):
+    """Row i = sum_j c[j, i] A_j v_i = (c^T X) v_i - sigma sum_j c[j, i] (x_j . v_i) x_j,
+    with A_j = diag(x_j) - sigma x_j x_j^T; O(N^2 d), and no A_j is formed."""
+    out = (c.T @ X) * V
+    if sigma:
+        out -= sigma * ((c * (X @ V.T)).T @ X)
+    return out
 
 
 def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
@@ -237,18 +233,16 @@ def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
     with s the dual score; the kernel gradient chains one inverse mirror
     Hessian onto the base-kernel gradient at the primal images, so the
     repulsion sum_j 2 f1[j, i] A_j (x_j - x_i) is f1^T (A x) minus
-    (sum_j f1[j, i] A_j) x_i.  ``X`` is the primal image of ``Y`` when the
+    sum_j f1[j, i] A_j x_i.  ``X`` is the primal image of ``Y`` when the
     caller has it already; None maps ``Y`` back.
     """
     mmap = md.mmap
-    n, d = Y.shape
     if X is None:
         X = mmap.dual_to_primal(Y)
     S = md.dual_score_from_primal(X)
     f, f1 = radial_profile(family, cdist(X, X, "sqeuclidean"), h, order=1)
-    f1A = (f1.T @ mmap.inverse_hessian(X).reshape(n, d * d)).reshape(n, d, d)
-    repulse = f1.T @ mmap.hessian_inverse_apply(X, X) - _apply(f1A, X)
-    return (f.T @ S + 2.0 * repulse) / n
+    repulse = f1.T @ mmap.hessian_inverse_apply(X, X) - _pair_apply(f1, X, X, mmap.sigma)
+    return (f.T @ S + 2.0 * repulse) / Y.shape[0]
 
 
 def svgd_direction(X: np.ndarray, target, family: str, h: float) -> np.ndarray:
@@ -279,14 +273,6 @@ def svgd_direction(X: np.ndarray, target, family: str, h: float) -> np.ndarray:
 def _rowdot(a, b):
     """Column of the row-wise dot products a_i . b_i."""
     return (a * b).sum(axis=1, keepdims=True)
-
-
-def _pair_apply(c, X, V, sigma):
-    """Row i = sum_j c[j, i] A_j v_i = (c^T X) v_i - sigma sum_j c[j, i] (x_j . v_i) x_j."""
-    out = (c.T @ X) * V
-    if sigma:
-        out -= sigma * ((c * (X @ V.T)).T @ X)
-    return out
 
 
 def _stein_context(Y, md, family, h, X=None):
@@ -447,7 +433,7 @@ def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
     g += mmap.d_inv_hessian_contract(X, diag, mx, mtx)
 
     # dual-score Jacobian, A Hq part: Hq_i (A_i W_i)
-    g += _apply(md.score_shift_jacobian(X), mmap.hessian_inverse_apply(X, W))
+    g += md.score_shift_jacobian_apply(X, mmap.hessian_inverse_apply(X, W))
 
     # the Hessians acting on A_i S_j and A_j S_i, identity part
     g += 2.0 * (mmap.hessian_inverse_apply(X, f1S) - _pair_apply(f1, X, S, sigma))
@@ -497,17 +483,18 @@ class RunRecord:
 
 # KSD descent holds nine float64 (N, N) matrices at its peak (the four
 # radial profiles, G, three pair terms of the Stein kernel and one product
-# being formed), and up to three (N, d, d) stacks while it applies the
-# score-shift Jacobian; the estimate counts ten (N, N) matrices, the tenth
-# for the (N, d) rows.  Runs whose estimate passes this budget are refused.
+# being formed), and up to about 35 (N, d) arrays of per-particle sums on
+# the simplex (about 20 on the orthant, where the rank-one terms drop out);
+# it holds no (N, d, d) array.  The estimate counts ten (N, N) matrices and
+# forty (N, d) arrays.  Runs whose estimate passes this budget are refused.
 # 2 GiB is a quarter of an 8 GiB host, so a two-worker sweep stays under
 # half of it.
 KSD_DESCENT_BUDGET = 2 * 2**30
 
 
 def ksd_descent_bytes(n: int, d: int) -> int:
-    """Estimated peak bytes of one KSD-descent direction, 8 N (10 N + 3 d^2)."""
-    return 8 * n * (10 * n + 3 * d * d)
+    """Estimated peak bytes of one KSD-descent direction, 8 N (10 N + 40 d)."""
+    return 8 * n * (10 * n + 40 * d)
 
 
 def sampler_stepper(sampler, kind=None, lr=None, guard=False):

@@ -1,10 +1,12 @@
 """Target densities on constrained domains, and their dual-space forms.
 
 Every target works with unnormalized log densities.  ``score`` is the
-gradient of ``log_density`` in the free coordinates and ``score_hessian`` its
-Jacobian; both are needed by the Stein-kernel machinery.  ``no_ground_truth``
-is None when ``sample_ground_truth`` can draw an exact reference sample, and
-otherwise the reason it raises :class:`~mirrorcoin.errors.Unsupported`.
+gradient of ``log_density`` in the free coordinates, and
+``score_hessian_apply(x, v)`` applies its Jacobian, the symmetric Hessian of
+the log density, to v without forming it; both are needed by the
+Stein-kernel machinery.  ``no_ground_truth`` is None when
+``sample_ground_truth`` can draw an exact reference sample, and otherwise
+the reason it raises :class:`~mirrorcoin.errors.Unsupported`.
 ``from_config`` applies the rules that tie a target's config keys together.
 
 :class:`MirroredDensity` pairs a target with a mirror map.  The pushforward
@@ -88,15 +90,11 @@ class SparseDirichlet:
         a = self._a
         return a[: self.d] / x - (a[-1] / rest)[..., None]
 
-    def score_hessian(self, x: np.ndarray) -> np.ndarray:
+    def score_hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         rest = 1.0 - x.sum(axis=-1)
         a = self._a
-        out = np.zeros(x.shape + (self.d,))
-        idx = np.arange(self.d)
-        out[..., idx, idx] = -a[: self.d] / x**2
-        out -= (a[-1] / rest**2)[..., None, None]
-        return out
+        return -a[: self.d] * v / x**2 - (a[-1] * v.sum(axis=-1) / rest**2)[..., None]
 
     def sample_ground_truth(self, n: int, rng: np.random.Generator) -> np.ndarray:
         full = rng.dirichlet(self.counts + self.alpha, size=n)
@@ -144,9 +142,8 @@ class QuadraticSimplex:
         x = np.asarray(x, dtype=float)
         return -np.einsum("ij,...j->...i", self.A, x) / self.sigma**2
 
-    def score_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(-self.A / self.sigma**2, x.shape + (self.d,)).copy()
+    def score_hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return -np.einsum("ij,...j->...i", self.A, v) / self.sigma**2
 
     def sample_ground_truth(
         self, n: int, rng: np.random.Generator, resolution: int | None = None
@@ -196,6 +193,10 @@ class UniformBox:
         _check_finite(lo=lo, hi=hi)
         if lo.shape != hi.shape or np.any(hi <= lo):
             raise ValueError("box bounds must satisfy lo < hi componentwise")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(hi - lo)):
+                # the tanh map and the ground-truth draw scale by the width
+                raise ValueError("box width hi - lo must be finite")
         self.lo = lo
         self.hi = hi
         self.d = as_dimension(lo.size)
@@ -216,9 +217,8 @@ class UniformBox:
     def score(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def score_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (self.d,))
+    def score_hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.zeros_like(np.asarray(v, dtype=float))
 
     def sample_ground_truth(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.d))
@@ -234,6 +234,9 @@ class ExpOrthant:
         _check_finite(rate=rate)
         if rate <= 0:
             raise ValueError("rate must be positive")
+        if not np.isfinite(1.0 / float(rate)):
+            # the ground-truth draw has scale 1/rate
+            raise ValueError("1/rate must be finite")
         self.d = as_dimension(d)
         self.rate = float(rate)
 
@@ -245,9 +248,8 @@ class ExpOrthant:
         x = np.asarray(x, dtype=float)
         return np.full_like(x, -self.rate)
 
-    def score_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (self.d,))
+    def score_hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.zeros_like(np.asarray(v, dtype=float))
 
     def sample_ground_truth(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size=(n, self.d))
@@ -282,14 +284,10 @@ class LogNormalOrthant:
         z = np.log(x) - self.mu
         return -(z / self.sigma**2 + 1.0) / x
 
-    def score_hessian(self, x: np.ndarray) -> np.ndarray:
+    def score_hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         z = np.log(x) - self.mu
-        diag = (-1.0 / self.sigma**2 + z / self.sigma**2 + 1.0) / x**2
-        out = np.zeros(x.shape + (self.d,))
-        idx = np.arange(self.d)
-        out[..., idx, idx] = diag
-        return out
+        return (-1.0 / self.sigma**2 + z / self.sigma**2 + 1.0) / x**2 * v
 
     def sample_ground_truth(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.exp(self.mu + self.sigma * rng.standard_normal((n, self.d)))
@@ -421,16 +419,16 @@ class SelectiveLasso:
             grad = grad - self.signs * (ratio @ self._G.T)
         return grad
 
-    def score_hessian(self, b: np.ndarray) -> np.ndarray:
+    def score_hessian_apply(self, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(-Z M M Z / tau^2 + Z G diag(dratio) G^T Z) v, Z = diag(signs)."""
         b, _, _, _, a_hi, a_lo = self._pieces(b)
         ZM = self.signs[:, None] * self._M
-        hess = -(ZM @ ZM.T) / self.tau**2
-        hess = np.broadcast_to(hess, b.shape + (self.d,)).copy()
+        out = -((v @ ZM) @ ZM.T) / self.tau**2
         if self.inactive.size:
             _, dratio = self._interval_ratios(a_hi, a_lo)
             ZG = self.signs[:, None] * self._G
-            hess += np.einsum("aj,...j,bj->...ab", ZG, dratio, ZG)
-        return hess
+            out = out + ((v @ ZG) * dratio) @ ZG.T
+        return out
 
     def sample_ground_truth(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise Unsupported(self.no_ground_truth)
@@ -457,8 +455,9 @@ class MirroredDensity:
         """score(x) - grad log det grad^2 phi(x), the primal-side combo."""
         return self.target.score(x) - self.mmap.grad_log_det_hessian(x)
 
-    def score_shift_jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.target.score_hessian(x) - self.mmap.hess_log_det_hessian(x)
+    def score_shift_jacobian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The Jacobian of ``score_shift`` at x applied to v."""
+        return self.target.score_hessian_apply(x, v) - self.mmap.hess_log_det_hessian_apply(x, v)
 
     def dual_score_from_primal(self, x: np.ndarray) -> np.ndarray:
         return self.mmap.hessian_inverse_apply(x, self.score_shift(x))

@@ -168,10 +168,24 @@ def svgd_direction(X: np.ndarray, target, family: str, h: float) -> np.ndarray:
 # -- Stein kernel of the mirrored target ------------------------------------
 
 
+def inverse_hessian(mmap, x: np.ndarray) -> np.ndarray:
+    """Dense inverse mirror Hessians A(x) = diag(x) - sigma x x^T, (..., d, d)."""
+    x = np.asarray(x, dtype=float)
+    return x[..., :, None] * np.eye(x.shape[-1]) - mmap.sigma * x[..., :, None] * x[..., None, :]
+
+
+def score_shift_jacobian(md: MirroredDensity, x: np.ndarray) -> np.ndarray:
+    """Dense score-shift Jacobians (N, d, d) at the points x (N, d), from
+    ``score_shift_jacobian_apply``: its apply to e_b is column b."""
+    n, d = x.shape
+    cols = md.score_shift_jacobian_apply(x[:, None, :], np.broadcast_to(np.eye(d), (n, d, d)))
+    return np.swapaxes(cols, -1, -2)
+
+
 def _stein_context(Y, md, family, h):
     mmap = md.mmap
     X = mmap.dual_to_primal(Y)
-    A = mmap.inverse_hessian(X)                    # (N,d,d)
+    A = inverse_hessian(mmap, X)                   # (N,d,d)
     q = md.score_shift(X)                          # (N,d)
     S = np.einsum("nab,nb->na", A, q)              # dual scores
     diff = X[:, None, :] - X[None, :, :]           # [j,i] = x_j - x_i
@@ -217,7 +231,7 @@ def stein_kernel_grad2(Y: np.ndarray, md: MirroredDensity, family: str, h: float
     """
     mmap = md.mmap
     X, A, q, S, diff, f, f1, f2, f3, P, Q = _stein_context(Y, md, family, h)
-    Hq = md.score_shift_jacobian(X)                # (N,d,d)
+    Hq = score_shift_jacobian(md, X)               # (N,d,d)
 
     # w[j,i] = f * S_j + A_j grad_x k = f S_j + 2 f1 Q
     w = f[..., None] * S[:, None, :] + 2.0 * f1[..., None] * Q

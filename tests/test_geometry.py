@@ -4,7 +4,7 @@ The forward map is validated as the gradient of the explicit potential, the
 Hessian algebra (apply / inverse-apply / log-determinant and its derivatives)
 against finite-difference Jacobians of the forward map, and the
 inverse-Hessian derivative contraction against finite differences of the
-dense inverse Hessian.
+dense inverse Hessian, built from its formula in ``helpers``.
 """
 
 import warnings
@@ -28,6 +28,7 @@ from helpers import (
     contract_pieces,
     fd_grad,
     fd_jacobian,
+    inverse_hessian,
     orthant_interior_points,
     rel_err,
     simplex_interior_points,
@@ -97,9 +98,10 @@ class TestClosedForms:
             assert np.max(np.abs(mmap.hessian_apply(x, direct) - v)) < 1e-9
 
     def test_inverse_hessian_dense(self, mmap):
+        """Inverse-apply agrees with the dense oracle the einsum references use."""
         rng = np.random.default_rng(6)
         x = _points(mmap, 5, rng)
-        A = mmap.inverse_hessian(x)
+        A = inverse_hessian(mmap, x)
         for i in range(5):
             v = rng.normal(size=mmap.d)
             assert rel_err(A[i] @ v, mmap.hessian_inverse_apply(x[i], v)) < 1e-12
@@ -114,7 +116,9 @@ class TestClosedForms:
         rng = np.random.default_rng(8)
         for x in _points(mmap, 5, rng):
             want = fd_jacobian(lambda z: mmap.grad_log_det_hessian(z), x, h=1e-6)
-            assert rel_err(mmap.hess_log_det_hessian(x), 0.5 * (want + want.T)) < 1e-5
+            v = rng.normal(size=mmap.d)
+            got = mmap.hess_log_det_hessian_apply(x, v)
+            assert rel_err(got, 0.5 * (want + want.T) @ v) < 1e-5
 
     def test_d_inv_hessian_contract_matches_fd(self, mmap):
         """g_m = <dA/dx_m, M>_F against finite differences of dense A."""
@@ -122,16 +126,17 @@ class TestClosedForms:
         for x in _points(mmap, 5, rng):
             M = rng.normal(size=(mmap.d, mmap.d))
             want = fd_grad(
-                lambda z: float(np.sum(mmap.inverse_hessian(z) * M)), x, h=1e-6
+                lambda z: float(np.sum(inverse_hessian(mmap, z) * M)), x, h=1e-6
             )
             assert rel_err(mmap.d_inv_hessian_contract(x, *contract_pieces(x, M)), want) < 1e-5
 
     def test_inverse_hessian_structure(self, mmap):
-        """The dense inverse Hessian is diag(x) - sigma x x^T."""
+        """The dense oracle diag(x) - sigma x x^T inverts the Hessian that
+        ``hessian_apply`` applies."""
         rng = np.random.default_rng(11)
-        x = _points(mmap, 6, rng)
-        want = np.stack([np.diag(p) - mmap.sigma * np.outer(p, p) for p in x])
-        assert rel_err(mmap.inverse_hessian(x), want) < 1e-15
+        for x in _points(mmap, 6, rng):
+            H = np.stack([mmap.hessian_apply(x, e) for e in np.eye(mmap.d)], axis=1)
+            assert rel_err(inverse_hessian(mmap, x) @ H, np.eye(mmap.d)) < 1e-12
 
     def test_batched_matches_pointwise(self, mmap):
         rng = np.random.default_rng(10)
@@ -232,16 +237,16 @@ class TestOrthantSpecifics:
 
 
 # Every map method that takes a primal point checks it; the further
-# arguments of the methods that take them have the shape of x.
+# arguments of the methods that take them have the shape of x.  The Hessian
+# of the log-determinant is checked through its apply.
 CHECKED = {
     "potential": lambda m, x: m.potential(x),
     "primal_to_dual": lambda m, x: m.primal_to_dual(x),
     "log_det_hessian": lambda m, x: m.log_det_hessian(x),
     "grad_log_det_hessian": lambda m, x: m.grad_log_det_hessian(x),
-    "hess_log_det_hessian": lambda m, x: m.hess_log_det_hessian(x),
+    "hess_log_det_hessian": lambda m, x: m.hess_log_det_hessian_apply(x, np.ones_like(x)),
     "hessian_apply": lambda m, x: m.hessian_apply(x, np.ones_like(x)),
     "hessian_inverse_apply": lambda m, x: m.hessian_inverse_apply(x, np.ones_like(x)),
-    "inverse_hessian": lambda m, x: m.inverse_hessian(x),
     "d_inv_hessian_contract": lambda m, x: m.d_inv_hessian_contract(
         x, np.ones_like(x), np.ones_like(x), np.ones_like(x)),
     "assert_interior": lambda m, x: m.assert_interior(x),

@@ -651,21 +651,30 @@ class TestCli:
         assert "target: dimension must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "o"))
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("kind,key", [
-        ("sparse_dirichlet", "alpha"), ("sparse_dirichlet", "counts"),
-        ("quadratic_simplex", "sigma"), ("uniform_box", "lo"), ("uniform_box", "hi"),
-        ("exp_orthant", "rate"), ("lognormal_orthant", "mu"), ("lognormal_orthant", "sigma"),
-        ("selective_lasso", "lam"), ("selective_lasso", "tau"),
-        ("selective_lasso", "eps_ridge"),
+    @pytest.mark.parametrize("kind,values,name", [
+        pytest.param(kind, {key: f"4,{value},1" if key == "counts" else value}, key,
+                     id=f"{kind}-{key}-{value}")
+        for value in ["nan", "inf"]
+        for kind, key in [
+            ("sparse_dirichlet", "alpha"), ("sparse_dirichlet", "counts"),
+            ("quadratic_simplex", "sigma"), ("uniform_box", "lo"), ("uniform_box", "hi"),
+            ("exp_orthant", "rate"), ("lognormal_orthant", "mu"), ("lognormal_orthant", "sigma"),
+            ("selective_lasso", "lam"), ("selective_lasso", "tau"),
+            ("selective_lasso", "eps_ridge"),
+        ]
+    ] + [
+        # finite parameters whose derived scale overflows
+        pytest.param("uniform_box", {"lo": "-1e308", "hi": "1e308"}, "box width hi - lo",
+                     id="uniform_box-width-overflow"),
+        pytest.param("exp_orthant", {"rate": "1e-320"}, "1/rate", id="exp_orthant-rate-1e-320"),
     ])
-    def test_non_finite_target_parameter_exit_one(self, tmp_path, capsys, kind, key, value):
+    def test_non_finite_target_parameter_exit_one(self, tmp_path, capsys, kind, values, name):
         keys = {"target.kind": kind, **MINIMAL_TARGETS[kind][0],
-                f"target.{key}": f"4,{value},1" if key == "counts" else value}
+                **{f"target.{key}": value for key, value in values.items()}}
         cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
         out = str(tmp_path / "o")
         assert main(["ground-truth", "--config", cfg, "--out", out, "--n", "5"]) == 1
-        assert f"  - target: {key} must be finite\n" in capsys.readouterr().err
+        assert f"  - target: {name} must be finite\n" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_ground_truth_unknown_target_key_exit_one(self, tmp_path, capsys):

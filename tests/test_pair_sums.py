@@ -21,7 +21,15 @@ from mirrorcoin.samplers import (
     stein_kernel_matrix,
     svgd_direction,
 )
-from mirrorcoin.targets import ExpOrthant, MirroredDensity, SparseDirichlet, UniformBox
+from mirrorcoin.targets import (
+    ExpOrthant,
+    LogNormalOrthant,
+    MirroredDensity,
+    QuadraticSimplex,
+    SelectiveLasso,
+    SparseDirichlet,
+    UniformBox,
+)
 
 import helpers
 from helpers import orthant_interior_points, simplex_interior_points
@@ -41,41 +49,57 @@ def assert_close(got, want, tol=1e-10):
     assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
-def mirrored_cloud(domain, n, d, seed=0):
+def mirrored_cloud(kind, n, d, seed=0):
+    """A mirrored target and a dual cloud of n points on its domain.
+
+    ``simplex`` and ``orthant`` are a sparse Dirichlet and an exponential
+    target, whose score Hessians are diagonal plus rank one and zero; the
+    other kinds have score Hessians that are non-constant or dense.
+    """
     rng = np.random.default_rng([seed, n, d])
-    if domain == "simplex":
-        counts = np.zeros(d + 1)
-        counts[:3] = (6.0, 3.0, 1.0)[:d + 1]
-        target, mmap = SparseDirichlet(alpha=0.5, counts=counts), EntropicSimplexMap(d)
+    if kind in ("simplex", "quadratic"):
+        mmap = EntropicSimplexMap(d)
         x = simplex_interior_points(n, d, rng, margin=0.1)
     else:
-        target, mmap = ExpOrthant(d, rate=1.3), PositiveOrthantMap(d)
+        mmap = PositiveOrthantMap(d)
         x = orthant_interior_points(n, d, rng)
+    if kind == "simplex":
+        counts = np.zeros(d + 1)
+        counts[:3] = (6.0, 3.0, 1.0)[:d + 1]
+        target = SparseDirichlet(alpha=0.5, counts=counts)
+    elif kind == "quadratic":
+        target = QuadraticSimplex.random_instance(d, 0.5, rng)
+    elif kind == "orthant":
+        target = ExpOrthant(d, rate=1.3)
+    elif kind == "lognormal":
+        target = LogNormalOrthant(d, mu=0.3, sigma=0.8)
+    else:
+        target = SelectiveLasso.synthetic(rng, p=d + 2, q=d)
     return MirroredDensity(target, mmap), mmap.primal_to_dual(x)
 
 
 @pytest.mark.parametrize("n,d", SIZES)
 @pytest.mark.parametrize("family", ["imq", "rbf"])
-@pytest.mark.parametrize("domain", ["simplex", "orthant"])
+@pytest.mark.parametrize("kind", ["simplex", "orthant", "quadratic", "lognormal", "lasso"])
 class TestMirroredKernels:
-    def test_msvgd_direction(self, domain, family, n, d):
-        md, Y = mirrored_cloud(domain, n, d)
+    def test_msvgd_direction(self, kind, family, n, d):
+        md, Y = mirrored_cloud(kind, n, d)
         assert_close(msvgd_direction(Y, md, family, 0.9),
                      helpers.msvgd_direction(Y, md, family, 0.9))
 
-    def test_svgd_direction(self, domain, family, n, d):
-        md, Y = mirrored_cloud(domain, n, d)
+    def test_svgd_direction(self, kind, family, n, d):
+        md, Y = mirrored_cloud(kind, n, d)
         X = md.mmap.dual_to_primal(Y)
         assert_close(svgd_direction(X, md.target, family, 0.9),
                      helpers.svgd_direction(X, md.target, family, 0.9))
 
-    def test_stein_kernel_matrix(self, domain, family, n, d):
-        md, Y = mirrored_cloud(domain, n, d)
+    def test_stein_kernel_matrix(self, kind, family, n, d):
+        md, Y = mirrored_cloud(kind, n, d)
         assert_close(stein_kernel_matrix(Y, md, family, 0.9),
                      helpers.stein_kernel_matrix(Y, md, family, 0.9))
 
-    def test_mksdd_direction(self, domain, family, n, d):
-        md, Y = mirrored_cloud(domain, n, d)
+    def test_mksdd_direction(self, kind, family, n, d):
+        md, Y = mirrored_cloud(kind, n, d)
         want = -helpers.stein_kernel_grad2(Y, md, family, 0.9).sum(axis=0) / n**2
         assert_close(mksdd_direction(Y, md, family, 0.9), want)
 
@@ -101,33 +125,39 @@ def test_mie_gradient_coincident_particles(moll):
     assert_close(mie_gradient(x, box, moll), helpers.mie_gradient(x, box, moll))
 
 
+def traced_peak(direction, domain, n, d):
+    """The tracemalloc peak, in bytes, of one direction on a mirrored cloud."""
+    md, Y = mirrored_cloud(domain, n, d)
+    tracemalloc.start()
+    try:
+        direction(Y, md, "imq", 0.9)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("domain", ["simplex", "orthant"])
 def test_mksdd_direction_holds_no_pair_tensor(domain):
     # one float64 (N, N, d, d) tensor at N=300, d=20 is 275 MiB
     n, d = 300, 20
-    md, Y = mirrored_cloud(domain, n, d)
-    tracemalloc.start()
-    try:
-        mksdd_direction(Y, md, "imq", 0.9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n * n * d * d
+    assert traced_peak(mksdd_direction, domain, n, d) < 8 * n * n * d * d
 
 
-@pytest.mark.parametrize("n,d", [(300, 20), (1000, 2)])
+@pytest.mark.parametrize("direction", [msvgd_direction, mksdd_direction],
+                         ids=["msvgd", "mksdd"])
+@pytest.mark.parametrize("domain", ["simplex", "orthant"])
+def test_direction_holds_no_matrix_per_particle(domain, direction):
+    # one float64 (N, d, d) stack at N=200, d=100 is 15.3 MiB
+    n, d = 200, 100
+    assert traced_peak(direction, domain, n, d) < 8 * n * d * d
+
+
+@pytest.mark.parametrize("n,d", [(300, 20), (1000, 2), (50, 20), (200, 100)])
 @pytest.mark.parametrize("domain", ["simplex", "orthant"])
 def test_mksdd_memory_estimate_bounds_peak(domain, n, d):
     # the estimate the KSD-descent budget refuses runs by, against the
     # tracemalloc peak of one direction
-    md, Y = mirrored_cloud(domain, n, d)
-    tracemalloc.start()
-    try:
-        mksdd_direction(Y, md, "imq", 0.9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= ksd_descent_bytes(n, d)
+    assert traced_peak(mksdd_direction, domain, n, d) <= ksd_descent_bytes(n, d)
 
 
 class _Tilted:
