@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError, Unsupported
@@ -23,6 +24,7 @@ from .harness import (
     run_metrics,
     run_sample,
     run_sweep,
+    write_meta_json,
 )
 
 # the flags that stand for config keys, by their dest
@@ -92,16 +94,12 @@ def main(argv=None) -> int:
             print(f"wrote ground_truth.csv ({samples.shape[0]} rows) to {args.out}")
         elif args.command == "metrics":
             result = run_metrics(args.cloud, args.ref)
-            text = json.dumps(result, indent=2, sort_keys=True)
             if args.out:
-                import os
                 os.makedirs(args.out, exist_ok=True)
-                path = os.path.join(args.out, "metrics.json")
-                with open(path, "w", encoding="utf-8", newline="\n") as f:
-                    f.write(text + "\n")
+                write_meta_json(os.path.join(args.out, "metrics.json"), result)
                 print(f"wrote metrics.json to {args.out}")
             else:
-                print(text)
+                print(json.dumps(result, indent=2, sort_keys=True))
         return 0
     except ConfigError as exc:
         print("configuration error:", file=sys.stderr)

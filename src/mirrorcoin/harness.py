@@ -171,8 +171,9 @@ TARGETS = {
 }
 # every kind takes target.seed; it draws the instance of a synthetic kind
 TARGET_SHARED = {"seed": (as_int, 0)}
-INITS = {kind: (partial(InitSpec, kind), {p: (as_float, getattr(InitSpec, p)) for p in params})
-         for kind, params in INIT_PARAMS.items()}
+# the init keys of each target domain
+INITS = {domain: (InitSpec, {p: (as_float, getattr(InitSpec, p)) for p in params})
+         for domain, params in INIT_PARAMS.items()}
 STEPPER = {"kind": (str, None, GRAD_STEPPERS + COIN_STEPPERS), "lr": (as_float, None),
            "guard": (as_bool, False)}
 KERNEL = {"family": (str, "imq", FAMILIES),
@@ -183,28 +184,25 @@ SWEEP = {"lrs": (as_floats, []), "seeds": (as_ints, []),
          "metric": (str, "energy", ("energy", "ksd"))}
 
 
-def _build(r: _Reader, section: str, table, shared=None, kind_default=REQUIRED):
+def _build(r: _Reader, section: str, table, shared=None):
     """The object the ``<section>.*`` keys describe, or None (with the
     problems logged) when a key is missing or does not parse, or the
     constructor refuses the values.
 
     ``table`` is (constructor, params) or, for a section with kinds, a dict
-    from ``<section>.kind`` to such a pair.  A missing or invalid kind drains
-    the section; a kind absent with ``kind_default`` None leaves the section
-    None and its keys to be reported as unknown.  ``shared`` keys are read
-    and checked for every kind, and passed only where the kind's params
-    name them too.
+    from the required ``<section>.kind`` to such a pair.  ``table`` None (the
+    section cannot be read, as after a missing or invalid kind) drains the
+    section.  ``shared`` keys are read and checked for every kind, and
+    passed only where the kind's params name them too.
     """
     logged = len(r.problems)
     if isinstance(table, dict):
-        kind = r.get(f"{section}.kind", default=kind_default, choices=tuple(table))
-        if kind is None:
-            if len(r.problems) > logged:
-                # drain the section so its keys do not double-report as unknown
-                for key in [k for k in r.raw if k.startswith(f"{section}.")]:
-                    r.raw.pop(key)
-            return None
-        table = table[kind]
+        table = table.get(r.get(f"{section}.kind", default=REQUIRED, choices=tuple(table)))
+    if table is None:
+        # drain the section so its keys do not double-report as unknown
+        for key in [k for k in r.raw if k.startswith(f"{section}.")]:
+            r.raw.pop(key)
+        return None
     make, params = table
     values = {key: r.get(f"{section}.{key}", *spec) for key, spec in params.items()}
     for key, spec in (shared or {}).items():
@@ -256,7 +254,8 @@ def build_plan(raw: dict) -> RunPlan:
     kernel = _build(r, "kernel", (KernelConfig, KERNEL))
     mollifier = _build(r, "mollifier", (MollifierConfig, MOLLIFIER))
     spectral_terms = r.at_least(r.get("spectral.terms", as_int, 30), "spectral.terms", 1)
-    init = _build(r, "init", INITS, kind_default=None)
+    # the target's domain says which init keys to read
+    init = _build(r, "init", INITS[target.domain] if target is not None else None)
 
     names_raw = r.get("metrics.names", default="")
     metric_names = tuple(
@@ -482,9 +481,10 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     return rows
 
 
-def build_target_only(raw: dict, n: int = 1):
-    """Build just the target (plus the config seed) from a raw config, and
-    check the size ``n`` of a draw from it.
+def build_target_only(raw: dict, n: int | None = None):
+    """Build just the target (plus the config seed) from a raw config.  With
+    ``n``, the size of a draw from its ground truth, also check that size
+    and that the target has a ground truth.
 
     Other sections are left alone so any sampler config can double as a
     ground-truth config; a ``target.*`` key the kind does not read is unknown.
@@ -495,6 +495,8 @@ def build_target_only(raw: dict, n: int = 1):
     r.at_least(n, "--n", 1)
     target = _build(r, "target", TARGETS, TARGET_SHARED)
     r.leftover_check("target.")
+    if n is not None and target is not None and target.no_ground_truth:
+        problems.append(f"ground truth unsupported: {target.no_ground_truth}")
     if problems:
         raise ConfigError(problems)
     return target, seed

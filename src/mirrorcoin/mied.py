@@ -135,6 +135,10 @@ class TanhBox:
     def to_x(self, w):
         return self.mid + self.half * np.tanh(w)
 
+    def inside(self, x) -> bool:
+        """lo < x < hi in every coordinate (tanh(w) rounds to +-1 at large |w|)."""
+        return bool(np.all(x > self.lo) and np.all(x < self.hi))
+
     def from_x(self, x):
         return np.arctanh((np.asarray(x, dtype=float) - self.mid) / self.half)
 

@@ -125,48 +125,39 @@ def make_stepper(config: StepperConfig, y0: np.ndarray):
 
 @dataclass(frozen=True)
 class InitSpec:
-    """How the initial primal cloud is drawn, i.i.d. per particle."""
+    """How the initial primal cloud is drawn, i.i.d. per particle.  The
+    target's domain picks the draw and the fields it reads, so ``InitSpec()``
+    is every domain's default."""
 
-    kind: str  # "dirichlet" | "lognormal" | "box_uniform"
-    alpha: float = 5.0       # dirichlet concentration (all categories)
-    mu: float = 0.0          # lognormal location
-    sigma: float = 1.0       # lognormal scale
-    scale: float = 0.5       # box_uniform: central fraction of the box
-
-
-# the InitSpec fields each init kind reads, each with the open interval its
-# value must lie in, and the domain each kind draws on
-INIT_PARAMS = {"dirichlet": {"alpha": (0.0, np.inf)},
-               "lognormal": {"mu": (-np.inf, np.inf), "sigma": (0.0, np.inf)},
-               "box_uniform": {"scale": (0.0, 1.0)}}
-INIT_DOMAIN = {"dirichlet": "simplex", "lognormal": "orthant", "box_uniform": "box"}
+    alpha: float = 5.0       # simplex: dirichlet concentration (all categories)
+    mu: float = 0.0          # orthant: lognormal location
+    sigma: float = 1.0       # orthant: lognormal scale
+    scale: float = 0.5       # box: uniform on this central fraction of the box
 
 
-def default_init(target) -> InitSpec:
-    return InitSpec(next(k for k, dom in INIT_DOMAIN.items() if dom == target.domain))
+# the InitSpec fields each domain's draw reads, each with the open interval
+# its value must lie in
+INIT_PARAMS = {"simplex": {"alpha": (0.0, np.inf)},
+               "orthant": {"mu": (-np.inf, np.inf), "sigma": (0.0, np.inf)},
+               "box": {"scale": (0.0, 1.0)}}
 
 
-def _init_problems(spec: InitSpec, domain_kind: str) -> list:
-    if spec.kind not in INIT_DOMAIN:
-        return [f"unknown init kind {spec.kind!r}"]
-    problems = [f"init.{key} must lie in ({lo:g}, {hi:g}), got {getattr(spec, key)!r}"
-                for key, (lo, hi) in INIT_PARAMS[spec.kind].items()
-                if not lo < getattr(spec, key) < hi]
-    if INIT_DOMAIN[spec.kind] != domain_kind:
-        problems.append(f"{spec.kind} init needs the {INIT_DOMAIN[spec.kind]} domain, "
-                        f"not the {domain_kind}")
-    return problems
+def _init_problems(spec: InitSpec, domain: str) -> list:
+    return [f"init.{key} must lie in ({lo:g}, {hi:g}), got {getattr(spec, key)!r}"
+            for key, (lo, hi) in INIT_PARAMS[domain].items()
+            if not lo < getattr(spec, key) < hi]
 
 
 def draw_init(spec: InitSpec, target, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n initial particles in the domain of ``target``."""
+    """n initial particles in the domain of ``target``: dirichlet on the
+    simplex, lognormal on the orthant, uniform on the central part of a box."""
     problems = _init_problems(spec, target.domain)
     if problems:
         raise ConfigError(problems)
     d = target.d
-    if spec.kind == "dirichlet":
+    if target.domain == "simplex":
         return rng.dirichlet(np.full(d + 1, spec.alpha), size=n)[:, :d]
-    if spec.kind == "lognormal":
+    if target.domain == "orthant":
         return np.exp(spec.mu + spec.sigma * rng.standard_normal((n, d)))
     mid = 0.5 * (target.lo + target.hi)
     half = 0.5 * (target.hi - target.lo)
@@ -189,13 +180,13 @@ def _project_full_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + theta, 0.0)
 
 
-def project_to_domain(target, x: np.ndarray, tol: float = INTERIOR_TOL) -> np.ndarray:
+def project_to_domain(target, x: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the target's closed domain, then interior floor."""
     x = np.asarray(x, dtype=float)
     if target.domain == "orthant":
-        return np.maximum(x, tol)
+        return np.maximum(x, INTERIOR_TOL)
     if target.domain == "box":
-        return np.clip(x, target.lo + tol, target.hi - tol)
+        return np.clip(x, target.lo + INTERIOR_TOL, target.hi - INTERIOR_TOL)
     if target.domain != "simplex":
         raise ConfigError(f"unknown domain kind {target.domain!r}")
     d = x.shape[-1]
@@ -204,11 +195,11 @@ def project_to_domain(target, x: np.ndarray, tol: float = INTERIOR_TOL) -> np.nd
     out = pos.copy()
     if np.any(over):
         out[over] = _project_full_simplex(x[over])
-    out = np.maximum(out, tol)
-    cap = 1.0 - (d + 1) * tol
+    out = np.maximum(out, INTERIOR_TOL)
+    cap = 1.0 - (d + 1) * INTERIOR_TOL
     s = out.sum(axis=-1)
     scale = np.where(s > cap, cap / s, 1.0)
-    out = np.maximum(out * scale[..., None], tol)
+    out = np.maximum(out * scale[..., None], INTERIOR_TOL)
     return out
 
 
@@ -516,7 +507,7 @@ def check_run(target, sampler, stepper, init, n_particles) -> list:
     """Every reason ``sampler`` cannot run on ``target`` as configured.
 
     An argument given as None (it failed to parse) skips the checks that
-    need it; ``init`` None is the domain's default init.
+    need it.
     """
     if sampler is None:
         return []
@@ -568,7 +559,7 @@ def run_sampler(
     kernel: KernelConfig = KernelConfig(),
     mollifier: MollifierConfig = MollifierConfig(),
     spectral_terms: int = 30,
-    init: InitSpec | None = None,
+    init: InitSpec = InitSpec(),
     metric_every: int = 10,
     hooks: dict | None = None,
 ) -> RunRecord:
@@ -583,7 +574,8 @@ def run_sampler(
 
     Each iteration settles the stepped coordinates into a primal cloud
     ``X`` once, and the direction takes that settled ``X`` rather than
-    mapping the coordinates back again.
+    mapping the coordinates back again.  A settled cloud that is not in the
+    open domain raises DomainViolation.
 
     ``stepper`` defaults to the adaptive coin engine, so a gradient sampler
     needs an explicit one; :func:`check_run`'s problems raise ConfigError.
@@ -600,11 +592,11 @@ def run_sampler(
     base = sampler.removeprefix("coin_")
     projected = base == "svgd_proj"
 
-    X = draw_init(init or default_init(target), target, n_particles,
-                  substream(seed, "init"))
+    X = draw_init(init, target, n_particles, substream(seed, "init"))
 
     # Z is what the stepper moves; settle maps a stepped Z to (Z, X), and
-    # direction(Z, X) is the outcome the stepper takes at the pair.
+    # direction(Z, X) is the outcome the stepper takes at the pair; inside(X)
+    # says a settled cloud is in the open domain (a projected one is, if finite).
     mmap = None
     if projected:
         def direction(x, _):
@@ -614,6 +606,9 @@ def run_sampler(
         def settle(z):
             x = project_to_domain(target, z)
             return x, x
+
+        def inside(x):
+            return np.isfinite(x).all()
 
         Z = X = project_to_domain(target, X)
     elif base == "mied":
@@ -625,6 +620,7 @@ def run_sampler(
         def settle(w):
             return w, rep.to_x(w)
 
+        inside = rep.inside
         Z = rep.from_x(X)
     else:
         md = mirrored_density(target)
@@ -641,6 +637,7 @@ def run_sampler(
         def settle(y):
             return y, mmap.dual_to_primal(y)
 
+        inside = mmap.inside
         mmap.assert_interior(X)
         Z = mmap.primal_to_dual(X)
 
@@ -664,7 +661,7 @@ def run_sampler(
         X = mmap.dual_to_primal(Z)
     for it in range(1, n_iters + 1):
         Z, X = settle(engine.step(Z, direction(Z, X)))
-        if mmap is not None and not mmap.inside(X):
+        if not inside(X):
             raise DomainViolation(
                 f"{sampler}: particle left the open domain at iteration {it}"
             )

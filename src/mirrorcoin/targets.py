@@ -150,14 +150,12 @@ class QuadraticSimplex:
     ) -> np.ndarray:
         """Grid oracle: categorical over interior cells, then in-cell jitter.
 
-        Only available for d <= 3; the grid resolution per axis is stored on
-        the instance after the call (``last_resolution``) so callers can
-        record it.
+        Only available for d <= 3; ``resolution`` is the grid's cells per
+        axis, by default 4096, 256 or 64 at d = 1, 2 or 3.
         """
         if self.no_ground_truth:
             raise Unsupported(self.no_ground_truth)
         m = resolution or {1: 4096, 2: 256, 3: 64}[self.d]
-        self.last_resolution = m
         idx = np.stack(
             np.meshgrid(*([np.arange(m)] * self.d), indexing="ij"), axis=-1
         ).reshape(-1, self.d)

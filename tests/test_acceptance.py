@@ -20,8 +20,8 @@ from mirrorcoin.metrics import energy_distance, ksd_vstat
 from mirrorcoin.mied import MollifierConfig
 from mirrorcoin.rng import substream
 from mirrorcoin.samplers import (
+    InitSpec,
     StepperConfig,
-    default_init,
     draw_init,
     mksdd_direction,
     run_sampler,
@@ -69,7 +69,7 @@ def posterior_reference(seed, n=1000):
 
 
 def initial_cloud(target, seed, n):
-    return draw_init(default_init(target), target, n, substream(seed, "init"))
+    return draw_init(InitSpec(), target, n, substream(seed, "init"))
 
 
 def coin_msvgd_final_ed(seed, ref):

@@ -22,6 +22,7 @@ from mirrorcoin.harness import (
     write_particles_csv,
 )
 from mirrorcoin.rng import substream
+from mirrorcoin.samplers import InitSpec
 from mirrorcoin.targets import (
     ExpOrthant,
     LogNormalOrthant,
@@ -163,29 +164,44 @@ class TestBuildPlan:
         assert np.allclose(plan.target.hi, 2.5) and plan.target.d == 3
 
     def test_init_keys_the_kind_does_not_use_are_unknown(self):
+        # the simplex target's domain reads init.alpha alone; init.kind is
+        # no key at all, and init.mu belongs to the orthant
         raw = self.base()
         raw["init.alpha"] = "2.0"
+        assert build_plan(raw).init == InitSpec(alpha=2.0)
+        raw["init.kind"] = "dirichlet"
         raw["init.mu"] = "0.1"
         with pytest.raises(ConfigError) as err:
             build_plan(raw)
-        msgs = " | ".join(err.value.violations)
-        assert "init.alpha" in msgs and "init.mu" in msgs
-        raw["init.kind"] = "dirichlet"
-        with pytest.raises(ConfigError) as err:
-            build_plan(raw)
         assert [m for m in err.value.violations if "init." in m] == \
-            ["unknown key 'init.mu'"]
-        del raw["init.mu"]
-        assert build_plan(raw).init.alpha == 2.0
+            ["unknown key 'init.kind'", "unknown key 'init.mu'"]
 
-    def test_invalid_init_kind_drains_its_keys(self):
-        raw = self.base()
-        raw["init.kind"] = "gamma"
-        raw["init.alpha"] = "2.0"
+    @pytest.mark.parametrize("kind,sampler,init", [
+        ("exp_orthant", "coin_msvgd", {"init.mu": "0.5", "init.sigma": "0.2"}),
+        ("uniform_box", "coin_mied", {"init.scale": "0.3"}),
+    ], ids=["orthant", "box"])
+    def test_init_keys_follow_the_target_domain(self, kind, sampler, init):
+        raw = {"target.kind": kind, "target.d": "2", "sampler.kind": sampler,
+               "sampler.n_particles": "8", "sampler.n_iters": "5", **init}
+        values = {k.removeprefix("init."): float(v) for k, v in init.items()}
+        assert build_plan(raw).init == InitSpec(**values)
+        with pytest.raises(ConfigError) as err:
+            build_plan({**raw, "init.alpha": "2.0"})
+        assert [m for m in err.value.violations if "init." in m] == \
+            ["unknown key 'init.alpha'"]
+
+    @pytest.mark.parametrize("key,value,problem", [
+        ("target.kind", "gamma", "target.kind: expected one of"),
+        ("target.counts", "4,-2,1", "target: "),
+    ], ids=["invalid-kind", "refused-counts"])
+    def test_failed_target_drains_the_init_keys(self, key, value, problem):
+        # with no target there is no domain to read them by, and they are
+        # not reported again as unknown keys
+        raw = {**self.base(), key: value, "init.alpha": "2.0", "init.kind": "x"}
         with pytest.raises(ConfigError) as err:
             build_plan(raw)
-        assert [m for m in err.value.violations if "init" in m] == [
-            "init.kind: expected one of dirichlet, lognormal, box_uniform, got 'gamma'"]
+        assert any(m.startswith(problem) for m in err.value.violations)
+        assert not [m for m in err.value.violations if "init" in m]
 
     @pytest.mark.parametrize("sampler,problem", [
         (None, "sampler.kind is required"),
@@ -571,7 +587,8 @@ class TestCli:
             "sampler.n_particles = 6\n"
             "sampler.n_iters = 3\n"
             "stepper.lr = 0.01\n"
-            "init.kind = dirichlet\n"
+            "init.alpha = 2\n"
+            "init.sigma = 0\n"
             "metrics.names = bogus\n"
         ))
         code = main(["sample", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -579,21 +596,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown metric 'bogus'" in err
         assert "spectral kernel flow ships only for d = 1" in err
-        assert "dirichlet init needs the simplex domain, not the orthant" in err
+        assert "unknown key 'init.alpha'" in err
+        assert "init.sigma must lie in (0, inf), got 0.0" in err
         assert not os.path.exists(str(tmp_path / "o"))
 
     @pytest.mark.parametrize("config,message", [
         ("target.kind = sparse_dirichlet\ntarget.counts = 4,2,1\n"
-         "sampler.kind = coin_msvgd\ninit.kind = dirichlet\ninit.alpha = -1\n",
+         "sampler.kind = coin_msvgd\ninit.alpha = -1\n",
          "init.alpha must lie in (0, inf), got -1.0"),
         ("target.kind = exp_orthant\ntarget.d = 2\n"
-         "sampler.kind = coin_msvgd\ninit.kind = lognormal\ninit.sigma = -1\n",
+         "sampler.kind = coin_msvgd\ninit.sigma = -1\n",
          "init.sigma must lie in (0, inf), got -1.0"),
         ("target.kind = exp_orthant\ntarget.d = 2\n"
-         "sampler.kind = coin_msvgd\ninit.kind = lognormal\ninit.mu = inf\n",
+         "sampler.kind = coin_msvgd\ninit.mu = inf\n",
          "init.mu must lie in (-inf, inf), got inf"),
         ("target.kind = uniform_box\ntarget.d = 2\n"
-         "sampler.kind = coin_mied\ninit.kind = box_uniform\ninit.scale = 3\n",
+         "sampler.kind = coin_mied\ninit.scale = 3\n",
          "init.scale must lie in (0, 1), got 3.0"),
     ], ids=["alpha", "sigma", "mu", "scale"])
     def test_init_value_out_of_range_exit_one(self, tmp_path, capsys, config, message):
@@ -780,6 +798,50 @@ class TestCli:
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the step overflows
+    @pytest.mark.parametrize("sampler,config,iteration", [
+        ("svgd_proj", "target.kind = sparse_dirichlet\ntarget.counts = 5,3,1\n", 2),
+        ("mied", "target.kind = uniform_box\ntarget.d = 2\ntarget.lo = -1\n"
+                 "target.hi = 1\nmollifier.eps = 0.1\n", 1),
+    ], ids=["projected-nan", "mied-on-the-boundary"])
+    def test_cloud_out_of_the_open_domain_exit_two(self, tmp_path, capsys, sampler, config,
+                                                   iteration):
+        # a huge fixed step sends the projected cloud to NaN, and saturates
+        # tanh so that the MIED cloud lands exactly on the box's boundary
+        cfg = write_cfg(tmp_path, config + (
+            f"sampler.kind = {sampler}\nsampler.n_particles = 10\nsampler.n_iters = 20\n"
+            "stepper.kind = fixed_lr\nstepper.lr = 1e300\n"))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"runtime failure: DomainViolation: {sampler}: particle left the open "
+            f"domain at iteration {iteration}\n")
+        assert not (out / "particles_final.csv").exists()
+
+    def test_ground_truth_unsupported_listed_with_other_problems(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "target.kind = selective_lasso\n"
+                                  "target.n = 10\ntarget.p = 3\ntarget.q = 1\n")
+        out = str(tmp_path / "o")
+        assert main(["ground-truth", "--config", cfg, "--out", out, "--n", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error:\n"
+            "  - --n must be >= 1\n"
+            "  - ground truth unsupported: no tractable sampler for the selective "
+            "lasso density\n")
+        assert not os.path.exists(out)
+
+    def test_metrics_out_writes_what_stdout_prints(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("x1,x2\n0.1,0.2\n0.3,0.4\n")
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("x1,x2\n0.15,0.25\n0.5,0.1\n0.2,0.2\n")
+        argv = ["metrics", "--cloud", str(cloud), "--ref", str(ref)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "m"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (out / "metrics.json").read_bytes() == printed.encode()
+
     def test_ground_truth_and_metrics_pipeline(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SAMPLE_CONFIG)
         gt_dir = str(tmp_path / "gt")
@@ -863,10 +925,6 @@ class TestReadmeConfig:
         for kind, (keys, _, _) in MINIMAL_TARGETS.items():
             build_plan({**run, "target.kind": kind, **keys,
                         "sampler.kind": sampler.get(kind, "coin_msvgd")})
-        for init, kind in (("dirichlet", "sparse_dirichlet"), ("lognormal", "exp_orthant"),
-                           ("box_uniform", "uniform_box")):
-            build_plan({**run, "target.kind": kind, **MINIMAL_TARGETS[kind][0],
-                        "sampler.kind": sampler.get(kind, "coin_msvgd"), "init.kind": init})
         text = README.read_text(encoding="utf-8")
         table = text.split("### Config reference", 1)[1].split("\n\n", 2)[1]
         assert read == {"seed"} | set(re.findall(r"`([a-z_]+\.[a-z_]+)`", table))

@@ -207,7 +207,7 @@ class TestRunMied:
         from mirrorcoin.rng import substream
         from mirrorcoin.samplers import InitSpec, draw_init
         rng = substream(7, "init")
-        x0 = draw_init(InitSpec("box_uniform"), t, 6, rng)
+        x0 = draw_init(InitSpec(), t, 6, rng)
         rep = TanhBox(t.lo, t.hi)
         w0 = rep.from_x(x0)
         c = -rep.jacobian_diag(w0) * mie_gradient(x0, t, MollifierConfig())

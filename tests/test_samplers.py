@@ -15,7 +15,6 @@ from mirrorcoin.samplers import (
     StepperConfig,
     _Langevin,
     coin_twin,
-    default_init,
     draw_init,
     hermite_features,
     make_stepper,
@@ -129,36 +128,60 @@ class TestSteppers:
 # initialization and projection
 
 
+INIT_TARGETS = {"simplex": (SparseDirichlet(1.0, np.ones(3)), "coin_msvgd"),
+                "orthant": (ExpOrthant(2), "coin_msvgd"),
+                "box": (UniformBox(np.zeros(2), np.ones(2)), "coin_mied")}
+
+
 class TestInit:
     def test_defaults_per_domain(self):
-        assert default_init(SparseDirichlet(1.0, np.ones(3))).kind == "dirichlet"
-        assert default_init(ExpOrthant(2)).kind == "lognormal"
-        assert default_init(UniformBox(np.zeros(2), np.ones(2))).kind == "box_uniform"
+        # InitSpec() is every domain's default: a run given no init draws it
+        for target, sampler in INIT_TARGETS.values():
+            rec = run_sampler(target=target, sampler=sampler, n_particles=5,
+                              n_iters=0, seed=2)
+            x0 = draw_init(InitSpec(), target, 5, substream(2, "init"))
+            assert rec.x_final.tobytes() == x0.tobytes(), target.domain
 
     def test_dirichlet_init_interior(self):
         rng = np.random.default_rng(0)
-        x = draw_init(InitSpec("dirichlet"), SparseDirichlet(1.0, np.ones(5)), 200, rng)
+        x = draw_init(InitSpec(), SparseDirichlet(1.0, np.ones(5)), 200, rng)
         assert x.shape == (200, 4)
         assert np.all(x > 0) and np.all(x.sum(axis=1) < 1)
 
     def test_lognormal_init_positive(self):
         rng = np.random.default_rng(0)
-        x = draw_init(InitSpec("lognormal"), ExpOrthant(3), 100, rng)
+        x = draw_init(InitSpec(), ExpOrthant(3), 100, rng)
         assert x.shape == (100, 3) and np.all(x > 0)
 
     def test_box_init_central_half(self):
         rng = np.random.default_rng(0)
         dom = UniformBox(np.array([0.0, 2.0]), np.array([1.0, 6.0]))
-        x = draw_init(InitSpec("box_uniform"), dom, 500, rng)
+        x = draw_init(InitSpec(), dom, 500, rng)
         assert np.all(x[:, 0] >= 0.25) and np.all(x[:, 0] <= 0.75)
         assert np.all(x[:, 1] >= 3.0) and np.all(x[:, 1] <= 5.0)
 
-    def test_mismatched_domain_raises(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigError):
-            draw_init(InitSpec("dirichlet"), ExpOrthant(2), 5, rng)
-        with pytest.raises(ConfigError):
-            draw_init(InitSpec("box_uniform"), SparseDirichlet(1.0, np.ones(3)), 5, rng)
+    @pytest.mark.parametrize("domain,spec,message", [
+        ("simplex", InitSpec(alpha=0.0), "init.alpha must lie in (0, inf), got 0.0"),
+        ("orthant", InitSpec(sigma=0.0), "init.sigma must lie in (0, inf), got 0.0"),
+        ("orthant", InitSpec(mu=-np.inf), "init.mu must lie in (-inf, inf), got -inf"),
+        ("box", InitSpec(scale=1.0), "init.scale must lie in (0, 1), got 1.0"),
+    ], ids=["alpha", "sigma", "mu", "scale"])
+    def test_out_of_range_value_refused_on_its_domain(self, domain, spec, message):
+        with pytest.raises(ConfigError) as err:
+            draw_init(spec, INIT_TARGETS[domain][0], 5, np.random.default_rng(0))
+        assert err.value.violations == [message]
+
+    @pytest.mark.parametrize("domain", INIT_TARGETS)
+    def test_fields_of_other_domains_are_not_read(self, domain):
+        # each domain's draw reads only its own fields, so the others may
+        # hold anything and the draw does not change
+        target = INIT_TARGETS[domain][0]
+        others = {"simplex": {"mu": np.nan, "sigma": -1.0, "scale": 3.0},
+                  "orthant": {"alpha": -1.0, "scale": 3.0},
+                  "box": {"alpha": -1.0, "mu": np.nan, "sigma": -1.0}}[domain]
+        got = draw_init(InitSpec(**others), target, 4, np.random.default_rng(1))
+        want = draw_init(InitSpec(), target, 4, np.random.default_rng(1))
+        assert got.tobytes() == want.tobytes()
 
 
 def qp_project(v, domain_kind):
@@ -452,7 +475,7 @@ class TestRunLoop:
         # replay by hand
         from mirrorcoin.rng import substream
         rng = substream(9, "init")
-        X0 = draw_init(InitSpec("dirichlet"), target, 6, rng)
+        X0 = draw_init(InitSpec(), target, 6, rng)
         Y0 = mmap.primal_to_dual(X0)
         md = MirroredDensity(target, mmap)
         h = resolve_bandwidth(KernelConfig(), Y0)
@@ -476,7 +499,7 @@ class TestRunLoop:
         rec = run_sampler(target=target, sampler=sampler, n_particles=8,
                           n_iters=6, seed=4, stepper=stepper)
         md = mirrored_density(target)
-        X0 = draw_init(default_init(target), target, 8, substream(4, "init"))
+        X0 = draw_init(InitSpec(), target, 8, substream(4, "init"))
         Y = md.mmap.primal_to_dual(X0)
         if sampler == "mla":
             engine = _Langevin(stepper.lr, substream(4, "mla_noise"))
@@ -501,7 +524,7 @@ class TestRunLoop:
         target, kernel = self.target(), KernelConfig()
         rec = run_sampler(target=target, sampler="coin_svgd_proj", n_particles=8,
                           n_iters=6, seed=4, stepper=stepper)
-        X0 = draw_init(default_init(target), target, 8, substream(4, "init"))
+        X0 = draw_init(InitSpec(), target, 8, substream(4, "init"))
         X = project_to_domain(target, X0)
         engine = make_stepper(stepper, X)
         projections_moved = 0
@@ -526,8 +549,7 @@ class TestRunLoop:
         assert len(calls) == (n_iters + 1 if n_iters else 0)
         if not n_iters:
             # no step taken: the record keeps the drawn cloud
-            X0 = draw_init(default_init(self.target()), self.target(), 6,
-                           substream(3, "init"))
+            X0 = draw_init(InitSpec(), self.target(), 6, substream(3, "init"))
             assert rec.x_final.tobytes() == X0.tobytes()
 
     @pytest.mark.parametrize("direction", [msvgd_direction, mksdd_direction])

@@ -117,7 +117,6 @@ class TestQuadraticSimplex:
         t = QuadraticSimplex(np.array([[1.0]]), 0.3)
         rng = np.random.default_rng(5)
         s = t.sample_ground_truth(4000, rng, resolution=2048)
-        assert t.last_resolution == 2048
         dens = lambda x: np.exp(-x**2 / (2 * 0.3**2))
         z, _ = integrate.quad(dens, 0.0, 1.0)
         m1, _ = integrate.quad(lambda x: x * dens(x), 0.0, 1.0)
