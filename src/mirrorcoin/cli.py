@@ -6,8 +6,8 @@ for the config keys ``seed``, ``sampler.n_particles``, ``sweep.lrs`` and
 with it.
 
 Exit codes: 0 on success, 1 for configuration problems (a malformed flag
-value among them) and unusable metrics inputs (every violation is listed)
-and unsupported requests, 2 for numeric or other runtime failures.
+value among them, an unsupported request) and unusable metrics inputs
+(every violation is listed), 2 for numeric or other runtime failures.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
-from .errors import ConfigError, Unsupported
+from .errors import ConfigError
 from .harness import (
     read_config,
     run_ground_truth,
@@ -81,7 +82,20 @@ def _load(args) -> dict:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Its warnings are held back and shown only if it
+    succeeds, so that on failure the report is the only output."""
     args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as held:
+        # numeric warnings are held, not raised, whatever the outer filter
+        warnings.filterwarnings("default", category=RuntimeWarning)
+        code = _run(args)
+    if code == 0:
+        for w in held:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
+
+
+def _run(args) -> int:
     try:
         if args.command == "sample":
             run_sample(_load(args), args.out)
@@ -105,9 +119,6 @@ def main(argv=None) -> int:
         print("configuration error:", file=sys.stderr)
         for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)
-        return 1
-    except Unsupported as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # numeric/runtime failure
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)

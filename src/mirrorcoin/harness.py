@@ -414,6 +414,14 @@ def _sweep_job(plan: RunPlan) -> float:
     return _metric(plan, plan.sweep_metric)(record.x_final, record.y_final)
 
 
+def _pooled_sweep_job(plan: RunPlan):
+    """_sweep_job in a pool worker, with the warnings it raised, which the
+    caller raises again so that they meet its filters as its own do."""
+    with warnings.catch_warnings(record=True) as caught:
+        value = _sweep_job(plan)
+    return value, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
 def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     problems = []
     r = _Reader(raw, problems)
@@ -466,7 +474,11 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
         results = [_sweep_job(p) for p in plans]
     else:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_sweep_job, plans))
+            done = list(pool.map(_pooled_sweep_job, plans))
+        for _, caught in done:
+            for warning in caught:
+                warnings.warn_explicit(*warning)
+        results = [value for value, _ in done]
 
     rows = [(p.sampler, p.stepper.lr, p.seed, value) for p, value in zip(plans, results)]
     os.makedirs(out_dir, exist_ok=True)

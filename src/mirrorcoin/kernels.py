@@ -67,8 +67,9 @@ def median_bandwidth(points: np.ndarray) -> float:
         raise DegenerateCloud("median bandwidth needs at least two points")
     pairs = n * (n - 1) // 2
     mid = pairs // 2
-    dist = np.partition(pdist(points), (mid - 1, mid))
-    med = float(dist[mid] if pairs % 2 else (dist[mid - 1] + dist[mid]) / 2)
+    # the lower middle distance is the largest of those left of mid
+    dist = np.partition(pdist(points), mid)
+    med = float(dist[mid] if pairs % 2 else (dist[:mid].max() + dist[mid]) / 2)
     if med == 0.0:
         raise DegenerateCloud("median pairwise distance is zero")
     return float(np.sqrt(med**2 / np.log(n)))
@@ -105,7 +106,13 @@ def radial_profile(family: str, r2: np.ndarray, h: float, order: int = 3):
         base = 1.0 + r2 / h2
         out = (base**-0.5, -0.5 / h2 * base**-1.5)
         if order == 3:
-            out += (0.75 / h2**2 * base**-2.5, -1.875 / h2**3 * base**-3.5)
+            # each derivative is the previous one times -(k + 1/2) / (h^2 base)
+            inv = 1.0 / base
+            f2 = out[1] * inv
+            f2 *= -1.5 / h2
+            f3 = f2 * inv
+            f3 *= -2.5 / h2
+            out += (f2, f3)
         return out
     if family == "rbf":
         f = np.exp(-r2 / h2)

@@ -324,26 +324,29 @@ def mie_gradient(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
 
 def mie_gradient_unfused(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
     """The matrix-product MIED gradient with every N x N temporary a fresh
-    array; the library computes it in place and must match it bit for bit."""
+    array; the library computes it in place and must match it bit for bit.
+
+    exp(T_ij) = e_ij a_i a_j exp(shift), with e = phi / phi(0) and
+    a = exp(b - max b), b = -log(pi) / 2; c is e times the mollifier's
+    gradient scale over its constant factor k."""
     r2 = cdist(x, x, "sqeuclidean")
     eps = config.eps
     if config.kind == "riesz":
         s = config.s if config.s is not None else x.shape[-1] + 1e-4
-        base = r2 + eps * eps
-        T, scale = -0.5 * s * np.log(base), -s / base
+        u = r2 * (1.0 / (eps * eps)) + 1.0
+        c = u ** (-0.5 * s - 1.0)
+        e, k = u * c, -s / (eps * eps)
     elif config.kind == "gaussian":
-        T, scale = -r2 / (2.0 * eps * eps), -1.0 / (eps * eps)
+        e = np.exp(r2 * (-0.5 / (eps * eps)))
+        c, k = e.copy(), -1.0 / (eps * eps)
     else:
         r = np.sqrt(r2)
-        T, scale = -r / eps, np.divide(-1.0, eps * r, out=np.zeros_like(r), where=r > 0.0)
-    logp = target.log_density(x)
-    T -= 0.5 * (logp[:, None] + logp[None, :])
-    T -= T.max()
-    w = np.exp(T, out=T)
-    w /= w.sum()
-    w2 = 2.0 * w
-    c = w2 * scale
+        e = np.exp(r * (-1.0 / eps))
+        c, k = np.divide(e, r, out=np.zeros_like(r), where=r > 0.0), -1.0 / eps
+    b = -0.5 * target.log_density(x)
+    a = np.exp(b - b.max())
+    ea = e @ a
     c[r2 == 0.0] = 0.0
-    pair = c.sum(axis=1)[:, None] * x - c @ x
-    mass = w2.sum(axis=1)
-    return pair - 0.5 * mass[:, None] * target.score(x)
+    p = c @ np.column_stack([a[:, None] * x, a])
+    g = k * (p[:, -1:] * x - p[:, :-1]) - (0.5 * ea)[:, None] * target.score(x)
+    return (2.0 / (a @ ea)) * a[:, None] * g

@@ -10,7 +10,7 @@ import pytest
 
 import mirrorcoin.harness as harness
 from mirrorcoin.cli import main
-from mirrorcoin.errors import ConfigError
+from mirrorcoin.errors import ConfigError, DomainViolation
 from mirrorcoin.harness import (
     TARGETS,
     build_plan,
@@ -22,7 +22,7 @@ from mirrorcoin.harness import (
     write_particles_csv,
 )
 from mirrorcoin.rng import substream
-from mirrorcoin.samplers import InitSpec
+from mirrorcoin.samplers import InitSpec, StepperConfig, run_sampler
 from mirrorcoin.targets import (
     ExpOrthant,
     LogNormalOrthant,
@@ -457,6 +457,18 @@ class TestRunSweep:
         b2 = (tmp_path / "s2" / "sweep.csv").read_bytes()
         assert b1 == b2
 
+    def test_pool_worker_warnings_reach_the_caller(self, tmp_path, monkeypatch):
+        # raised again in the calling process, where its filters apply
+        def overflowing_job(plan):
+            np.float64(1e308) * 10.0
+            return 0.0
+        monkeypatch.setattr(harness, "_sweep_job", overflowing_job)
+        raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
+        with pytest.warns(RuntimeWarning, match="overflow") as caught:
+            run_sweep({**raw, "sweep.lrs": "0.05,0.2", "sweep.seeds": "0"},
+                      str(tmp_path / "s"), max_workers=2)
+        assert len(caught) == 3                   # one per job
+
     def test_sweep_rejects_coin_base_sampler(self, tmp_path):
         raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
         raw["sampler.kind"] = "coin_msvgd"
@@ -798,7 +810,6 @@ class TestCli:
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the step overflows
     @pytest.mark.parametrize("sampler,config,iteration", [
         ("svgd_proj", "target.kind = sparse_dirichlet\ntarget.counts = 5,3,1\n", 2),
         ("mied", "target.kind = uniform_box\ntarget.d = 2\ntarget.lo = -1\n"
@@ -817,6 +828,36 @@ class TestCli:
             f"runtime failure: DomainViolation: {sampler}: particle left the open "
             f"domain at iteration {iteration}\n")
         assert not (out / "particles_final.csv").exists()
+
+    def test_failed_pooled_sweep_reports_alone(self, tmp_path, capfd):
+        # the pool workers' warnings are dropped with the run; capfd also
+        # sees what a worker would write to the inherited stderr
+        cfg = write_cfg(tmp_path, (
+            "target.kind = sparse_dirichlet\ntarget.counts = 5,3,1\n"
+            "sampler.kind = svgd_proj\nsampler.n_particles = 10\nsampler.n_iters = 20\n"
+            "stepper.kind = fixed_lr\nsweep.lrs = 1e300,0.01\nsweep.seeds = 1\n"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--workers", "2"]) == 2
+        assert capfd.readouterr().err == (
+            "runtime failure: DomainViolation: svgd_proj: particle left the open "
+            "domain at iteration 2\n")
+
+    def test_warnings_of_a_successful_run_still_shown(self, tmp_path, capsys, monkeypatch):
+        # held back while the command runs, then shown once it has succeeded
+        def overflowing_sample(raw, out_dir):
+            np.float64(1e308) * 10.0
+        monkeypatch.setattr("mirrorcoin.cli.run_sample", overflowing_sample)
+        cfg = write_cfg(tmp_path, "")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_library_caller_sees_the_warnings(self):
+        # the CLI holds warnings back; run_sampler itself does not
+        target = SparseDirichlet(alpha=1.0, counts=np.array([5.0, 3.0, 1.0]))
+        with pytest.warns(RuntimeWarning), pytest.raises(DomainViolation):
+            run_sampler(target=target, sampler="svgd_proj", n_particles=10, n_iters=20,
+                        seed=0, stepper=StepperConfig("fixed_lr", lr=1e300))
 
     def test_ground_truth_unsupported_listed_with_other_problems(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "target.kind = selective_lasso\n"

@@ -75,6 +75,16 @@ class TestBaseKernels:
         for got, want in zip(short, full):
             assert got.tobytes() == want.tobytes()
 
+    def test_imq_profile_matches_closed_forms(self):
+        # f2 and f3 come from f1 and 1/base, not from their own powers
+        r2 = np.concatenate([[0.0], np.geomspace(1e-12, 1e6, 60)])
+        for h in (0.05, 1.3, 40.0):
+            base = 1.0 + r2 / h**2
+            want = (base**-0.5, -0.5 / h**2 * base**-1.5,
+                    0.75 / h**4 * base**-2.5, -1.875 / h**6 * base**-3.5)
+            for got, ref in zip(radial_profile("imq", r2, h), want):
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("order", [0, 2, 4])
     def test_profile_order_is_one_or_three(self, order):
         with pytest.raises(ValueError, match="order must be 1 or 3"):

@@ -9,7 +9,7 @@ from mirrorcoin.mied import (
     MOLLIFIERS,
     MollifierConfig,
     TanhBox,
-    _log_terms,
+    _interaction_terms,
     mie_gradient,
     mie_log_energy,
 )
@@ -106,17 +106,18 @@ class TestGradient:
                                         SparseDirichlet(0.5, [4.0, 2.0, 1.0, 3.0])],
                              ids=["orthant", "simplex"])
     def test_log_terms_bitwise_symmetric(self, kind, target):
-        # mie_gradient sums the softmax weights and their transpose as 2 w,
-        # which holds bit for bit only while the term matrix is symmetric
+        # mie_gradient takes a particle's column terms as its row terms
+        # (w + w^T = 2 w), which holds bit for bit only while the mollifier
+        # terms are symmetric
         rng = np.random.default_rng(4)
         x = rng.dirichlet(np.ones(4), size=60)[:, :3]
         x[7] = x[3]                                 # a coincident pair
         r2 = cdist(x, x, "sqeuclidean")            # the pair distances it starts from
         assert r2.tobytes() == r2.T.tobytes()
-        T, scale, zero = _log_terms(x, target, MollifierConfig(kind=kind, eps=0.3))
-        assert T.tobytes() == T.T.tobytes()
+        e, c, _, zero, _, _ = _interaction_terms(x, target, MollifierConfig(kind=kind, eps=0.3))
+        assert e.tobytes() == e.T.tobytes()
         assert zero.tobytes() == zero.T.tobytes()
-        assert np.ndim(scale) == 0 or scale.tobytes() == scale.T.tobytes()
+        assert c.tobytes() == c.T.tobytes()
 
 
 class TestReparam:
@@ -203,7 +204,6 @@ class TestRunMied:
         rec = run_sampler(target=t, sampler="coin_mied", n_particles=6,
                           n_iters=1, seed=7)
         # replay initialization and the first outcome
-        from mirrorcoin.mied import TanhBox, _log_terms  # noqa: F401
         from mirrorcoin.rng import substream
         from mirrorcoin.samplers import InitSpec, draw_init
         rng = substream(7, "init")

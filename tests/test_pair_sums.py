@@ -163,11 +163,12 @@ def test_mksdd_memory_estimate_bounds_peak(domain, n, d):
 class _Tilted:
     """Log density a . x on a box, for a score term that is not 0."""
 
-    def __init__(self, d):
-        self.a = np.linspace(-1.5, 2.0, d)
+    def __init__(self, d, scale=1.0, offset=0.0):
+        self.a = scale * np.linspace(-1.5, 2.0, d)
+        self.offset = offset
 
     def log_density(self, x):
-        return x @ self.a
+        return x @ self.a + self.offset
 
     def score(self, x):
         return np.broadcast_to(self.a, x.shape)
@@ -185,3 +186,45 @@ def test_mie_gradient_bitwise(moll, tilted, n):
     target = _Tilted(2) if tilted else UniformBox(-np.ones(2), np.ones(2))
     got = mie_gradient(x, target, moll)
     assert got.tobytes() == helpers.mie_gradient_unfused(x, target, moll).tobytes()
+
+
+def test_mie_gradient_high_dimensional_riesz_peak():
+    # at d=40 and eps=1e-8 the riesz peak log phi(0) is about 737, so the
+    # unshifted terms would overflow; a tight cluster keeps the pair terms
+    # above the underflow threshold
+    n, d = 30, 40
+    moll = MollifierConfig()
+    assert -(d + 1e-4) * np.log(moll.eps) > np.log(np.finfo(float).max)
+    x = 0.01 * np.random.default_rng(5).normal(size=(n, d))
+    box = UniformBox(-np.ones(d), np.ones(d))
+    assert_close(mie_gradient(x, box, moll), helpers.mie_gradient(x, box, moll))
+
+
+@pytest.mark.parametrize("moll", MOLLIFIERS, ids=["riesz", "riesz_wide", "gaussian", "laplace"])
+def test_mie_gradient_density_factors_underflow(moll):
+    # the log density spans more than 1500 nats, so exp(-log pi / 2 - max)
+    # underflows to 0 for the densest particles, as their softmax weights
+    # do; unshifted, exp(-log pi / 2) would overflow for the sparsest
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1.0, 1.0, size=(60, 2))
+    target = _Tilted(2, scale=250.0, offset=-900.0)
+    logp = target.log_density(x)
+    assert np.ptp(logp) > 1500.0
+    assert -0.5 * logp.min() > np.log(np.finfo(float).max)
+    assert_close(mie_gradient(x, target, moll), helpers.mie_gradient(x, target, moll))
+
+
+@pytest.mark.parametrize("moll", MOLLIFIERS, ids=["riesz", "riesz_wide", "gaussian", "laplace"])
+def test_mie_gradient_peak_memory(moll):
+    # the pair distances turned into e, at most one more N x N array (c)
+    # and the r2 = 0 mask: about 2.2 x 8 N^2 bytes
+    n = 400
+    x = np.random.default_rng(7).uniform(-1.0, 1.0, size=(n, 2))
+    box = UniformBox(-np.ones(2), np.ones(2))
+    tracemalloc.start()
+    try:
+        mie_gradient(x, box, moll)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n
