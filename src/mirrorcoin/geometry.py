@@ -2,8 +2,8 @@
 
 A mirror map ``phi`` is a strictly convex potential on an open domain.  Its
 gradient sends primal points ``x`` to dual points ``y = grad phi(x)`` living in
-all of R^d; the inverse gradient maps back.  Both maps share one algebra in a
-constant ``sigma`` and the remainder ``r`` of a point:
+all of R^d; the inverse gradient maps back.  Two of the three maps share one
+algebra in a constant ``sigma`` and the remainder ``r`` of a point:
 
     phi(x) = sum_k (x_k log x_k - x_k) + sigma (r log r - r)
 
@@ -13,12 +13,15 @@ constant ``sigma`` and the remainder ``r`` of a point:
 * :class:`PositiveOrthantMap` -- the open positive orthant: sigma = 0 and
   r = 1, as there is no implicit coordinate, so every sigma term drops out
   and the map is coordinatewise log/exp.
+* :class:`BoxMirrorMap` -- the open box lo < x < hi, outside that algebra, with
+  phi(x) = 1/2 sum_k [(x_k - lo_k) log(x_k - lo_k) + (hi_k - x_k) log(hi_k - x_k)];
+  it has only the maps and the inverse Hessian, all that MIED reads.
 
-The Hessian is grad^2 phi = diag(1/x) + (sigma / r) 1 1^T, and since
-sum(x) + r = 1 wherever sigma = 1 its inverse is A(x) = diag(x) - sigma x x^T.
-Each of these d x d matrices is a diagonal plus a rank-one term, so the map
-applies it to a vector and never stores it.  The maps differ only in their
-inverse gradient, ``dual_to_primal``.
+For the first two the Hessian is grad^2 phi = diag(1/x) + (sigma / r) 1 1^T,
+and since sum(x) + r = 1 wherever sigma = 1 its inverse is
+A(x) = diag(x) - sigma x x^T.  Each of these d x d matrices is a diagonal
+plus a rank-one term, so the map applies it to a vector and never stores
+it.  The two maps differ only in their inverse gradient, ``dual_to_primal``.
 ``potential`` is defined up to a constant: on the simplex it is the negative
 entropy minus 1.  Only its gradient, ``primal_to_dual``, is used or checked
 (acceptance criterion 01).
@@ -49,24 +52,8 @@ def as_dimension(d) -> int:
     return int(d)
 
 
-class _MirrorMap:
-    """The map algebra, written once in ``sigma`` and the remainder
-    ``_rest(x)``; each map defines those two, ``domain`` and
-    ``dual_to_primal``."""
-
-    domain: str
-    sigma: float
-
-    def __init__(self, d: int):
-        self.d = as_dimension(d)
-
-    # -- domain ---------------------------------------------------------
-
-    def inside(self, x: np.ndarray) -> bool:
-        """Every coordinate and remainder is finite and above INTERIOR_TOL."""
-        # a NaN fails the minimum
-        return (x.min() > INTERIOR_TOL and x.max() < np.inf
-                and self._rest(x).min() > INTERIOR_TOL)
+class _OpenDomain:
+    """The interior check; each map defines ``domain``, ``d`` and ``inside``."""
 
     def assert_interior(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -82,6 +69,23 @@ class _MirrorMap:
                 f"point on or outside the open {self.domain} (margin {INTERIOR_TOL})"
             )
         return x
+
+
+class _MirrorMap(_OpenDomain):
+    """The map algebra, written once in ``sigma`` and the remainder
+    ``_rest(x)``; each map defines those two, ``domain`` and
+    ``dual_to_primal``."""
+
+    sigma: float
+
+    def __init__(self, d: int):
+        self.d = as_dimension(d)
+
+    def inside(self, x: np.ndarray) -> bool:
+        """Every coordinate and remainder is finite and above INTERIOR_TOL."""
+        # a NaN fails the minimum
+        return (x.min() > INTERIOR_TOL and x.max() < np.inf
+                and self._rest(x).min() > INTERIOR_TOL)
 
     # -- potential and forward map ----------------------------------------
 
@@ -206,11 +210,47 @@ class PositiveOrthantMap(_MirrorMap):
     d_inv_hessian_contract = _MirrorMap.d_inv_hessian_contract
 
 
+class BoxMirrorMap(_OpenDomain):
+    """The box lo < x < hi, centre mid, half-width half: its gradient is
+    artanh((x - mid) / half) and its Hessian diag(half / ((x - lo)(hi - x)))."""
+
+    domain = "box"
+
+    def __init__(self, lo, hi):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        self.d = as_dimension(self.lo.size)
+        self.mid = 0.5 * (self.lo + self.hi)
+        self.half = 0.5 * (self.hi - self.lo)
+
+    def inside(self, x: np.ndarray) -> bool:
+        """x - lo and hi - x are above INTERIOR_TOL; a NaN fails the minimum."""
+        return (x - self.lo).min() > INTERIOR_TOL and (self.hi - x).min() > INTERIOR_TOL
+
+    def primal_to_dual(self, x: np.ndarray) -> np.ndarray:
+        x = self.assert_interior(x)
+        return np.arctanh((x - self.mid) / self.half)
+
+    def dual_to_primal(self, y: np.ndarray) -> np.ndarray:
+        """x = mid + half tanh(y), on the boundary where tanh rounds to +-1;
+        callers who need interiority must check it."""
+        return self.mid + self.half * np.tanh(y)
+
+    def hessian_inverse_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A(x) v = (x - lo)(hi - x) v / half."""
+        x = self.assert_interior(x)
+        return (x - self.lo) * (self.hi - x) / self.half * np.asarray(v, dtype=float)
+
+
 _MAPS = {"simplex": EntropicSimplexMap, "orthant": PositiveOrthantMap}
 
 
-def make_map(domain: str, d: int):
-    """The mirror map of a domain kind; no map covers any other, the box included."""
-    if domain not in _MAPS:
-        raise ValueError(f"no mirror map covers the {domain!r} domain")
-    return _MAPS[domain](d)
+def make_map(target):
+    """The mirror map of ``target``'s domain: the simplex's and the orthant's
+    in ``target.d`` coordinates, the box's between ``target.lo`` and
+    ``target.hi``; no map covers any other domain."""
+    if target.domain == "box":
+        return BoxMirrorMap(target.lo, target.hi)
+    if target.domain not in _MAPS:
+        raise ValueError(f"no mirror map covers the {target.domain!r} domain")
+    return _MAPS[target.domain](target.d)

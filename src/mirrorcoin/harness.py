@@ -275,7 +275,7 @@ def build_plan(raw: dict) -> RunPlan:
 
     r.leftover_check()
 
-    # the ksd metric reads the dual cloud, which only mirrored samplers move
+    # the ksd metric reads dual scores: projected samplers have none, nor has MIED's box map
     if sampler is not None and sampler not in MIRRORED_SAMPLERS:
         for key, names in (("metrics.names", metric_names), ("sweep.metric", (sweep_metric,))):
             if "ksd" in names:

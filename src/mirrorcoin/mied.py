@@ -7,10 +7,9 @@ Particles minimize the log of a pairwise interaction energy
 diagonal included.  Every mollifier peaks at zero separation, so each term
 is taken relative to the largest, as e_ij a_i a_j with e = phi / phi(0) <= 1
 and a = exp(b - max b) <= 1, b = -log(pi) / 2: nothing overflows, and the
-density stays a vector of N factors.  Box constraints are handled by
-optimizing unconstrained coordinates ``w`` with ``x = mid + half * tanh(w)``
-(:class:`TanhBox`); the run loop lives in
-:func:`mirrorcoin.samplers.run_sampler`.
+density stays a vector of N factors.  The particles move in the dual
+coordinates of the box's mirror map (:class:`mirrorcoin.geometry.BoxMirrorMap`);
+the run loop lives in :func:`mirrorcoin.samplers.run_sampler`.
 """
 
 from __future__ import annotations
@@ -124,33 +123,3 @@ def mie_gradient(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
     g -= (0.5 * ea)[:, None] * target.score(x)
     g *= (2.0 / (a @ ea)) * a[:, None]
     return g
-
-
-# ---------------------------------------------------------------------------
-# box reparameterization
-
-
-class TanhBox:
-    """x = mid + half * tanh(w), a bijection from R^d onto the open box."""
-
-    def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        if not np.all(self.hi > self.lo):
-            raise ConfigError("box needs hi > lo in every coordinate")
-        self.mid = 0.5 * (self.lo + self.hi)
-        self.half = 0.5 * (self.hi - self.lo)
-
-    def to_x(self, w):
-        return self.mid + self.half * np.tanh(w)
-
-    def inside(self, x) -> bool:
-        """lo < x < hi in every coordinate (tanh(w) rounds to +-1 at large |w|)."""
-        return bool(np.all(x > self.lo) and np.all(x < self.hi))
-
-    def from_x(self, x):
-        return np.arctanh((np.asarray(x, dtype=float) - self.mid) / self.half)
-
-    def jacobian_diag(self, w):
-        t = np.tanh(w)
-        return self.half * (1.0 - t * t)

@@ -7,10 +7,10 @@ coin-betting steppers consume it as an outcome and never take a rate.
 
 Mirrored samplers (msvgd / mksdd / mlawgd / mla and their coin twins) move
 dual-space particles ``Y`` and read off primal particles ``X`` through the
-mirror map every iteration.  Projected baselines (svgd_proj and its coin
-twin) move primal particles directly and re-project onto the domain after
-every step.  MIED (mied and its coin twin) moves the tanh coordinates of a
-box.  One loop, :func:`run_sampler`, runs them all.
+mirror map every iteration, as MIED (mied and its coin twin) does with the
+box's map.  Projected baselines (svgd_proj and its coin twin) move primal
+particles directly and re-project onto the domain after every step.  One
+loop, :func:`run_sampler`, runs them all.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .coin import AdaptiveCoin, KTCoin
 from .errors import ConfigError, DomainViolation
 from .geometry import INTERIOR_TOL, make_map
 from .kernels import KernelConfig, pair_sum, radial_profile, resolve_bandwidth
-from .mied import MollifierConfig, TanhBox, mie_gradient
+from .mied import MollifierConfig, mie_gradient
 from .rng import substream
 from .targets import MirroredDensity
 
@@ -525,9 +525,9 @@ def check_run(target, sampler, stepper, init, n_particles) -> list:
     if target is None:
         return problems
     if sampler in MIRRORED_SAMPLERS and target.domain == "box":
-        problems.append("no mirror map covers a box domain; use svgd_proj or mied")
+        problems.append("the box map has no dual score; use svgd_proj or mied")
     if sampler in ("mied", "coin_mied") and target.domain != "box":
-        problems.append(f"{sampler} reparameterizes box domains only, "
+        problems.append(f"{sampler} runs on box domains only, "
                         f"not the {target.domain}; use a mirrored sampler")
     if sampler in ("mlawgd", "coin_mlawgd") and target.d != 1:
         problems.append("the spectral kernel flow ships only for d = 1")
@@ -545,7 +545,7 @@ def check_run(target, sampler, stepper, init, n_particles) -> list:
 
 def mirrored_density(target) -> MirroredDensity:
     """The target paired with its domain's mirror map."""
-    return MirroredDensity(target, make_map(target.domain, target.d))
+    return MirroredDensity(target, make_map(target))
 
 
 def run_sampler(
@@ -565,12 +565,12 @@ def run_sampler(
 ) -> RunRecord:
     """Run one sampler for ``n_iters`` iterations and return its record.
 
-    The stepper moves coordinates that follow from the sampler family and
-    ``target.domain``: the dual coordinates of the domain's mirror map for
-    mirrored samplers, the tanh coordinates of the box for MIED, and the
-    primal coordinates, projected onto the domain after every step, for
-    projected samplers.  The record's ``y_final`` holds those coordinates
-    (None for projected samplers).
+    The stepper moves one of two kinds of coordinates, as the sampler
+    family says: the dual coordinates of the mirror map of
+    ``target.domain`` (:func:`mirrored_density`) for mirrored samplers and
+    MIED, or the primal coordinates, projected onto the domain after every
+    step, for projected samplers.  The record's ``y_final`` holds the dual
+    coordinates (None for projected samplers).
 
     Each iteration settles the stepped coordinates into a primal cloud
     ``X`` once, and the direction takes that settled ``X`` rather than
@@ -597,7 +597,6 @@ def run_sampler(
     # Z is what the stepper moves; settle maps a stepped Z to (Z, X), and
     # direction(Z, X) is the outcome the stepper takes at the pair; inside(X)
     # says a settled cloud is in the open domain (a projected one is, if finite).
-    mmap = None
     if projected:
         def direction(x, _):
             return svgd_direction(x, target, kernel.family,
@@ -611,17 +610,6 @@ def run_sampler(
             return np.isfinite(x).all()
 
         Z = X = project_to_domain(target, X)
-    elif base == "mied":
-        rep = TanhBox(target.lo, target.hi)
-
-        def direction(w, x):
-            return -rep.jacobian_diag(w) * mie_gradient(x, target, mollifier)
-
-        def settle(w):
-            return w, rep.to_x(w)
-
-        inside = rep.inside
-        Z = rep.from_x(X)
     else:
         md = mirrored_density(target)
         mmap = md.mmap
@@ -632,13 +620,14 @@ def run_sampler(
                                                   resolve_bandwidth(kernel, y), x),
             "mlawgd": lambda y, _: mlawgd_direction(y, spectral_terms),
             "mla": lambda y, x: md.dual_score_from_primal(x),
+            "mied": lambda y, x: -mmap.hessian_inverse_apply(
+                x, mie_gradient(x, target, mollifier)),
         }[base]
 
         def settle(y):
             return y, mmap.dual_to_primal(y)
 
         inside = mmap.inside
-        mmap.assert_interior(X)
         Z = mmap.primal_to_dual(X)
 
     if base == "mla":
@@ -655,7 +644,7 @@ def run_sampler(
                 record.trace.append((it, name, float(fn(x, None if projected else z)), ms))
 
     observe(0, X, Z)
-    if mmap is not None and n_iters:
+    if not projected and n_iters:
         # the drawn cloud and the primal image of its dual coordinates differ
         # in rounding; the first direction sees the image, as all later ones do
         X = mmap.dual_to_primal(Z)

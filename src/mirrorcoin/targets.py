@@ -193,7 +193,7 @@ class UniformBox:
             raise ValueError("box bounds must satisfy lo < hi componentwise")
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(hi - lo)):
-                # the tanh map and the ground-truth draw scale by the width
+                # the box map and the ground-truth draw scale by the width
                 raise ValueError("box width hi - lo must be finite")
         self.lo = lo
         self.hi = hi

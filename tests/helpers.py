@@ -63,6 +63,28 @@ def orthant_interior_points(n, d, rng, low=0.05, high=3.0):
     return rng.uniform(low, high, size=(n, d))
 
 
+def box_interior_points(n, lo, hi, rng, margin=0.05):
+    """Random points in the box, at least margin of its width from each face."""
+    return lo + (hi - lo) * rng.uniform(margin, 1.0 - margin, size=(n, len(lo)))
+
+
+# ---------------------------------------------------------------------------
+# the box's mirror map, which defines neither its potential nor a dense
+# inverse Hessian
+
+
+def box_potential(lo, hi, x):
+    """phi(x) = 1/2 sum_k [(x_k - lo_k) log(x_k - lo_k) + (hi_k - x_k) log(hi_k - x_k)]."""
+    a, b = x - lo, hi - x
+    return 0.5 * (a * np.log(a) + b * np.log(b)).sum(axis=-1)
+
+
+def box_inverse_hessian(lo, hi, x):
+    """Dense inverse (d, d) of phi's Hessian diag(1 / (2 (x - lo)) + 1 / (2 (hi - x)))."""
+    h = 0.5 / (x - lo) + 0.5 / (hi - x)
+    return np.linalg.inv(np.diag(h))
+
+
 # ---------------------------------------------------------------------------
 # pointwise reference kernels
 

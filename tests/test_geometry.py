@@ -4,10 +4,13 @@ The forward map is validated as the gradient of the explicit potential, the
 Hessian algebra (apply / inverse-apply / log-determinant and its derivatives)
 against finite-difference Jacobians of the forward map, and the
 inverse-Hessian derivative contraction against finite differences of the
-dense inverse Hessian, built from its formula in ``helpers``.
+dense inverse Hessian, built from its formula in ``helpers``.  The box map,
+which has only the two maps and the inverse Hessian, is checked against the
+potential and the dense inverse Hessian that ``helpers`` writes for it.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,14 +20,18 @@ from hypothesis import strategies as st
 from mirrorcoin.errors import DomainViolation, NumericalFailure, NumericalOverflow
 from mirrorcoin.geometry import (
     INTERIOR_TOL,
+    BoxMirrorMap,
     EntropicSimplexMap,
     PositiveOrthantMap,
     make_map,
 )
-from mirrorcoin.samplers import mirrored_density
-from mirrorcoin.targets import UniformBox
+from mirrorcoin.samplers import MIRRORED_SAMPLERS, check_run, mirrored_density
+from mirrorcoin.targets import ExpOrthant, SparseDirichlet, UniformBox
 
 from helpers import (
+    box_interior_points,
+    box_inverse_hessian,
+    box_potential,
     contract_pieces,
     fd_grad,
     fd_jacobian,
@@ -236,6 +243,42 @@ class TestOrthantSpecifics:
                 assert np.all(np.isfinite(got))
 
 
+BOX = BoxMirrorMap(np.array([0.0, -2.0, -300.0]), np.array([1.0, 2.0, 500.0]))
+
+
+class TestBoxMap:
+    def test_round_trip(self):
+        """x -> y -> x is the identity to 1e-10 of the half-width."""
+        x = box_interior_points(1000, BOX.lo, BOX.hi, np.random.default_rng(0), margin=0.0)
+        back = BOX.dual_to_primal(BOX.primal_to_dual(x))
+        assert np.max(np.abs(back - x) / BOX.half) < 1e-10
+
+    def test_forward_is_gradient_of_potential(self):
+        rng = np.random.default_rng(2)
+        for x in box_interior_points(20, BOX.lo, BOX.hi, rng):
+            want = fd_grad(lambda z: box_potential(BOX.lo, BOX.hi, z), x, h=1e-6)
+            assert rel_err(BOX.primal_to_dual(x), want) < 1e-5
+
+    def test_inverse_map_jacobian_is_the_inverse_hessian(self):
+        """d x / d y at y = grad phi(x) is the dense oracle, which the apply matches."""
+        rng = np.random.default_rng(3)
+        for x in box_interior_points(10, BOX.lo, BOX.hi, rng):
+            A = box_inverse_hessian(BOX.lo, BOX.hi, x)
+            J = fd_jacobian(BOX.dual_to_primal, BOX.primal_to_dual(x), h=1e-6)
+            assert rel_err(J, A) < 1e-6
+            v = rng.normal(size=BOX.d)
+            assert rel_err(BOX.hessian_inverse_apply(x, v), A @ v) < 1e-12
+
+    def test_batched_matches_pointwise(self):
+        rng = np.random.default_rng(10)
+        x = box_interior_points(7, BOX.lo, BOX.hi, rng)
+        v = rng.normal(size=(7, BOX.d))
+        batched = BOX.hessian_inverse_apply(x, v)
+        for i in range(7):
+            assert np.array_equal(batched[i], BOX.hessian_inverse_apply(x[i], v[i]))
+        assert np.array_equal(BOX.primal_to_dual(x)[3], BOX.primal_to_dual(x[3]))
+
+
 # Every map method that takes a primal point checks it; the further
 # arguments of the methods that take them have the shape of x.  The Hessian
 # of the log-determinant is checked through its apply.
@@ -288,6 +331,40 @@ def test_inside_fails_on_every_bad_point(mmap, bad, message):
     assert not mmap.inside(x)
 
 
+# The box map's methods that take a primal point, and bad rows of a cloud in
+# the box [0, 1] x [-2, 2]: 1e-13 inside each face is inside the margin
+SQUARE = BoxMirrorMap(np.array([0.0, -2.0]), np.array([1.0, 2.0]))
+BOX_CHECKED = ("primal_to_dual", "hessian_inverse_apply", "assert_interior")
+BOX_BAD_POINTS = [
+    ([1e-13, 0.25], OUTSIDE),
+    ([1.0 - 1e-13, 0.25], OUTSIDE),
+    ([0.25, -2.0 + 1e-13], OUTSIDE),
+    ([0.25, 2.0 - 1e-13], OUTSIDE),
+    ([0.0, 0.25], OUTSIDE),
+    ([0.25, 3.0], OUTSIDE),
+    ([np.nan, 0.25], NON_FINITE),
+    ([0.25, np.inf], NON_FINITE),
+]
+
+
+@pytest.mark.parametrize("method", BOX_CHECKED)
+@pytest.mark.parametrize("bad,message", BOX_BAD_POINTS, ids=_bad_point_id)
+def test_box_map_rejects_points_within_its_margin(bad, message, method):
+    x = np.full((3, 2), 0.25)
+    assert SQUARE.inside(x)
+    x[1] = bad
+    assert not SQUARE.inside(x)
+    with pytest.raises(DomainViolation) as info:
+        CHECKED[method](SQUARE, x)
+    assert str(info.value) == message.format(domain="box")
+
+
+def test_box_map_accepts_points_just_past_its_margin():
+    x = np.array([[1e-11, -2.0 + 1e-11], [1.0 - 1e-11, 2.0 - 1e-11]])
+    assert SQUARE.inside(x)
+    assert np.all(np.isfinite(SQUARE.primal_to_dual(x)))
+
+
 @pytest.mark.parametrize("method", sorted(CHECKED))
 class TestInteriorChecks:
     """The same DomainViolation, message included, from every checked method."""
@@ -318,18 +395,28 @@ class TestInteriorChecks:
 
 class TestFactory:
     def test_known_kinds(self):
-        assert isinstance(make_map("simplex", 2), EntropicSimplexMap)
-        assert isinstance(make_map("orthant", 2), PositiveOrthantMap)
-        with pytest.raises(ValueError, match="no mirror map covers the 'box' domain"):
-            make_map("box", 2)
+        simplex = make_map(SparseDirichlet(1.0, np.ones(3)))
+        assert isinstance(simplex, EntropicSimplexMap) and simplex.d == 2
+        orthant = make_map(ExpOrthant(2))
+        assert isinstance(orthant, PositiveOrthantMap) and orthant.d == 2
+        box = make_map(UniformBox(np.array([0.0, -1.0]), np.array([1.0, 3.0])))
+        assert isinstance(box, BoxMirrorMap) and box.d == 2
+        assert box.lo.tolist() == [0.0, -1.0] and box.hi.tolist() == [1.0, 3.0]
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_map("hyperbolic", 2)
+        with pytest.raises(ValueError, match="no mirror map covers the 'hyperbolic' domain"):
+            make_map(SimpleNamespace(domain="hyperbolic", d=2))
 
-    def test_mirrored_density_of_a_box_is_refused(self):
-        with pytest.raises(ValueError, match="'box'"):
-            mirrored_density(UniformBox(np.zeros(2), np.ones(2)))
+    def test_box_samplers_that_need_a_dual_score_are_refused(self):
+        # the box has a map, but not the sigma algebra's dual score that
+        # every mirrored sampler reads; MIED reads only the inverse Hessian
+        box = UniformBox(np.zeros(1), np.ones(1))
+        assert isinstance(mirrored_density(box).mmap, BoxMirrorMap)
+        for sampler in MIRRORED_SAMPLERS:
+            assert check_run(box, sampler, None, None, None) == [
+                "the box map has no dual score; use svgd_proj or mied"], sampler
+        for sampler in ("mied", "coin_mied", "svgd_proj"):
+            assert check_run(box, sampler, None, None, None) == [], sampler
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,4 @@
-"""Mollified interaction energy: values, gradients, reparam, run loop."""
+"""Mollified interaction energy: values, gradients, the box map, run loop."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,12 @@ from mirrorcoin.errors import ConfigError
 from mirrorcoin.mied import (
     MOLLIFIERS,
     MollifierConfig,
-    TanhBox,
     _interaction_terms,
     mie_gradient,
     mie_log_energy,
 )
-from mirrorcoin.samplers import StepperConfig, run_sampler
+from mirrorcoin.geometry import BoxMirrorMap
+from mirrorcoin.samplers import StepperConfig, mirrored_density, run_sampler
 from mirrorcoin.targets import ExpOrthant, SparseDirichlet, UniformBox
 
 from helpers import fd_grad, rel_err
@@ -121,21 +121,25 @@ class TestGradient:
 
 
 class TestReparam:
+    """The box map's dual coordinates, x = mid + half tanh(y), that MIED moves."""
+
     def test_tanh_round_trip_and_range(self):
-        # keep |w| moderate: near saturation x loses the bits that encode w
-        rep = TanhBox(np.array([0.0, -2.0]), np.array([1.0, 2.0]))
+        # keep |y| moderate: near saturation x loses the bits that encode y
+        mmap = BoxMirrorMap(np.array([0.0, -2.0]), np.array([1.0, 2.0]))
         rng = np.random.default_rng(3)
-        w = rng.uniform(-4.0, 4.0, size=(50, 2))
-        x = rep.to_x(w)
+        y = rng.uniform(-4.0, 4.0, size=(50, 2))
+        x = mmap.dual_to_primal(y)
         assert np.all(x[:, 0] > 0) and np.all(x[:, 0] < 1)
         assert np.all(x[:, 1] > -2) and np.all(x[:, 1] < 2)
-        assert np.max(np.abs(rep.from_x(x) - w)) < 1e-9
+        assert np.max(np.abs(mmap.primal_to_dual(x) - y)) < 1e-9
 
     def test_tanh_jacobian_vs_fd(self):
-        rep = TanhBox(np.array([0.0]), np.array([4.0]))
-        for w0 in (-1.2, 0.0, 0.8):
-            jd = rep.jacobian_diag(np.array([w0]))[0]
-            ref = fd_grad(lambda u: rep.to_x(u)[0], np.array([w0]))[0]
+        # dx/dy is the inverse mirror Hessian at x
+        mmap = BoxMirrorMap(np.array([0.0]), np.array([4.0]))
+        for y0 in (-1.2, 0.0, 0.8):
+            x0 = mmap.dual_to_primal(np.array([y0]))
+            jd = mmap.hessian_inverse_apply(x0, np.ones(1))[0]
+            ref = fd_grad(lambda u: mmap.dual_to_primal(u)[0], np.array([y0]))[0]
             assert abs(jd - ref) < 1e-8
 
 
@@ -190,29 +194,23 @@ class TestRunMied:
         assert r1.x_final.tobytes() == r2.x_final.tobytes()
         assert r1.y_final.tobytes() == r2.y_final.tobytes()
 
-    def test_primal_cloud_made_once_per_iteration(self, monkeypatch):
-        # the direction reads the cloud that the previous step settled on
-        calls = []
-        to_x = TanhBox.to_x
-        monkeypatch.setattr(TanhBox, "to_x", lambda self, w: calls.append(1) or to_x(self, w))
-        run_sampler(target=self.box_target(), sampler="coin_mied", n_particles=6,
-                    n_iters=9, seed=3)
-        assert len(calls) == 9
-
     def test_coin_first_step_is_half_sign(self):
         t = self.box_target()
         rec = run_sampler(target=t, sampler="coin_mied", n_particles=6,
                           n_iters=1, seed=7)
-        # replay initialization and the first outcome
+        # replay initialization and the first outcome, which the direction
+        # takes at the image of the drawn cloud's dual coordinates
         from mirrorcoin.rng import substream
         from mirrorcoin.samplers import InitSpec, draw_init
         rng = substream(7, "init")
         x0 = draw_init(InitSpec(), t, 6, rng)
-        rep = TanhBox(t.lo, t.hi)
-        w0 = rep.from_x(x0)
-        c = -rep.jacobian_diag(w0) * mie_gradient(x0, t, MollifierConfig())
+        mmap = mirrored_density(t).mmap
+        y0 = mmap.primal_to_dual(x0)
+        x = mmap.dual_to_primal(y0)
+        c = -mmap.hessian_inverse_apply(x, mie_gradient(x, t, MollifierConfig()))
         nz = c != 0
-        assert np.allclose(np.abs(rec.y_final - w0)[nz], 0.5)
+        assert nz.any()
+        assert np.allclose(np.abs(rec.y_final - y0)[nz], 0.5)
 
     def test_stepper_mismatch_raises(self):
         t = self.box_target()
@@ -232,8 +230,10 @@ class TestRunMied:
         SparseDirichlet(alpha=0.5, counts=np.array([6.0, 3.0, 1.0])),
     ], ids=["orthant", "simplex"])
     def test_non_box_target_is_rejected(self, sampler, target):
-        # the tanh reparameterization covers boxes only; without it MIED
-        # would move the particles unconstrained, out of the domain
+        # MIED runs on the box only.  Its direction maps through the simplex
+        # and orthant maps as well, but there coin MIED with the default
+        # mollifier leaves the domain or misses the target: the energy's
+        # diagonal swamps the pair terms that would repel the particles
         stepper = None if sampler == "coin_mied" else StepperConfig("fixed_lr", lr=1e-3)
         with pytest.raises(ConfigError, match=target.domain):
             run_sampler(target=target, sampler=sampler, n_particles=8, n_iters=5,

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 from scipy.special import eval_hermitenorm, gammaln
 
 from mirrorcoin.errors import ConfigError, DomainViolation
-from mirrorcoin.geometry import EntropicSimplexMap, PositiveOrthantMap
+from mirrorcoin.geometry import BoxMirrorMap, EntropicSimplexMap, PositiveOrthantMap
 from mirrorcoin.kernels import KernelConfig, resolve_bandwidth
 from mirrorcoin.rng import substream
 from mirrorcoin.samplers import (
@@ -536,20 +536,25 @@ class TestRunLoop:
         assert projections_moved > 0
         assert rec.x_final.tobytes() == X.tobytes()
 
-    @pytest.mark.parametrize("n_iters", [0, 1, 9])
-    def test_primal_cloud_made_once_per_iteration(self, monkeypatch, n_iters):
+    @pytest.mark.parametrize("box,n_iters", [
+        pytest.param(box, n, id=f"box-{n}" if box else str(n))
+        for box in (False, True) for n in (0, 1, 9)])
+    def test_primal_cloud_made_once_per_iteration(self, monkeypatch, box, n_iters):
         # one image per settled step, plus the image of the drawn cloud's
         # dual coordinates that the first direction sees
+        target, sampler, mmap_class = (
+            (UniformBox(np.zeros(2), np.ones(2)), "coin_mied", BoxMirrorMap) if box
+            else (self.target(), "coin_msvgd", EntropicSimplexMap))
         calls = []
-        to_x = EntropicSimplexMap.dual_to_primal
-        monkeypatch.setattr(EntropicSimplexMap, "dual_to_primal",
+        to_x = mmap_class.dual_to_primal
+        monkeypatch.setattr(mmap_class, "dual_to_primal",
                             lambda self, y: calls.append(1) or to_x(self, y))
-        rec = run_sampler(target=self.target(), sampler="coin_msvgd", n_particles=6,
+        rec = run_sampler(target=target, sampler=sampler, n_particles=6,
                           n_iters=n_iters, seed=3)
         assert len(calls) == (n_iters + 1 if n_iters else 0)
         if not n_iters:
             # no step taken: the record keeps the drawn cloud
-            X0 = draw_init(InitSpec(), self.target(), 6, substream(3, "init"))
+            X0 = draw_init(InitSpec(), target, 6, substream(3, "init"))
             assert rec.x_final.tobytes() == X0.tobytes()
 
     @pytest.mark.parametrize("direction", [msvgd_direction, mksdd_direction])
@@ -624,7 +629,7 @@ class TestRunLoop:
             run_sampler(target=t, sampler="mlawgd", n_particles=4,
                         n_iters=1, seed=0,
                         stepper=StepperConfig("fixed_lr", lr=0.1))
-        with pytest.raises(ConfigError):  # box domain has no mirror map
+        with pytest.raises(ConfigError, match="the box map has no dual score"):
             run_sampler(target=UniformBox(np.zeros(2), np.ones(2)),
                         sampler="msvgd", n_particles=4, n_iters=1, seed=0,
                         stepper=StepperConfig("fixed_lr", lr=0.1))
