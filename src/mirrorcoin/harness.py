@@ -180,7 +180,7 @@ KERNEL = {"family": (str, "imq", FAMILIES),
           "bandwidth": (lambda text: text if text == "median" else as_float(text), "median")}
 MOLLIFIER = {"kind": (str, "riesz", MOLLIFIERS), "eps": (as_float, 1e-8), "s": (as_float, None)}
 SWEEP = {"lrs": (as_floats, []), "seeds": (as_ints, []),
-         "coin_stepper": (str, "coin_adaptive", COIN_STEPPERS),
+         "coin_stepper": (str, None, COIN_STEPPERS),
          "metric": (str, "energy", ("energy", "ksd"))}
 
 
@@ -243,7 +243,7 @@ def build_plan(raw: dict) -> RunPlan:
     problems: list = []
     r = _Reader(raw, problems)
 
-    seed = r.at_least(r.get("seed", as_int, 0), "seed", 0)
+    seed = r.get("seed", as_int, 0)
     sampler = r.get("sampler.kind", default=REQUIRED, choices=SAMPLERS)
     n_particles = r.get("sampler.n_particles", as_int, REQUIRED)
     n_iters = r.get("sampler.n_iters", as_int, REQUIRED)
@@ -253,20 +253,14 @@ def build_plan(raw: dict) -> RunPlan:
     stepper = _build(r, "stepper", (partial(sampler_stepper, sampler), STEPPER))
     kernel = _build(r, "kernel", (KernelConfig, KERNEL))
     mollifier = _build(r, "mollifier", (MollifierConfig, MOLLIFIER))
-    spectral_terms = r.at_least(r.get("spectral.terms", as_int, 30), "spectral.terms", 1)
+    spectral_terms = r.get("spectral.terms", as_int, 30)
     # the target's domain says which init keys to read
     init = _build(r, "init", INITS[target.domain] if target is not None else None)
 
-    names_raw = r.get("metrics.names", default="")
-    metric_names = tuple(
-        n.strip() for n in names_raw.split(",") if n.strip() and n.strip() != "none"
-    )
-    for name in metric_names:
-        if name not in METRIC_NAMES:
-            problems.append(
-                f"metrics.names: unknown metric {name!r} "
-                f"(choices: {', '.join(METRIC_NAMES)})"
-            )
+    metric_names = tuple(n.strip() for n in r.get("metrics.names", default="").split(",")
+                         if n.strip() not in ("", "none"))
+    problems += [f"metrics.names: unknown metric {name!r} (choices: {', '.join(METRIC_NAMES)})"
+                 for name in metric_names if name not in METRIC_NAMES]
     gt_n = r.at_least(r.get("metrics.ground_truth_n", as_int, 1000),
                       "metrics.ground_truth_n", 1)
 
@@ -281,12 +275,11 @@ def build_plan(raw: dict) -> RunPlan:
             if "ksd" in names:
                 problems.append(f"{key}: ksd needs a mirrored sampler")
 
-    r.at_least(n_particles, "sampler.n_particles", 1)
-    r.at_least(n_iters, "sampler.n_iters", 0)
-    r.at_least(metric_every, "sampler.metric_every", 1)
     if "energy" in metric_names and target is not None and target.no_ground_truth:
         problems.append(f"energy metric unavailable ({target.no_ground_truth})")
-    problems += check_run(target, sampler, stepper, init, n_particles)
+    problems += check_run(target, sampler, stepper, init, seed=seed,
+                          n_particles=n_particles, n_iters=n_iters,
+                          metric_every=metric_every, spectral_terms=spectral_terms)
 
     if problems:
         raise ConfigError(problems)
@@ -450,7 +443,7 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     changes = []
     for seed in seeds or [raw.get("seed", "0")]:
         changes += [{"seed": str(seed), "stepper.lr": repr(float(lr))} for lr in lrs or []]
-        if twin and coin_stepper:
+        if twin:  # without sweep.coin_stepper the twin takes its default stepper
             changes.append({"seed": str(seed), "sampler.kind": twin,
                             "stepper.kind": coin_stepper, "stepper.lr": None})
     plans = []

@@ -51,7 +51,7 @@ def coin_twin(sampler: str) -> str:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    kind: str = "coin_adaptive"
+    kind: str  # no default: a sampler's is the first of its stepper_kinds
     lr: float | None = None
     guard: bool = False
 
@@ -488,40 +488,43 @@ def ksd_descent_bytes(n: int, d: int) -> int:
     return 8 * n * (10 * n + 40 * d)
 
 
+def stepper_kinds(sampler) -> tuple:
+    """The stepper kinds ``sampler`` takes, its default first: a coin
+    sampler bets (coin_adaptive or coin_kt), mla takes fixed steps, and
+    every other sampler takes rmsprop or fixed_lr."""
+    if sampler.startswith("coin_"):
+        return ("coin_adaptive", "coin_kt")
+    return ("fixed_lr",) if sampler == "mla" else ("rmsprop", "fixed_lr")
+
+
 def sampler_stepper(sampler, kind=None, lr=None, guard=False):
-    """The stepper ``sampler`` runs with: ``kind``, or by default
-    coin_adaptive for a coin sampler, fixed_lr for mla and rmsprop
-    otherwise.  None when neither ``kind`` nor a known ``sampler`` says
-    which; StepperConfig's problems raise ConfigError."""
-    if kind is None:
-        if sampler not in SAMPLERS:
-            return None
-        if sampler.startswith("coin_"):
-            kind = "coin_adaptive"
-        else:
-            kind = "fixed_lr" if sampler == "mla" else "rmsprop"
-    return StepperConfig(kind, lr=lr, guard=guard)
+    """The stepper ``sampler`` runs with: ``kind``, or by default the first
+    of its :func:`stepper_kinds`.  None when neither ``kind`` nor a known
+    ``sampler`` says which; StepperConfig's problems raise ConfigError."""
+    if kind is None and sampler not in SAMPLERS:
+        return None
+    return StepperConfig(stepper_kinds(sampler)[0] if kind is None else kind, lr=lr, guard=guard)
 
 
-def check_run(target, sampler, stepper, init, n_particles) -> list:
-    """Every reason ``sampler`` cannot run on ``target`` as configured.
-
-    An argument given as None (it failed to parse) skips the checks that
-    need it.
-    """
+def check_run(target, sampler, stepper, init, *, seed, n_particles, n_iters,
+              metric_every, spectral_terms) -> list:
+    """Every reason ``sampler`` cannot run on ``target`` as configured: the
+    integers ``seed``, ``n_particles``, ``n_iters``, ``metric_every`` and
+    ``spectral_terms`` below their bounds (named by their config keys), then
+    the sampler's own rules.  An argument given as None (it failed to parse)
+    skips the checks that need it."""
+    problems = [f"{key} must be >= {low}" for key, value, low in (
+        ("seed", seed, 0), ("sampler.n_particles", n_particles, 1),
+        ("sampler.n_iters", n_iters, 0), ("sampler.metric_every", metric_every, 1),
+        ("spectral.terms", spectral_terms, 1)) if value is not None and value < low]
     if sampler is None:
-        return []
+        return problems
     if sampler not in SAMPLERS:
-        return [f"unknown sampler {sampler!r}"]
-    problems = []
-    if stepper is not None:
-        is_coin = sampler.startswith("coin_")
-        if is_coin and stepper.kind not in COIN_STEPPERS:
-            problems.append(f"{sampler} requires a coin stepper, got {stepper.kind!r}")
-        if not is_coin and stepper.kind in COIN_STEPPERS:
-            problems.append(f"{sampler} requires a gradient stepper, got {stepper.kind!r}")
-        if sampler == "mla" and stepper.kind != "fixed_lr":
-            problems.append("mla uses a fixed step size (stepper fixed_lr)")
+        return problems + [f"unknown sampler {sampler!r}"]
+    kinds = stepper_kinds(sampler)
+    if stepper is not None and stepper.kind not in kinds:
+        problems.append(f"{sampler} takes stepper {' or '.join(kinds)}, "
+                        f"got {stepper.kind!r}")
     if target is None:
         return problems
     if sampler in MIRRORED_SAMPLERS and target.domain == "box":
@@ -577,15 +580,18 @@ def run_sampler(
     mapping the coordinates back again.  A settled cloud that is not in the
     open domain raises DomainViolation.
 
-    ``stepper`` defaults to the adaptive coin engine, so a gradient sampler
-    needs an explicit one; :func:`check_run`'s problems raise ConfigError.
+    ``stepper`` defaults to ``sampler_stepper(sampler)``, as in a config,
+    so a gradient sampler still needs an lr; :func:`check_run`'s problems
+    raise ConfigError with the messages a config gets.
 
     ``hooks`` maps metric names to callables ``(x_cloud, y_cloud) -> float``
     evaluated at iteration 0, every ``metric_every`` iterations, and at the
     final iteration.  ``y_cloud`` is None for projected samplers.
     """
-    stepper = stepper or StepperConfig()
-    problems = check_run(target, sampler, stepper, init, n_particles)
+    stepper = stepper or sampler_stepper(sampler)
+    problems = check_run(target, sampler, stepper, init, seed=seed,
+                         n_particles=n_particles, n_iters=n_iters,
+                         metric_every=metric_every, spectral_terms=spectral_terms)
     if problems:
         raise ConfigError(problems)
     hooks = hooks or {}

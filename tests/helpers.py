@@ -13,6 +13,11 @@ from mirrorcoin.samplers import hermite_features
 from mirrorcoin.targets import MirroredDensity
 
 
+# check_run's run integers, each unparsed (None), so that it checks none of them
+UNPARSED_COUNTS = dict.fromkeys(
+    ("seed", "n_particles", "n_iters", "metric_every", "spectral_terms"))
+
+
 def fd_grad(f, x, h=1e-6):
     """Central-difference gradient of a scalar function at a point."""
     x = np.asarray(x, dtype=float)

@@ -29,6 +29,7 @@ from mirrorcoin.samplers import MIRRORED_SAMPLERS, check_run, mirrored_density
 from mirrorcoin.targets import ExpOrthant, SparseDirichlet, UniformBox
 
 from helpers import (
+    UNPARSED_COUNTS,
     box_interior_points,
     box_inverse_hessian,
     box_potential,
@@ -224,6 +225,12 @@ class TestOrthantSpecifics:
         with pytest.raises(NumericalOverflow):
             m.dual_to_primal(np.array([800.0]))
 
+    def test_non_finite_dual_rejected(self):
+        # NaN compares False against the exp bound, so only the finiteness check stops it
+        for y in ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0]):
+            with pytest.raises(NumericalFailure, match="non-finite dual point"):
+                PositiveOrthantMap(2).dual_to_primal(np.array(y))
+
     def test_boundary_rejection(self):
         m = PositiveOrthantMap(2)
         for bad in [np.array([0.0, 1.0]), np.array([-1.0, 1.0])]:
@@ -413,10 +420,10 @@ class TestFactory:
         box = UniformBox(np.zeros(1), np.ones(1))
         assert isinstance(mirrored_density(box).mmap, BoxMirrorMap)
         for sampler in MIRRORED_SAMPLERS:
-            assert check_run(box, sampler, None, None, None) == [
+            assert check_run(box, sampler, None, None, **UNPARSED_COUNTS) == [
                 "the box map has no dual score; use svgd_proj or mied"], sampler
         for sampler in ("mied", "coin_mied", "svgd_proj"):
-            assert check_run(box, sampler, None, None, None) == [], sampler
+            assert check_run(box, sampler, None, None, **UNPARSED_COUNTS) == [], sampler
 
 
 @settings(max_examples=50, deadline=None)

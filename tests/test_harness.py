@@ -218,6 +218,30 @@ class TestBuildPlan:
         assert len(err.value.violations) == 1
         assert err.value.violations[0].startswith(problem)
 
+    @pytest.mark.parametrize("entry", ["build_plan", "run_sampler"])
+    @pytest.mark.parametrize("key,arg,value,message", [
+        ("sampler.n_particles", "n_particles", 0, "sampler.n_particles must be >= 1"),
+        ("sampler.n_iters", "n_iters", -1, "sampler.n_iters must be >= 0"),
+        ("sampler.metric_every", "metric_every", 0, "sampler.metric_every must be >= 1"),
+        ("spectral.terms", "spectral_terms", 0, "spectral.terms must be >= 1"),
+        ("seed", "seed", -1, "seed must be >= 0"),
+    ], ids=["n_particles", "n_iters", "metric_every", "spectral_terms", "seed"])
+    def test_run_bound_refused_by_both_entry_points(self, entry, key, arg, value, message):
+        # the spectral flow reads spectral.terms, and the hook reads metric_every
+        raw = {"target.kind": "lognormal_orthant", "target.d": "1",
+               "sampler.kind": "coin_mlawgd", "sampler.n_particles": "6",
+               "sampler.n_iters": "3"}
+        with pytest.raises(ConfigError) as err:
+            if entry == "build_plan":
+                build_plan({**raw, key: str(value)})
+            else:
+                plan = build_plan(raw)
+                run_sampler(**{"target": plan.target, "sampler": plan.sampler,
+                               "n_particles": plan.n_particles, "n_iters": plan.n_iters,
+                               "seed": plan.seed, "hooks": {"m": lambda x, y: 0.0},
+                               arg: value})
+        assert err.value.violations == [message]
+
     def test_ksd_descent_over_memory_budget_is_refused(self):
         # N=6000, d=20 would need about 2.7 GiB per direction; the plan is
         # refused before anything is allocated
@@ -541,6 +565,15 @@ class TestCli:
         assert "  - stepper: guard is only meaningful for coin_adaptive\n" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_malformed_boolean_exit_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SAMPLE_CONFIG + "stepper.guard = yes\n")
+        out = str(tmp_path / "o")
+        assert main(["sample", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == ("configuration error:\n"
+                       "  - stepper.guard: expected true or false, got 'yes'\n")
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command,argv,message", [
         ("sample", ["--seed", "abc"], "seed: expected an integer, got 'abc'"),
         ("sample", ["--n", "x"], "sampler.n_particles: expected an integer, got 'x'"),
@@ -681,9 +714,9 @@ class TestCli:
         assert "target: dimension must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "o"))
 
-    @pytest.mark.parametrize("kind,values,name", [
-        pytest.param(kind, {key: f"4,{value},1" if key == "counts" else value}, key,
-                     id=f"{kind}-{key}-{value}")
+    @pytest.mark.parametrize("kind,values,message", [
+        pytest.param(kind, {key: f"4,{value},1" if key == "counts" else value},
+                     f"{key} must be finite", id=f"{kind}-{key}-{value}")
         for value in ["nan", "inf"]
         for kind, key in [
             ("sparse_dirichlet", "alpha"), ("sparse_dirichlet", "counts"),
@@ -694,17 +727,34 @@ class TestCli:
         ]
     ] + [
         # finite parameters whose derived scale overflows
-        pytest.param("uniform_box", {"lo": "-1e308", "hi": "1e308"}, "box width hi - lo",
-                     id="uniform_box-width-overflow"),
-        pytest.param("exp_orthant", {"rate": "1e-320"}, "1/rate", id="exp_orthant-rate-1e-320"),
+        pytest.param("uniform_box", {"lo": "-1e308", "hi": "1e308"},
+                     "box width hi - lo must be finite", id="uniform_box-width-overflow"),
+        pytest.param("exp_orthant", {"rate": "1e-320"}, "1/rate must be finite",
+                     id="exp_orthant-rate-1e-320"),
+    ] + [
+        # finite parameters outside the target's range
+        pytest.param(kind, values, message, id=f"{kind}-{'-'.join(values)}-out-of-range")
+        for kind, values, message in [
+            ("sparse_dirichlet", {"counts": "4"},
+             "counts must be a vector over d+1 >= 2 categories"),
+            ("quadratic_simplex", {"sigma": "0"}, "sigma must be positive"),
+            ("uniform_box", {"lo": "1", "hi": "0"},
+             "box bounds must satisfy lo < hi componentwise"),
+            ("uniform_box", {"lo": "0,0,0"},
+             "target.lo / target.hi must be scalars or length-d lists"),
+            ("exp_orthant", {"rate": "0"}, "rate must be positive"),
+            ("lognormal_orthant", {"sigma": "-1"}, "sigma must be positive"),
+            ("selective_lasso", {"q": "3", "p": "2"}, "need 1 <= q <= p"),
+        ]
     ])
-    def test_non_finite_target_parameter_exit_one(self, tmp_path, capsys, kind, values, name):
+    def test_non_finite_target_parameter_exit_one(self, tmp_path, capsys, kind, values,
+                                                  message):
         keys = {"target.kind": kind, **MINIMAL_TARGETS[kind][0],
                 **{f"target.{key}": value for key, value in values.items()}}
         cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
         out = str(tmp_path / "o")
         assert main(["ground-truth", "--config", cfg, "--out", out, "--n", "5"]) == 1
-        assert f"  - target: {name} must be finite\n" in capsys.readouterr().err
+        assert f"  - target: {message}\n" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_ground_truth_unknown_target_key_exit_one(self, tmp_path, capsys):

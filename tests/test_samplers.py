@@ -10,10 +10,13 @@ from mirrorcoin.geometry import BoxMirrorMap, EntropicSimplexMap, PositiveOrthan
 from mirrorcoin.kernels import KernelConfig, resolve_bandwidth
 from mirrorcoin.rng import substream
 from mirrorcoin.samplers import (
+    COIN_STEPPERS,
+    GRAD_STEPPERS,
     SAMPLERS,
     InitSpec,
     StepperConfig,
     _Langevin,
+    check_run,
     coin_twin,
     draw_init,
     hermite_features,
@@ -27,6 +30,7 @@ from mirrorcoin.samplers import (
     sampler_stepper,
     stein_kernel_matrix,
     stein_vstat,
+    stepper_kinds,
     svgd_direction,
 )
 from mirrorcoin.targets import (
@@ -37,7 +41,14 @@ from mirrorcoin.targets import (
     UniformBox,
 )
 
-from helpers import fd_grad, gram, hermite_kernel, rel_err, stein_kernel_grad2
+from helpers import (
+    UNPARSED_COUNTS,
+    fd_grad,
+    gram,
+    hermite_kernel,
+    rel_err,
+    stein_kernel_grad2,
+)
 
 
 def dirichlet_setup(n=6, seed=3):
@@ -92,6 +103,7 @@ class TestSteppers:
         ("coin_msvgd", "coin_adaptive"), ("coin_mied", "coin_adaptive"),
         ("mla", "fixed_lr"), ("msvgd", "rmsprop"), ("svgd_proj", "rmsprop")])
     def test_sampler_default_stepper_kind(self, sampler, kind):
+        assert stepper_kinds(sampler)[0] == kind
         lr = None if kind == "coin_adaptive" else 0.1
         assert sampler_stepper(sampler, lr=lr) == StepperConfig(kind, lr=lr)
         assert sampler_stepper(sampler, "coin_kt") == StepperConfig("coin_kt")
@@ -100,6 +112,24 @@ class TestSteppers:
         assert sampler_stepper(None) is None
         assert sampler_stepper("nuts", lr=0.1) is None
         assert sampler_stepper(None, "fixed_lr", lr=0.1) == StepperConfig("fixed_lr", lr=0.1)
+
+    def test_stepper_kinds_of_every_sampler(self):
+        # coin twins bet, mla takes fixed steps, the rest rmsprop or fixed_lr
+        for sampler in SAMPLERS:
+            assert stepper_kinds(sampler) == (
+                ("coin_adaptive", "coin_kt") if sampler.startswith("coin_")
+                else ("fixed_lr",) if sampler == "mla" else ("rmsprop", "fixed_lr")), sampler
+
+    @pytest.mark.parametrize("kind", GRAD_STEPPERS + COIN_STEPPERS)
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_refused_stepper_is_one_problem(self, sampler, kind):
+        stepper = StepperConfig(kind, lr=None if kind in COIN_STEPPERS else 0.1)
+        problems = check_run(None, sampler, stepper, None, **UNPARSED_COUNTS)
+        if kind in stepper_kinds(sampler):
+            assert problems == []
+        else:
+            assert problems == [f"{sampler} takes stepper "
+                                f"{' or '.join(stepper_kinds(sampler))}, got {kind!r}"]
 
     def test_fixed_lr_step(self):
         y = np.zeros((2, 2))
@@ -504,7 +534,7 @@ class TestRunLoop:
         if sampler == "mla":
             engine = _Langevin(stepper.lr, substream(4, "mla_noise"))
         else:
-            engine = make_stepper(stepper or StepperConfig(), Y)
+            engine = make_stepper(stepper or sampler_stepper(sampler), Y)
         direction = {
             "msvgd": lambda y: msvgd_direction(y, md, "imq", resolve_bandwidth(KernelConfig(), y)),
             "mksdd": lambda y: mksdd_direction(y, md, "imq", resolve_bandwidth(KernelConfig(), y)),
@@ -636,9 +666,10 @@ class TestRunLoop:
         with pytest.raises(ConfigError):  # unknown sampler
             run_sampler(target=t, sampler="hmc", n_particles=4,
                         n_iters=1, seed=0)
-        with pytest.raises(ConfigError, match="gradient stepper"):  # no stepper given
-            run_sampler(target=t, sampler="msvgd", n_particles=4,
-                        n_iters=1, seed=0)
+        for sampler in ("msvgd", "mla"):  # no stepper given: the default has no lr
+            with pytest.raises(ConfigError, match="requires a positive lr"):
+                run_sampler(target=ExpOrthant(2), sampler=sampler, n_particles=4,
+                            n_iters=1, seed=0)
 
     def test_ksd_descent_over_memory_budget_is_refused(self):
         # n_iters=0 computes no direction, so a missing check fails the test
@@ -672,6 +703,19 @@ def strictly_inside(target, x):
     if target.domain == "simplex":
         return bool(np.all(x > 0.0) and np.all(x.sum(axis=1) < 1.0))
     return bool(np.all(x > 0.0))
+
+
+@pytest.mark.parametrize("sampler", [s for s in SAMPLERS if s.startswith("coin_")])
+def test_coin_sampler_without_stepper_runs_the_adaptive_coin(sampler):
+    kw = dict(target=home_target(sampler), sampler=sampler, n_particles=6, n_iters=4,
+              seed=2, hooks={"m": lambda x, y: float(x.sum())}, metric_every=2)
+    default = run_sampler(**kw)
+    explicit = run_sampler(**kw, stepper=StepperConfig("coin_adaptive"))
+    assert default.x_final.tobytes() == explicit.x_final.tobytes()
+    assert (default.y_final is None) == (explicit.y_final is None)
+    if default.y_final is not None:
+        assert default.y_final.tobytes() == explicit.y_final.tobytes()
+    assert [t[:3] for t in default.trace] == [t[:3] for t in explicit.trace]
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS)
