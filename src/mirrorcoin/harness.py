@@ -36,7 +36,6 @@ from .samplers import (
     InitSpec,
     StepperConfig,
     check_run,
-    coin_twin,
     mirrored_density,
     run_sampler,
     sampler_stepper,
@@ -180,7 +179,6 @@ KERNEL = {"family": (str, "imq", FAMILIES),
           "bandwidth": (lambda text: text if text == "median" else as_float(text), "median")}
 MOLLIFIER = {"kind": (str, "riesz", MOLLIFIERS), "eps": (as_float, 1e-8), "s": (as_float, None)}
 SWEEP = {"lrs": (as_floats, []), "seeds": (as_ints, []),
-         "coin_stepper": (str, None, COIN_STEPPERS),
          "metric": (str, "energy", ("energy", "ksd"))}
 
 
@@ -264,7 +262,7 @@ def build_plan(raw: dict) -> RunPlan:
     gt_n = r.at_least(r.get("metrics.ground_truth_n", as_int, 1000),
                       "metrics.ground_truth_n", 1)
 
-    # run_sweep reads the grid and the coin stepper; they are checked here
+    # run_sweep reads the grid; it is checked here
     sweep_metric = (_build(r, "sweep", (dict, SWEEP)) or {}).get("metric")
 
     r.leftover_check()
@@ -418,34 +416,29 @@ def _pooled_sweep_job(plan: RunPlan):
 def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     problems = []
     r = _Reader(raw, problems)
-    lrs, seeds, coin_stepper = (r.get(f"sweep.{key}", *SWEEP[key])
-                                for key in ("lrs", "seeds", "coin_stepper"))
+    lrs, seeds = (r.get(f"sweep.{key}", *SWEEP[key]) for key in ("lrs", "seeds"))
     if lrs == []:
         problems.append("sweep needs sweep.lrs in the config or --lrs")
     if seeds == []:
         problems.append("sweep needs sweep.seeds in the config or --seeds")
+    # a sweep runs a gradient sampler beside its coin twin, coin_<sampler>; a
+    # sampler without one ends the checks, as the grid's lr would be refused too
     sampler = raw.get("sampler.kind")
-    twin = None
-    if sampler in SAMPLERS:  # build_plan reports a missing or unknown one
-        if sampler.startswith("coin_"):
-            problems.append("sweep wants the gradient sampler; its coin twin "
-                            "runs automatically")
-        else:
-            try:
-                twin = coin_twin(sampler)
-            except ConfigError as exc:
-                problems.extend(exc.violations)
+    swept = [s for s in SAMPLERS if "coin_" + s in SAMPLERS]
+    if sampler in SAMPLERS and sampler not in swept:  # build_plan reports the rest
+        raise ConfigError(problems + [f"sweep takes a sampler with a coin twin "
+                                      f"({', '.join(swept)}), got {sampler!r}"])
 
-    # Every job (each lr per seed, then the coin twin) is planned, and so
-    # checked, before any job runs.  Without seeds the config's own seed
-    # stands in, so the rest of the config is still checked.  A change to
-    # None drops the key.
+    # Every job (each lr per seed, then the coin twin with its default
+    # stepper) is planned, and so checked, before any job runs.  Without
+    # seeds the config's own seed stands in, so the rest of the config is
+    # still checked.  A change to None drops the key.
     changes = []
     for seed in seeds or [raw.get("seed", "0")]:
         changes += [{"seed": str(seed), "stepper.lr": repr(float(lr))} for lr in lrs or []]
-        if twin:  # without sweep.coin_stepper the twin takes its default stepper
-            changes.append({"seed": str(seed), "sampler.kind": twin,
-                            "stepper.kind": coin_stepper, "stepper.lr": None})
+        if sampler in swept:
+            changes.append({"seed": str(seed), "sampler.kind": "coin_" + sampler,
+                            "stepper.kind": None, "stepper.lr": None})
     plans = []
     for change in changes:
         job = {k: v for k, v in {**raw, **change}.items() if v is not None}

@@ -27,7 +27,7 @@ from .geometry import INTERIOR_TOL, make_map
 from .kernels import KernelConfig, pair_sum, radial_profile, resolve_bandwidth
 from .mied import MollifierConfig, mie_gradient
 from .rng import substream
-from .targets import MirroredDensity
+from .targets import LogNormalOrthant, MirroredDensity
 
 GRAD_STEPPERS = ("fixed_lr", "rmsprop")
 COIN_STEPPERS = ("coin_kt", "coin_adaptive")
@@ -36,13 +36,6 @@ MIRRORED_SAMPLERS = ("msvgd", "coin_msvgd", "mksdd", "coin_mksdd",
                      "mlawgd", "coin_mlawgd", "mla")
 PROJECTED_SAMPLERS = ("svgd_proj", "coin_svgd_proj")
 SAMPLERS = MIRRORED_SAMPLERS + PROJECTED_SAMPLERS + ("mied", "coin_mied")
-
-
-def coin_twin(sampler: str) -> str:
-    """The coin-betting twin of a gradient sampler, ``coin_<sampler>``."""
-    if "coin_" + sampler not in SAMPLERS:
-        raise ConfigError(f"sampler {sampler!r} has no coin twin")
-    return "coin_" + sampler
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +525,15 @@ def check_run(target, sampler, stepper, init, *, seed, n_particles, n_iters,
     if sampler in ("mied", "coin_mied") and target.domain != "box":
         problems.append(f"{sampler} runs on box domains only, "
                         f"not the {target.domain}; use a mirrored sampler")
-    if sampler in ("mlawgd", "coin_mlawgd") and target.d != 1:
-        problems.append("the spectral kernel flow ships only for d = 1")
+    if sampler in ("mlawgd", "coin_mlawgd"):
+        # the Hermite kernel never reads the target: the flow always aims at
+        # a standard normal dual, the dual of the standard lognormal only
+        if target.d != 1:
+            problems.append("the spectral kernel flow ships only for d = 1")
+        elif target.domain != "box" and not (isinstance(target, LogNormalOrthant)
+                                             and (target.mu, target.sigma) == (0.0, 1.0)):
+            problems.append("the spectral kernel flow aims at a standard normal dual, so it "
+                            "runs only on lognormal_orthant with mu 0 and sigma 1")
     if init is not None:
         problems += _init_problems(init, target.domain)
     if sampler in ("mksdd", "coin_mksdd") and n_particles is not None:
@@ -581,17 +581,22 @@ def run_sampler(
     open domain raises DomainViolation.
 
     ``stepper`` defaults to ``sampler_stepper(sampler)``, as in a config,
-    so a gradient sampler still needs an lr; :func:`check_run`'s problems
-    raise ConfigError with the messages a config gets.
+    so a gradient sampler still needs an lr; that default's problems and
+    :func:`check_run`'s raise one ConfigError with the messages a config gets.
 
     ``hooks`` maps metric names to callables ``(x_cloud, y_cloud) -> float``
     evaluated at iteration 0, every ``metric_every`` iterations, and at the
     final iteration.  ``y_cloud`` is None for projected samplers.
     """
-    stepper = stepper or sampler_stepper(sampler)
-    problems = check_run(target, sampler, stepper, init, seed=seed,
-                         n_particles=n_particles, n_iters=n_iters,
-                         metric_every=metric_every, spectral_terms=spectral_terms)
+    problems = []
+    if stepper is None:
+        try:
+            stepper = sampler_stepper(sampler)
+        except ConfigError as exc:
+            problems = [f"stepper: {v}" for v in exc.violations]
+    problems += check_run(target, sampler, stepper, init, seed=seed,
+                          n_particles=n_particles, n_iters=n_iters,
+                          metric_every=metric_every, spectral_terms=spectral_terms)
     if problems:
         raise ConfigError(problems)
     hooks = hooks or {}

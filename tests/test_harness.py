@@ -22,7 +22,8 @@ from mirrorcoin.harness import (
     write_particles_csv,
 )
 from mirrorcoin.rng import substream
-from mirrorcoin.samplers import InitSpec, StepperConfig, run_sampler
+from mirrorcoin.metrics import ksd_vstat
+from mirrorcoin.samplers import InitSpec, StepperConfig, mirrored_density, run_sampler
 from mirrorcoin.targets import (
     ExpOrthant,
     LogNormalOrthant,
@@ -61,6 +62,10 @@ stepper.kind = rmsprop
 sweep.metric = energy
 metrics.ground_truth_n = 50
 """
+
+
+NO_TWIN = ("sweep takes a sampler with a coin twin (msvgd, mksdd, mlawgd, svgd_proj, mied), "
+           "got {!r}")
 
 
 def write_cfg(tmp_path, text, name="cfg.txt"):
@@ -241,6 +246,55 @@ class TestBuildPlan:
                                "seed": plan.seed, "hooks": {"m": lambda x, y: 0.0},
                                arg: value})
         assert err.value.violations == [message]
+
+    @pytest.mark.parametrize("entry", ["build_plan", "run_sampler"])
+    def test_default_stepper_problem_joins_the_rest(self, entry):
+        with pytest.raises(ConfigError) as err:
+            if entry == "build_plan":
+                build_plan({"target.kind": "exp_orthant", "target.d": "2",
+                            "sampler.kind": "msvgd", "sampler.n_particles": "0",
+                            "sampler.n_iters": "1"})
+            else:
+                run_sampler(target=ExpOrthant(2), sampler="msvgd", n_particles=0,
+                            n_iters=1, seed=0)
+        assert err.value.violations == ["stepper: stepper 'rmsprop' requires a positive lr",
+                                        "sampler.n_particles must be >= 1"]
+
+    @pytest.mark.parametrize("entry", ["build_plan", "run_sampler"])
+    @pytest.mark.parametrize("sampler", ["mlawgd", "coin_mlawgd"])
+    @pytest.mark.parametrize("keys,target", [
+        ({"target.kind": "exp_orthant"}, ExpOrthant(1)),
+        ({"target.kind": "lognormal_orthant", "target.mu": "2"}, LogNormalOrthant(1, mu=2.0)),
+        ({"target.kind": "sparse_dirichlet", "target.counts": "30,2"},
+         SparseDirichlet(1.0, [30.0, 2.0])),
+    ], ids=["exp_orthant", "lognormal_mu2", "dirichlet_1d"])
+    def test_spectral_flow_refused_off_the_standard_lognormal(self, entry, sampler,
+                                                              keys, target):
+        # the Hermite kernel ignores the target, so only the standard
+        # lognormal's dual is the one the flow aims at
+        lr = None if sampler.startswith("coin_") else 0.1
+        with pytest.raises(ConfigError) as err:
+            if entry == "build_plan":
+                build_plan({"target.d": "1", **keys, "sampler.kind": sampler,
+                            "sampler.n_particles": "6", "sampler.n_iters": "3",
+                            **({"stepper.lr": str(lr)} if lr else {})})
+            else:
+                run_sampler(target=target, sampler=sampler, n_particles=6, n_iters=3,
+                            seed=0, stepper=lr and StepperConfig("fixed_lr", lr=lr))
+        assert err.value.violations == [
+            "the spectral kernel flow aims at a standard normal dual, so it runs only "
+            "on lognormal_orthant with mu 0 and sigma 1"]
+
+    def test_ksd_metric_traces_ksd_vstat_of_the_dual_cloud(self):
+        plan = build_plan({"target.kind": "exp_orthant", "target.d": "2",
+                           "sampler.kind": "coin_mksdd", "sampler.n_particles": "8",
+                           "sampler.n_iters": "5", "sampler.metric_every": "2",
+                           "metrics.names": "ksd"})
+        record = harness.execute_plan(plan)
+        assert [t[:2] for t in record.trace] == [(0, "ksd"), (2, "ksd"), (4, "ksd"),
+                                                 (5, "ksd")]
+        assert record.trace[-1][2] == ksd_vstat(
+            record.y_final, mirrored_density(plan.target), plan.kernel)
 
     def test_ksd_descent_over_memory_budget_is_refused(self):
         # N=6000, d=20 would need about 2.7 GiB per direction; the plan is
@@ -497,8 +551,59 @@ class TestRunSweep:
         raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
         raw["sampler.kind"] = "coin_msvgd"
         raw["stepper.kind"] = "coin_adaptive"
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             run_sweep({**raw, "sweep.lrs": "0.1", "sweep.seeds": "0"}, str(tmp_path / "s"))
+        assert err.value.violations == [NO_TWIN.format("coin_msvgd")]
+
+    @pytest.mark.parametrize("cli", [False, True])
+    def test_sweep_rejects_mla(self, tmp_path, capsys, cli):
+        # mla has no coin twin; its grid jobs alone would plan fine
+        text = SWEEP_CONFIG.replace("msvgd", "mla").replace("rmsprop", "fixed_lr")
+        cfg, out = write_cfg(tmp_path, text), str(tmp_path / "s")
+        if cli:
+            assert main(["sweep", "--config", cfg, "--out", out,
+                         "--lrs", "0.1", "--seeds", "0", "--workers", "1"]) == 1
+            assert f"  - {NO_TWIN.format('mla')}\n" in capsys.readouterr().err
+        else:
+            with pytest.raises(ConfigError) as err:
+                run_sweep({**read_config(cfg), "sweep.lrs": "0.1", "sweep.seeds": "0"}, out)
+            assert err.value.violations == [NO_TWIN.format("mla")]
+        assert not os.path.exists(out)
+
+    def test_sweep_coin_stepper_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SWEEP_CONFIG + "sweep.coin_stepper = coin_kt\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--lrs", "0.1", "--seeds", "0", "--workers", "1"]) == 1
+        assert "unknown key 'sweep.coin_stepper'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sampler,target", [
+        ("msvgd", {"target.kind": "sparse_dirichlet", "target.counts": "3,1"}),
+        ("mksdd", {"target.kind": "exp_orthant", "target.d": "2"}),
+        ("mlawgd", {"target.kind": "lognormal_orthant", "target.d": "1"}),
+        ("svgd_proj", {"target.kind": "sparse_dirichlet", "target.counts": "3,1"}),
+        ("mied", {"target.kind": "uniform_box", "target.d": "2"}),
+    ])
+    def test_coin_twin_is_coin_prefixed_with_its_default_stepper(
+            self, tmp_path, monkeypatch, sampler, target):
+        # the jobs are planned as they would run; none is run
+        steppers = []
+        monkeypatch.setattr(harness, "_sweep_job",
+                            lambda plan: steppers.append(plan.stepper) or 0.0)
+        raw = {"sampler.kind": sampler, "sampler.n_particles": "4", "sampler.n_iters": "1",
+               "stepper.kind": "fixed_lr", **target, "sweep.lrs": "0.1",
+               "sweep.seeds": "0,1"}
+        rows = run_sweep(raw, str(tmp_path / "s"), max_workers=1)
+        assert [r[:3] for r in rows] == [(sampler, 0.1, 0), ("coin_" + sampler, None, 0),
+                                         (sampler, 0.1, 1), ("coin_" + sampler, None, 1)]
+        assert steppers[1] == steppers[3] == StepperConfig("coin_adaptive")
+
+    def test_ksd_sweep_rows_are_finite(self, tmp_path):
+        raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG.replace(
+            "sweep.metric = energy", "sweep.metric = ksd")))
+        rows = run_sweep({**raw, "sweep.lrs": "0.01,0.1", "sweep.seeds": "0"},
+                         str(tmp_path / "s"), max_workers=1)
+        assert [r[0] for r in rows] == ["msvgd", "msvgd", "coin_msvgd"]
+        assert all(np.isfinite(r[3]) for r in rows)
 
     @pytest.mark.parametrize("asked,pool", [(5000, 3), (2, 2), (1, None), (0, None)])
     def test_pool_capped_at_job_count(self, tmp_path, monkeypatch, asked, pool):

@@ -17,7 +17,6 @@ from mirrorcoin.samplers import (
     StepperConfig,
     _Langevin,
     check_run,
-    coin_twin,
     draw_init,
     hermite_features,
     make_stepper,
@@ -472,12 +471,6 @@ class TestHermite:
 class TestRunLoop:
     def target(self):
         return SparseDirichlet(alpha=0.5, counts=np.array([6.0, 3.0, 1.0]))
-
-    def test_coin_twin_names(self):
-        assert coin_twin("msvgd") == "coin_msvgd"
-        assert coin_twin("svgd_proj") == "coin_svgd_proj"
-        with pytest.raises(ConfigError):
-            coin_twin("mla")
 
     def test_deterministic_repeat(self):
         kw = dict(target=self.target(), sampler="coin_msvgd", n_particles=8,

@@ -105,6 +105,28 @@ class TestSparseDirichlet:
             SparseDirichlet(1.0, [-1.0, 2.0])
 
 
+# one input per constructor refusal, with the message it raises
+_X, _Y = np.ones((4, 3)), np.ones(4)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: QuadraticSimplex(np.ones((2, 3)), 1.0), "A must be square"),
+    (lambda: QuadraticSimplex(np.ones(3), 1.0), "A must be square"),
+    (lambda: QuadraticSimplex(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0), "A must be symmetric"),
+    (lambda: SelectiveLasso(_X, np.ones(5), 1.0, [0], [1.0]), "X must be (n, p) and y (n,)"),
+    (lambda: SelectiveLasso(np.ones(4), _Y, 1.0, [0], [1.0]), "X must be (n, p) and y (n,)"),
+    (lambda: SelectiveLasso(_X, _Y, 1.0, [], []),
+     "active set and signs must be nonempty and aligned"),
+    (lambda: SelectiveLasso(_X, _Y, 1.0, [0, 1], [1.0]),
+     "active set and signs must be nonempty and aligned"),
+], ids=["quadratic_non_square", "quadratic_not_2d", "quadratic_asymmetric",
+        "lasso_y_length", "lasso_x_not_2d", "lasso_empty_active", "lasso_misaligned_signs"])
+def test_constructor_refusals(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 class TestQuadraticSimplex:
     def test_random_instance_normalization(self):
         rng = np.random.default_rng(4)
