@@ -22,9 +22,13 @@ and since sum(x) + r = 1 wherever sigma = 1 its inverse is
 A(x) = diag(x) - sigma x x^T.  Each of these d x d matrices is a diagonal
 plus a rank-one term, so the map applies it to a vector and never stores
 it.  The two maps differ only in their inverse gradient, ``dual_to_primal``.
-``potential`` is defined up to a constant: on the simplex it is the negative
-entropy minus 1.  Only its gradient, ``primal_to_dual``, is used or checked
-(acceptance criterion 01).
+Only the gradient of phi, ``primal_to_dual``, is computed; the tests check it
+against phi itself (acceptance criterion 01).
+
+Only the entry points check that a primal cloud is in the open domain
+(DomainViolation): ``primal_to_dual``, ``assert_interior``, the run loop
+(:func:`mirrorcoin.samplers.run_sampler`), and the calls that map a dual
+cloud back themselves.  Every other map method trusts its ``x``.
 
 All operations act on the last axis of their inputs and broadcast over any
 leading axes.  They are pure functions of their arguments: no instance state
@@ -74,7 +78,7 @@ class _OpenDomain:
 class _MirrorMap(_OpenDomain):
     """The map algebra, written once in ``sigma`` and the remainder
     ``_rest(x)``; each map defines those two, ``domain`` and
-    ``dual_to_primal``."""
+    ``dual_to_primal``.  The Hessian algebra trusts its ``x``."""
 
     sigma: float
 
@@ -87,13 +91,7 @@ class _MirrorMap(_OpenDomain):
         return (x.min() > INTERIOR_TOL and x.max() < np.inf
                 and self._rest(x).min() > INTERIOR_TOL)
 
-    # -- potential and forward map ----------------------------------------
-
-    def potential(self, x: np.ndarray) -> np.ndarray:
-        """phi(x) = sum_k (x_k log x_k - x_k) + sigma (r log r - r)."""
-        x = self.assert_interior(x)
-        rest = self._rest(x)
-        return (x * np.log(x) - x).sum(axis=-1) + self.sigma * (rest * np.log(rest) - rest)
+    # -- forward map --------------------------------------------------------
 
     def primal_to_dual(self, x: np.ndarray) -> np.ndarray:
         """grad phi: y_k = log x_k - sigma log r."""
@@ -104,11 +102,9 @@ class _MirrorMap(_OpenDomain):
 
     def log_det_hessian(self, x: np.ndarray) -> np.ndarray:
         """log det grad^2 phi(x) = -sum_k log x_k - sigma log r."""
-        x = self.assert_interior(x)
         return -np.log(x).sum(axis=-1) - self.sigma * np.log(self._rest(x))
 
     def grad_log_det_hessian(self, x: np.ndarray) -> np.ndarray:
-        x = self.assert_interior(x)
         return -1.0 / x + (self.sigma / self._rest(x))[..., None]
 
     # The rank-one terms of the applies are zero where sigma = 0, and their
@@ -116,25 +112,14 @@ class _MirrorMap(_OpenDomain):
 
     def hess_log_det_hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """grad^2 log det grad^2 phi(x) v = v / x^2 + sigma (sum v) / r^2."""
-        x = self.assert_interior(x)
         v = np.asarray(v, dtype=float)
         out = v / x**2
         if self.sigma:
             out = out + (self.sigma * v.sum(axis=-1) / self._rest(x)**2)[..., None]
         return out
 
-    def hessian_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """grad^2 phi(x) v = v / x + sigma (sum v) / r."""
-        x = self.assert_interior(x)
-        v = np.asarray(v, dtype=float)
-        out = v / x
-        if self.sigma:
-            out = out + (self.sigma * v.sum(axis=-1) / self._rest(x))[..., None]
-        return out
-
     def hessian_inverse_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A(x) v = x v - sigma (x . v) x  (Sherman-Morrison)."""
-        x = self.assert_interior(x)
         out = x * np.asarray(v, dtype=float)
         if self.sigma:
             out = out - self.sigma * out.sum(axis=-1, keepdims=True) * x
@@ -147,7 +132,6 @@ class _MirrorMap(_OpenDomain):
         dA/dx_m = E_mm - sigma (e_m x^T + x e_m^T), so
         g_m = M_mm - sigma ((M x)_m + (M^T x)_m).
         """
-        self.assert_interior(x)
         return np.asarray(diag, dtype=float) - self.sigma * (mx + mtx)
 
 
@@ -238,7 +222,6 @@ class BoxMirrorMap(_OpenDomain):
 
     def hessian_inverse_apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """A(x) v = (x - lo)(hi - x) v / half."""
-        x = self.assert_interior(x)
         return (x - self.lo) * (self.hi - x) / self.half * np.asarray(v, dtype=float)
 
 

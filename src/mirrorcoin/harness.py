@@ -431,8 +431,9 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
 
     # Every job (each lr per seed, then the coin twin with its default
     # stepper) is planned, and so checked, before any job runs.  Without
-    # seeds the config's own seed stands in, so the rest of the config is
-    # still checked.  A change to None drops the key.
+    # seeds the config's own seed stands in, and without a job the config as
+    # given, so the rest of the config is still checked.  A change to None
+    # drops the key.
     changes = []
     for seed in seeds or [raw.get("seed", "0")]:
         changes += [{"seed": str(seed), "stepper.lr": repr(float(lr))} for lr in lrs or []]
@@ -440,7 +441,7 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
             changes.append({"seed": str(seed), "sampler.kind": "coin_" + sampler,
                             "stepper.kind": None, "stepper.lr": None})
     plans = []
-    for change in changes:
+    for change in changes or [{}]:
         job = {k: v for k, v in {**raw, **change}.items() if v is not None}
         try:
             plans.append(build_plan(job))

@@ -93,12 +93,6 @@ def _interaction_terms(x: np.ndarray, target, config: MollifierConfig):
     return e, c, k, zero, np.exp(b - bmax), log_peak + 2.0 * bmax
 
 
-def mie_log_energy(x: np.ndarray, target, config: MollifierConfig) -> float:
-    """log E = log S + shift - 2 log N, with S = a^T e a >= sum a_i^2 >= 1."""
-    e, _, _, _, a, shift = _interaction_terms(x, target, config)
-    return float(np.log(a @ (e @ a)) + shift - 2.0 * np.log(x.shape[0]))
-
-
 def mie_gradient(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
     """grad of log E in every particle.
 

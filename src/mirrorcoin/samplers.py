@@ -217,12 +217,12 @@ def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
     with s the dual score; the kernel gradient chains one inverse mirror
     Hessian onto the base-kernel gradient at the primal images, so the
     repulsion sum_j 2 f1[j, i] A_j (x_j - x_i) is f1^T (A x) minus
-    sum_j f1[j, i] A_j x_i.  ``X`` is the primal image of ``Y`` when the
-    caller has it already; None maps ``Y`` back.
+    sum_j f1[j, i] A_j x_i.  ``X`` is the checked primal image of ``Y``
+    when the caller has it; None maps ``Y`` back and checks the image.
     """
     mmap = md.mmap
     if X is None:
-        X = mmap.dual_to_primal(Y)
+        X = mmap.assert_interior(mmap.dual_to_primal(Y))
     S = md.dual_score_from_primal(X)
     f, f1 = radial_profile(family, cdist(X, X, "sqeuclidean"), h, order=1)
     repulse = f1.T @ mmap.hessian_inverse_apply(X, X) - _pair_apply(f1, X, X, mmap.sigma)
@@ -251,7 +251,7 @@ def svgd_direction(X: np.ndarray, target, family: str, h: float) -> np.ndarray:
 # vector minus sigma times a product weighted by c (X V^T) (see _pair_apply).
 # So nothing larger than N x N or N x d is held, and the cost is O(N^2 d);
 # the N x N temporaries are updated in place to keep the peak low.  X, when
-# given, is the primal image of Y.
+# given, is the checked primal image of Y; None maps Y back and checks it.
 
 
 def _rowdot(a, b):
@@ -263,7 +263,7 @@ def _stein_context(Y, md, family, h, X=None):
     mmap = md.mmap
     sigma = mmap.sigma
     if X is None:
-        X = mmap.dual_to_primal(Y)
+        X = mmap.assert_interior(mmap.dual_to_primal(Y))
     q = md.score_shift(X)                          # (N,d)
     S = mmap.hessian_inverse_apply(X, q)          # dual scores
     U = mmap.hessian_inverse_apply(X, X)
@@ -340,8 +340,8 @@ def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
     inverse mirror Hessian enter via the map's Frobenius contraction, which
     is linear and so is applied once to M_i = sum_j M[j, i], given as
     diag(M_i), M_i x_i and M_i^T x_i; the dual-score Jacobian enters via
-    the score-shift Jacobian.  ``X`` is the primal image of ``Y`` when the
-    caller has it already; None maps ``Y`` back.
+    the score-shift Jacobian.  ``X`` is the checked primal image of ``Y``
+    when the caller has it; None maps ``Y`` back and checks the image.
     """
     mmap = md.mmap
     sigma = mmap.sigma
@@ -577,8 +577,9 @@ def run_sampler(
 
     Each iteration settles the stepped coordinates into a primal cloud
     ``X`` once, and the direction takes that settled ``X`` rather than
-    mapping the coordinates back again.  A settled cloud that is not in the
-    open domain raises DomainViolation.
+    mapping the coordinates back again.  Each settled cloud, the first image
+    of the drawn cloud's dual coordinates included, is checked once before a
+    direction reads it; one outside the open domain raises DomainViolation.
 
     ``stepper`` defaults to ``sampler_stepper(sampler)``, as in a config,
     so a gradient sampler still needs an lr; that default's problems and
@@ -654,17 +655,22 @@ def run_sampler(
             for name, fn in hooks.items():
                 record.trace.append((it, name, float(fn(x, None if projected else z)), ms))
 
+    def checked(z, it):
+        # the loop's interior check; the directions trust the X it passes
+        z, x = settle(z)
+        if not inside(x):
+            raise DomainViolation(
+                f"{sampler}: particle left the open domain at iteration {it}"
+            )
+        return z, x
+
     observe(0, X, Z)
     if not projected and n_iters:
         # the drawn cloud and the primal image of its dual coordinates differ
         # in rounding; the first direction sees the image, as all later ones do
-        X = mmap.dual_to_primal(Z)
+        Z, X = checked(Z, 0)
     for it in range(1, n_iters + 1):
-        Z, X = settle(engine.step(Z, direction(Z, X)))
-        if not inside(X):
-            raise DomainViolation(
-                f"{sampler}: particle left the open domain at iteration {it}"
-            )
+        Z, X = checked(engine.step(Z, direction(Z, X)), it)
         observe(it, X, Z)
 
     record.x_final = X

@@ -73,11 +73,6 @@ class SparseDirichlet:
                              f"({len(counts)}), got {len(alpha)}")
         return cls(alpha=alpha, counts=counts)
 
-    def posterior_mean(self) -> np.ndarray:
-        """Exact posterior mean of the free coordinates."""
-        w = self.counts + self.alpha
-        return (w / w.sum())[: self.d]
-
     def log_density(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         rest = 1.0 - x.sum(axis=-1)
@@ -460,10 +455,8 @@ class MirroredDensity:
     def dual_score_from_primal(self, x: np.ndarray) -> np.ndarray:
         return self.mmap.hessian_inverse_apply(x, self.score_shift(x))
 
-    def dual_score(self, y: np.ndarray) -> np.ndarray:
-        return self.dual_score_from_primal(self.mmap.dual_to_primal(y))
-
     def dual_potential(self, y: np.ndarray) -> np.ndarray:
-        """W(y) = -log pi(x) + log det grad^2 phi(x); dual score is -grad W."""
-        x = self.mmap.dual_to_primal(y)
+        """W(y) = -log pi(x) + log det grad^2 phi(x); dual score is -grad W.
+        Checks the image x (DomainViolation)."""
+        x = self.mmap.assert_interior(self.mmap.dual_to_primal(y))
         return -self.target.log_density(x) + self.mmap.log_det_hessian(x)

@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
 from mirrorcoin.kernels import radial_profile
-from mirrorcoin.mied import MollifierConfig
+from mirrorcoin.mied import MollifierConfig, _interaction_terms
 from mirrorcoin.samplers import hermite_features
 from mirrorcoin.targets import MirroredDensity
 
@@ -74,8 +74,24 @@ def box_interior_points(n, lo, hi, rng, margin=0.05):
 
 
 # ---------------------------------------------------------------------------
-# the box's mirror map, which defines neither its potential nor a dense
-# inverse Hessian
+# oracles of what no command computes: the maps' potentials and Hessians,
+# whose gradients and inverses the library applies, a dual score at dual
+# points, the MIED log energy and the sparse Dirichlet's posterior mean
+
+
+def sigma_potential(mmap, x):
+    """phi(x) = sum_k (x_k log x_k - x_k) + sigma (r log r - r) of a map of
+    the sigma algebra, r = 1 - sigma sum(x); defined up to a constant: on the
+    simplex it is the negative entropy minus 1."""
+    rest = 1.0 - mmap.sigma * x.sum(axis=-1)
+    return (x * np.log(x) - x).sum(axis=-1) + mmap.sigma * (rest * np.log(rest) - rest)
+
+
+def hessian_apply(mmap, x, v):
+    """grad^2 phi(x) v = v / x + sigma (sum v) / r of a map of the sigma algebra."""
+    v = np.asarray(v, dtype=float)
+    rest = 1.0 - mmap.sigma * x.sum(axis=-1)
+    return v / x + (mmap.sigma * v.sum(axis=-1) / rest)[..., None]
 
 
 def box_potential(lo, hi, x):
@@ -88,6 +104,23 @@ def box_inverse_hessian(lo, hi, x):
     """Dense inverse (d, d) of phi's Hessian diag(1 / (2 (x - lo)) + 1 / (2 (hi - x)))."""
     h = 0.5 / (x - lo) + 0.5 / (hi - x)
     return np.linalg.inv(np.diag(h))
+
+
+def dual_score(md: MirroredDensity, y):
+    """The dual score at dual points y, read at their primal images."""
+    return md.dual_score_from_primal(md.mmap.dual_to_primal(y))
+
+
+def mie_log_energy(x, target, config: MollifierConfig) -> float:
+    """log E = log S + shift - 2 log N, with S = a^T e a >= sum a_i^2 >= 1."""
+    e, _, _, _, a, shift = _interaction_terms(x, target, config)
+    return float(np.log(a @ (e @ a)) + shift - 2.0 * np.log(x.shape[0]))
+
+
+def posterior_mean(target):
+    """Exact posterior mean of a SparseDirichlet's free coordinates."""
+    w = target.counts + target.alpha
+    return (w / w.sum())[: target.d]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ The forward map is validated as the gradient of the explicit potential, the
 Hessian algebra (apply / inverse-apply / log-determinant and its derivatives)
 against finite-difference Jacobians of the forward map, and the
 inverse-Hessian derivative contraction against finite differences of the
-dense inverse Hessian, built from its formula in ``helpers``.  The box map,
-which has only the two maps and the inverse Hessian, is checked against the
-potential and the dense inverse Hessian that ``helpers`` writes for it.
+dense inverse Hessian; the potential, the Hessian apply and the dense
+inverse Hessian are oracles in ``helpers``.  The box map, which has only the
+two maps and the inverse Hessian, is checked against the potential and the
+dense inverse Hessian that ``helpers`` writes for it.  The interior checks
+are pinned at the entry points that make them.
 """
 
 import warnings
@@ -25,7 +27,15 @@ from mirrorcoin.geometry import (
     PositiveOrthantMap,
     make_map,
 )
-from mirrorcoin.samplers import MIRRORED_SAMPLERS, check_run, mirrored_density
+from mirrorcoin.kernels import KernelConfig
+from mirrorcoin.metrics import ksd_vstat
+from mirrorcoin.samplers import (
+    MIRRORED_SAMPLERS,
+    check_run,
+    mirrored_density,
+    mksdd_direction,
+    msvgd_direction,
+)
 from mirrorcoin.targets import ExpOrthant, SparseDirichlet, UniformBox
 
 from helpers import (
@@ -36,9 +46,11 @@ from helpers import (
     contract_pieces,
     fd_grad,
     fd_jacobian,
+    hessian_apply,
     inverse_hessian,
     orthant_interior_points,
     rel_err,
+    sigma_potential,
     simplex_interior_points,
 )
 
@@ -77,7 +89,7 @@ class TestClosedForms:
         rng = np.random.default_rng(2)
         for x in _points(mmap, 20, rng):
             got = mmap.primal_to_dual(x)
-            want = fd_grad(lambda z: mmap.potential(z), x, h=1e-6)
+            want = fd_grad(lambda z: sigma_potential(mmap, z), x, h=1e-6)
             assert rel_err(got, want) < 1e-5
 
     def test_hessian_apply_matches_fd_jacobian(self, mmap):
@@ -85,7 +97,7 @@ class TestClosedForms:
         for x in _points(mmap, 10, rng):
             J = fd_jacobian(lambda z: mmap.primal_to_dual(z), x, h=1e-6)
             v = rng.normal(size=mmap.d)
-            assert rel_err(mmap.hessian_apply(x, v), J @ v) < 1e-5
+            assert rel_err(hessian_apply(mmap, x, v), J @ v) < 1e-5
 
     def test_log_det_matches_fd_hessian(self, mmap):
         rng = np.random.default_rng(4)
@@ -99,11 +111,11 @@ class TestClosedForms:
         """Inverse-apply agrees with a dense solve and inverts apply."""
         rng = np.random.default_rng(5)
         for x in _points(mmap, 20, rng):
-            H = np.stack([mmap.hessian_apply(x, e) for e in np.eye(mmap.d)], axis=1)
+            H = np.stack([hessian_apply(mmap, x, e) for e in np.eye(mmap.d)], axis=1)
             v = rng.normal(size=mmap.d)
             direct = mmap.hessian_inverse_apply(x, v)
             assert np.max(np.abs(direct - np.linalg.solve(H, v))) < 1e-9
-            assert np.max(np.abs(mmap.hessian_apply(x, direct) - v)) < 1e-9
+            assert np.max(np.abs(hessian_apply(mmap, x, direct) - v)) < 1e-9
 
     def test_inverse_hessian_dense(self, mmap):
         """Inverse-apply agrees with the dense oracle the einsum references use."""
@@ -140,10 +152,10 @@ class TestClosedForms:
 
     def test_inverse_hessian_structure(self, mmap):
         """The dense oracle diag(x) - sigma x x^T inverts the Hessian that
-        ``hessian_apply`` applies."""
+        the ``hessian_apply`` oracle applies."""
         rng = np.random.default_rng(11)
         for x in _points(mmap, 6, rng):
-            H = np.stack([mmap.hessian_apply(x, e) for e in np.eye(mmap.d)], axis=1)
+            H = np.stack([hessian_apply(mmap, x, e) for e in np.eye(mmap.d)], axis=1)
             assert rel_err(inverse_hessian(mmap, x) @ H, np.eye(mmap.d)) < 1e-12
 
     def test_batched_matches_pointwise(self, mmap):
@@ -286,21 +298,25 @@ class TestBoxMap:
         assert np.array_equal(BOX.primal_to_dual(x)[3], BOX.primal_to_dual(x[3]))
 
 
-# Every map method that takes a primal point checks it; the further
-# arguments of the methods that take them have the shape of x.  The Hessian
-# of the log-determinant is checked through its apply.
+# The entry points that check a primal cloud; every other map method trusts
+# its x (the run loop's checks are pinned in test_samplers).
 CHECKED = {
-    "potential": lambda m, x: m.potential(x),
     "primal_to_dual": lambda m, x: m.primal_to_dual(x),
+    "assert_interior": lambda m, x: m.assert_interior(x),
+}
+
+# The map methods that trust their x; the further arguments of the methods
+# that take them have the shape of x.  The Hessian of the log-determinant is
+# reached through its apply.
+TRUSTED = {
     "log_det_hessian": lambda m, x: m.log_det_hessian(x),
     "grad_log_det_hessian": lambda m, x: m.grad_log_det_hessian(x),
     "hess_log_det_hessian": lambda m, x: m.hess_log_det_hessian_apply(x, np.ones_like(x)),
-    "hessian_apply": lambda m, x: m.hessian_apply(x, np.ones_like(x)),
     "hessian_inverse_apply": lambda m, x: m.hessian_inverse_apply(x, np.ones_like(x)),
     "d_inv_hessian_contract": lambda m, x: m.d_inv_hessian_contract(
         x, np.ones_like(x), np.ones_like(x), np.ones_like(x)),
-    "assert_interior": lambda m, x: m.assert_interior(x),
 }
+MAP_METHODS = {**CHECKED, **TRUSTED}
 
 OUTSIDE = "point on or outside the open {domain} (margin 1e-12)"
 NON_FINITE = "non-finite primal point"
@@ -338,10 +354,10 @@ def test_inside_fails_on_every_bad_point(mmap, bad, message):
     assert not mmap.inside(x)
 
 
-# The box map's methods that take a primal point, and bad rows of a cloud in
+# The box map's entry points, and bad rows of a cloud in
 # the box [0, 1] x [-2, 2]: 1e-13 inside each face is inside the margin
 SQUARE = BoxMirrorMap(np.array([0.0, -2.0]), np.array([1.0, 2.0]))
-BOX_CHECKED = ("primal_to_dual", "hessian_inverse_apply", "assert_interior")
+BOX_CHECKED = ("primal_to_dual", "assert_interior")
 BOX_BAD_POINTS = [
     ([1e-13, 0.25], OUTSIDE),
     ([1.0 - 1e-13, 0.25], OUTSIDE),
@@ -372,10 +388,10 @@ def test_box_map_accepts_points_just_past_its_margin():
     assert np.all(np.isfinite(SQUARE.primal_to_dual(x)))
 
 
-@pytest.mark.parametrize("method", sorted(CHECKED))
 class TestInteriorChecks:
-    """The same DomainViolation, message included, from every checked method."""
+    """The same DomainViolation, message included, from every entry point."""
 
+    @pytest.mark.parametrize("method", sorted(CHECKED))
     @pytest.mark.parametrize("mmap,bad,message", BAD_POINTS, ids=_bad_point_id)
     def test_bad_point_in_cloud(self, method, mmap, bad, message):
         x = np.full((3, 2), 0.25)
@@ -384,6 +400,7 @@ class TestInteriorChecks:
             CHECKED[method](mmap, x)
         assert str(info.value) == message.format(domain=mmap.domain)
 
+    @pytest.mark.parametrize("method", sorted(CHECKED))
     @pytest.mark.parametrize("mmap", [EntropicSimplexMap(3), PositiveOrthantMap(3)],
                              ids=["simplex", "orthant"])
     @pytest.mark.parametrize("shape", [(2,), (4, 4)])
@@ -392,12 +409,36 @@ class TestInteriorChecks:
             CHECKED[method](mmap, np.full(shape, 0.1))
         assert str(info.value) == f"expected last axis 3, got {shape[-1]}"
 
+    @pytest.mark.parametrize("method", sorted(MAP_METHODS))
     @pytest.mark.parametrize("mmap", [EntropicSimplexMap(2), PositiveOrthantMap(2)],
                              ids=["simplex", "orthant"])
     def test_interior_cloud_and_empty_cloud_pass(self, method, mmap):
-        CHECKED[method](mmap, np.full((3, 2), 0.25))
-        CHECKED[method](mmap, np.full((4, 3, 2), 0.25))
-        CHECKED[method](mmap, np.zeros((0, 2)))
+        MAP_METHODS[method](mmap, np.full((3, 2), 0.25))
+        MAP_METHODS[method](mmap, np.full((4, 3, 2), 0.25))
+        MAP_METHODS[method](mmap, np.zeros((0, 2)))
+
+
+# Each call that maps a dual cloud back checks its image: the dual
+# row [-800, 0] maps to a first coordinate that underflows to 0 on both maps
+DUAL_CHECKED = {
+    "msvgd_direction": lambda y, md: msvgd_direction(y, md, "imq", 1.0),
+    "mksdd_direction": lambda y, md: mksdd_direction(y, md, "imq", 1.0),
+    "ksd_vstat": lambda y, md: ksd_vstat(y, md, KernelConfig()),
+    "dual_potential": lambda y, md: md.dual_potential(y),
+}
+
+
+@pytest.mark.parametrize("call", sorted(DUAL_CHECKED))
+@pytest.mark.parametrize("target", [SparseDirichlet(1.0, np.ones(3)), ExpOrthant(2)],
+                         ids=["simplex", "orthant"])
+def test_dual_cloud_whose_image_leaves_the_domain(call, target):
+    md = mirrored_density(target)
+    y = np.zeros((3, 2))
+    y[1] = [-800.0, 0.0]
+    assert not md.mmap.inside(md.mmap.dual_to_primal(y))
+    with pytest.raises(DomainViolation) as info:
+        DUAL_CHECKED[call](y, md)
+    assert str(info.value) == OUTSIDE.format(domain=target.domain)
 
 
 class TestFactory:

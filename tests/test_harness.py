@@ -576,6 +576,18 @@ class TestRunSweep:
                      "--lrs", "0.1", "--seeds", "0", "--workers", "1"]) == 1
         assert "unknown key 'sweep.coin_stepper'" in capsys.readouterr().err
 
+    def test_sweep_without_a_grid_reports_every_problem(self, tmp_path, capsys):
+        # no lr and no coin twin plans no job, so the config is planned as given
+        cfg = write_cfg(tmp_path, SWEEP_CONFIG.replace("msvgd", "hmc") + "bogus.key = 1\n")
+        out = str(tmp_path / "s")
+        assert main(["sweep", "--config", cfg, "--out", out, "--seeds", "0"]) == 1
+        err = capsys.readouterr().err
+        for message in ("sweep needs sweep.lrs in the config or --lrs",
+                        "sampler.kind: expected one of", "got 'hmc'",
+                        "unknown key 'bogus.key'"):
+            assert message in err, message
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("sampler,target", [
         ("msvgd", {"target.kind": "sparse_dirichlet", "target.counts": "3,1"}),
         ("mksdd", {"target.kind": "exp_orthant", "target.d": "2"}),

@@ -10,13 +10,12 @@ from mirrorcoin.mied import (
     MollifierConfig,
     _interaction_terms,
     mie_gradient,
-    mie_log_energy,
 )
 from mirrorcoin.geometry import BoxMirrorMap
 from mirrorcoin.samplers import StepperConfig, mirrored_density, run_sampler
 from mirrorcoin.targets import ExpOrthant, SparseDirichlet, UniformBox
 
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, mie_log_energy, rel_err
 
 
 class TestMollifierConfig:

@@ -42,6 +42,7 @@ from mirrorcoin.targets import (
 
 from helpers import (
     UNPARSED_COUNTS,
+    dual_score,
     fd_grad,
     gram,
     hermite_kernel,
@@ -335,8 +336,8 @@ def stein_kernel_fd_reference(md, family, h, yj, yi):
         return gram(family, h, mmap.dual_to_primal(a[None]),
                     mmap.dual_to_primal(b[None]))[0, 0]
 
-    sj = md.dual_score(yj[None])[0]
-    si = md.dual_score(yi[None])[0]
+    sj = dual_score(md, yj[None])[0]
+    si = dual_score(md, yi[None])[0]
     k = kfun(yj, yi)
     gj = fd_grad(lambda u: kfun(u, yi), yj, h=1e-5)
     gi = fd_grad(lambda u: kfun(yj, u), yi, h=1e-5)
@@ -531,7 +532,7 @@ class TestRunLoop:
         direction = {
             "msvgd": lambda y: msvgd_direction(y, md, "imq", resolve_bandwidth(KernelConfig(), y)),
             "mksdd": lambda y: mksdd_direction(y, md, "imq", resolve_bandwidth(KernelConfig(), y)),
-            "mla": md.dual_score,
+            "mla": lambda y: dual_score(md, y),
         }[sampler.removeprefix("coin_")]
         for _ in range(6):
             Y = engine.step(Y, direction(Y))
@@ -579,6 +580,52 @@ class TestRunLoop:
             # no step taken: the record keeps the drawn cloud
             X0 = draw_init(InitSpec(), target, 6, substream(3, "init"))
             assert rec.x_final.tobytes() == X0.tobytes()
+
+    # a mirrored and a MIED run of each direction kind, with the map's class
+    CHECKED_RUNS = {
+        "msvgd": (lambda: SparseDirichlet(alpha=0.5, counts=np.array([6.0, 3.0, 1.0])),
+                  StepperConfig("rmsprop", lr=1e-2), EntropicSimplexMap, "msvgd_direction"),
+        "coin_mksdd": (lambda: ExpOrthant(2, rate=1.0), None, PositiveOrthantMap,
+                       "mksdd_direction"),
+        "coin_mied": (lambda: UniformBox(np.zeros(2), np.ones(2)), None, BoxMirrorMap,
+                      "mie_gradient"),
+    }
+
+    @pytest.mark.parametrize("n_iters", [1, 5])
+    @pytest.mark.parametrize("sampler", sorted(CHECKED_RUNS))
+    def test_one_interior_check_per_settled_cloud(self, monkeypatch, sampler, n_iters):
+        # primal_to_dual checks the drawn cloud, the loop its first image and
+        # each settled cloud; the directions trust the cloud they are given
+        make_target, stepper, mmap_class, _ = self.CHECKED_RUNS[sampler]
+        calls = []
+        inside = mmap_class.inside
+        monkeypatch.setattr(mmap_class, "inside",
+                            lambda self, x: calls.append(1) or inside(self, x))
+        run_sampler(target=make_target(), sampler=sampler, n_particles=6,
+                    n_iters=n_iters, seed=3, stepper=stepper)
+        assert len(calls) == n_iters + 2
+
+    @pytest.mark.parametrize("sampler", sorted(CHECKED_RUNS))
+    def test_first_image_outside_the_domain_raises_before_any_direction(
+            self, monkeypatch, sampler):
+        make_target, stepper, mmap_class, direction = self.CHECKED_RUNS[sampler]
+        to_x = mmap_class.dual_to_primal
+
+        def image_on_the_boundary(self, y):
+            x = to_x(self, y)
+            x[1, 0] = 0.0                  # on the boundary of all three domains
+            return x
+
+        def direction_ran(*args, **kwargs):
+            raise AssertionError("a direction ran")
+
+        monkeypatch.setattr(mmap_class, "dual_to_primal", image_on_the_boundary)
+        monkeypatch.setattr(f"mirrorcoin.samplers.{direction}", direction_ran)
+        with pytest.raises(DomainViolation) as info:
+            run_sampler(target=make_target(), sampler=sampler, n_particles=6,
+                        n_iters=3, seed=3, stepper=stepper)
+        assert str(info.value) == (
+            f"{sampler}: particle left the open domain at iteration 0")
 
     @pytest.mark.parametrize("direction", [msvgd_direction, mksdd_direction])
     @pytest.mark.parametrize("setup", [dirichlet_setup, exp_setup])
