@@ -82,13 +82,17 @@ def box_interior_points(n, lo, hi, rng, margin=0.05):
 def sigma_potential(mmap, x):
     """phi(x) = sum_k (x_k log x_k - x_k) + sigma (r log r - r) of a map of
     the sigma algebra, r = 1 - sigma sum(x); defined up to a constant: on the
-    simplex it is the negative entropy minus 1."""
+    simplex it is the negative entropy minus 1.  Like the map method it
+    stands in for, it checks its x."""
+    x = mmap.assert_interior(x)
     rest = 1.0 - mmap.sigma * x.sum(axis=-1)
     return (x * np.log(x) - x).sum(axis=-1) + mmap.sigma * (rest * np.log(rest) - rest)
 
 
 def hessian_apply(mmap, x, v):
-    """grad^2 phi(x) v = v / x + sigma (sum v) / r of a map of the sigma algebra."""
+    """grad^2 phi(x) v = v / x + sigma (sum v) / r of a map of the sigma
+    algebra; it checks its x."""
+    x = mmap.assert_interior(x)
     v = np.asarray(v, dtype=float)
     rest = 1.0 - mmap.sigma * x.sum(axis=-1)
     return v / x + (mmap.sigma * v.sum(axis=-1) / rest)[..., None]

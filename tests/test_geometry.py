@@ -316,7 +316,13 @@ TRUSTED = {
     "d_inv_hessian_contract": lambda m, x: m.d_inv_hessian_contract(
         x, np.ones_like(x), np.ones_like(x), np.ones_like(x)),
 }
-MAP_METHODS = {**CHECKED, **TRUSTED}
+# The potential and Hessian-apply oracles of ``helpers`` check their cloud
+# as the map methods they stand in for did
+CHECKED_ORACLES = {
+    "potential": lambda m, x: sigma_potential(m, x),
+    "hessian_apply": lambda m, x: hessian_apply(m, x, np.ones_like(x)),
+}
+MAP_METHODS = {**CHECKED, **CHECKED_ORACLES, **TRUSTED}
 
 OUTSIDE = "point on or outside the open {domain} (margin 1e-12)"
 NON_FINITE = "non-finite primal point"
@@ -389,24 +395,25 @@ def test_box_map_accepts_points_just_past_its_margin():
 
 
 class TestInteriorChecks:
-    """The same DomainViolation, message included, from every entry point."""
+    """The same DomainViolation, message included, from every entry point
+    and from the oracles that check their cloud."""
 
-    @pytest.mark.parametrize("method", sorted(CHECKED))
+    @pytest.mark.parametrize("method", sorted({**CHECKED, **CHECKED_ORACLES}))
     @pytest.mark.parametrize("mmap,bad,message", BAD_POINTS, ids=_bad_point_id)
     def test_bad_point_in_cloud(self, method, mmap, bad, message):
         x = np.full((3, 2), 0.25)
         x[1] = bad
         with pytest.raises(DomainViolation) as info:
-            CHECKED[method](mmap, x)
+            MAP_METHODS[method](mmap, x)
         assert str(info.value) == message.format(domain=mmap.domain)
 
-    @pytest.mark.parametrize("method", sorted(CHECKED))
+    @pytest.mark.parametrize("method", sorted({**CHECKED, **CHECKED_ORACLES}))
     @pytest.mark.parametrize("mmap", [EntropicSimplexMap(3), PositiveOrthantMap(3)],
                              ids=["simplex", "orthant"])
     @pytest.mark.parametrize("shape", [(2,), (4, 4)])
     def test_wrong_last_axis(self, method, mmap, shape):
         with pytest.raises(DomainViolation) as info:
-            CHECKED[method](mmap, np.full(shape, 0.1))
+            MAP_METHODS[method](mmap, np.full(shape, 0.1))
         assert str(info.value) == f"expected last axis 3, got {shape[-1]}"
 
     @pytest.mark.parametrize("method", sorted(MAP_METHODS))
