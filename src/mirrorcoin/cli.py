@@ -3,7 +3,7 @@
 ``--seed``, ``sample``/``sweep``'s ``--n``, ``--lrs`` and ``--seeds`` stand
 for the config keys ``seed``, ``sampler.n_particles``, ``sweep.lrs`` and
 ``sweep.seeds``: their text overrides the file's and is parsed and checked
-with it.
+with it, as is the text of ``ground-truth --n`` and ``sweep --workers``.
 
 Exit codes: 0 on success, 1 for configuration problems (a malformed flag
 value among them, an unsupported request) and unusable metrics inputs
@@ -54,12 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override sweep.seeds")
     pw.add_argument("--n", dest="sampler.n_particles", metavar="N",
                     help="override sampler.n_particles")
-    pw.add_argument("--workers", type=int, help="process pool size")
+    pw.add_argument("--workers", help="process pool size")
 
     pg = sub.add_parser("ground-truth", help="draw reference samples from the target")
     pg.add_argument("--config", required=True)
     pg.add_argument("--out", required=True)
-    pg.add_argument("--n", type=int, required=True, help="number of samples")
+    pg.add_argument("--n", required=True, help="number of samples")
     pg.add_argument("--seed", help="override the config seed")
 
     pm = sub.add_parser("metrics", help="compare two particle CSV files")

@@ -12,6 +12,7 @@ are LF, and CSV column order is fixed.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import time
@@ -24,11 +25,10 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .errors import ConfigError
-from .kernels import FAMILIES, KernelConfig
-from .mied import MOLLIFIERS, MollifierConfig
+from .kernels import KernelConfig
+from .mied import MollifierConfig
 from .rng import substream
 from .samplers import (
-    COIN_STEPPERS,
     GRAD_STEPPERS,
     INIT_PARAMS,
     MIRRORED_SAMPLERS,
@@ -130,14 +130,12 @@ class _Reader:
                 return None
             return default
         try:
-            value = conv(text)
+            value = conv(str(text))  # a library caller may give a flag as a number
         except ValueError as exc:
             self.problems.append(f"{key}: {exc}")
             return None
         if choices is not None and value not in choices:
-            self.problems.append(
-                f"{key}: expected one of {', '.join(choices)}, got {value!r}"
-            )
+            self.problems.append(f"{key}: expected one of {', '.join(choices)}, got {value!r}")
             return None
         return value
 
@@ -151,35 +149,28 @@ class _Reader:
             self.problems.append(f"unknown key {key!r}")
 
 
-# The keys of each section, as key -> (converter, default[, choices]).  A
-# section with kinds maps each ``<section>.kind`` to its constructor and keys.
+# The keys of each section, as key -> converter.  A section with kinds maps
+# each ``<section>.kind`` to its constructor and keys.
 TARGETS = {
     "sparse_dirichlet": (SparseDirichlet.from_config, {
-        "counts": (as_floats, REQUIRED), "alpha": (as_floats, [1.0]), "d": (as_int, None)}),
+        "counts": as_floats, "alpha": as_floats, "d": as_int}),
     "quadratic_simplex": (QuadraticSimplex.from_config, {
-        "d": (as_int, REQUIRED), "sigma": (as_float, 1.0), "seed": (as_int, 0)}),
-    "uniform_box": (UniformBox.from_config, {
-        "d": (as_int, REQUIRED), "lo": (as_floats, [0.0]), "hi": (as_floats, [1.0])}),
-    "exp_orthant": (ExpOrthant, {"d": (as_int, REQUIRED), "rate": (as_float, 1.0)}),
-    "lognormal_orthant": (LogNormalOrthant, {
-        "d": (as_int, REQUIRED), "mu": (as_float, 0.0), "sigma": (as_float, 1.0)}),
+        "d": as_int, "sigma": as_float, "seed": as_int}),
+    "uniform_box": (UniformBox.from_config, {"d": as_int, "lo": as_floats, "hi": as_floats}),
+    "exp_orthant": (ExpOrthant, {"d": as_int, "rate": as_float}),
+    "lognormal_orthant": (LogNormalOrthant, {"d": as_int, "mu": as_float, "sigma": as_float}),
     "selective_lasso": (SelectiveLasso.from_config, {
-        "n": (as_int, REQUIRED), "p": (as_int, REQUIRED), "q": (as_int, REQUIRED),
-        "lam": (as_float, 2.0), "tau": (as_float, 1.0), "eps_ridge": (as_float, 1.0),
-        "seed": (as_int, 0)}),
+        "n": as_int, "p": as_int, "q": as_int, "lam": as_float, "tau": as_float,
+        "eps_ridge": as_float, "seed": as_int}),
 }
 # every kind takes target.seed; it draws the instance of a synthetic kind
-TARGET_SHARED = {"seed": (as_int, 0)}
-# the init keys of each target domain
-INITS = {domain: (InitSpec, {p: (as_float, getattr(InitSpec, p)) for p in params})
-         for domain, params in INIT_PARAMS.items()}
-STEPPER = {"kind": (str, None, GRAD_STEPPERS + COIN_STEPPERS), "lr": (as_float, None),
-           "guard": (as_bool, False)}
-KERNEL = {"family": (str, "imq", FAMILIES),
-          "bandwidth": (lambda text: text if text == "median" else as_float(text), "median")}
-MOLLIFIER = {"kind": (str, "riesz", MOLLIFIERS), "eps": (as_float, 1e-8), "s": (as_float, None)}
-SWEEP = {"lrs": (as_floats, []), "seeds": (as_ints, []),
-         "metric": (str, "energy", ("energy", "ksd"))}
+TARGET_SHARED = {"seed": as_int}
+STEPPER = {"kind": str, "lr": as_float, "guard": as_bool}
+KERNEL = {"family": str, "bandwidth": lambda text: text if text == "median" else as_float(text)}
+MOLLIFIER = {"kind": str, "eps": as_float, "s": as_float}
+SWEEP = {"lrs": as_floats, "seeds": as_ints}
+# run_sampler's parameters; a run key a config leaves out takes its default
+RUN = inspect.signature(run_sampler).parameters
 
 
 def _build(r: _Reader, section: str, table, shared=None):
@@ -187,11 +178,13 @@ def _build(r: _Reader, section: str, table, shared=None):
     problems logged) when a key is missing or does not parse, or the
     constructor refuses the values.
 
-    ``table`` is (constructor, params) or, for a section with kinds, a dict
-    from the required ``<section>.kind`` to such a pair.  ``table`` None (the
-    section cannot be read, as after a missing or invalid kind) drains the
-    section.  ``shared`` keys are read and checked for every kind, and
-    passed only where the kind's params name them too.
+    ``table`` is (constructor, converters) or, for a section with kinds, a
+    dict from the required ``<section>.kind`` to such a pair.  ``table``
+    None (the section cannot be read, as after a missing or invalid kind)
+    drains the section.  Only the keys given are passed, so the constructor
+    supplies every default and refuses every value; a key is required where
+    its parameter has no default.  ``shared`` keys are read and checked for
+    every kind, and passed only where the kind's converters name them too.
     """
     logged = len(r.problems)
     if isinstance(table, dict):
@@ -202,13 +195,16 @@ def _build(r: _Reader, section: str, table, shared=None):
             r.raw.pop(key)
         return None
     make, params = table
-    values = {key: r.get(f"{section}.{key}", *spec) for key, spec in params.items()}
-    for key, spec in (shared or {}).items():
-        r.get(f"{section}.{key}", *spec)
+    required = [k for k, p in inspect.signature(make).parameters.items() if p.default is p.empty]
+    values = {key: r.get(f"{section}.{key}", conv, REQUIRED if key in required else None)
+              for key, conv in params.items()}
+    for key, conv in (shared or {}).items():
+        r.get(f"{section}.{key}", conv)
     if len(r.problems) > logged:
         return None
     try:
-        return make(**values)
+        # a value read is never None, so None marks a key left out
+        return make(**{key: value for key, value in values.items() if value is not None})
     except ValueError as exc:
         r.problems.extend(f"{section}: {v}" for v in getattr(exc, "violations", [exc]))
         return None
@@ -234,7 +230,7 @@ class RunPlan:
     init: InitSpec | None
     metric_names: tuple
     gt_n: int
-    sweep_metric: str = "energy"
+    sweep_metric: str
 
 
 def build_plan(raw: dict) -> RunPlan:
@@ -242,18 +238,19 @@ def build_plan(raw: dict) -> RunPlan:
     r = _Reader(raw, problems)
 
     seed = r.get("seed", as_int, 0)
-    sampler = r.get("sampler.kind", default=REQUIRED, choices=SAMPLERS)
+    sampler = r.get("sampler.kind", default=REQUIRED)
     n_particles = r.get("sampler.n_particles", as_int, REQUIRED)
     n_iters = r.get("sampler.n_iters", as_int, REQUIRED)
-    metric_every = r.get("sampler.metric_every", as_int, 10)
+    metric_every = r.get("sampler.metric_every", as_int, RUN["metric_every"].default)
 
     target = _build(r, "target", TARGETS, TARGET_SHARED)
     stepper = _build(r, "stepper", (partial(sampler_stepper, sampler), STEPPER))
     kernel = _build(r, "kernel", (KernelConfig, KERNEL))
     mollifier = _build(r, "mollifier", (MollifierConfig, MOLLIFIER))
-    spectral_terms = r.get("spectral.terms", as_int, 30)
+    spectral_terms = r.get("spectral.terms", as_int, RUN["spectral_terms"].default)
     # the target's domain says which init keys to read
-    init = _build(r, "init", INITS[target.domain] if target is not None else None)
+    init = _build(r, "init", None if target is None else
+                  (InitSpec, dict.fromkeys(INIT_PARAMS[target.domain], as_float)))
 
     metric_names = tuple(n.strip() for n in r.get("metrics.names", default="").split(",")
                          if n.strip() not in ("", "none"))
@@ -263,12 +260,14 @@ def build_plan(raw: dict) -> RunPlan:
                       "metrics.ground_truth_n", 1)
 
     # run_sweep reads the grid; it is checked here
-    sweep_metric = (_build(r, "sweep", (dict, SWEEP)) or {}).get("metric")
+    for key, conv in SWEEP.items():
+        r.get(f"sweep.{key}", conv)
+    sweep_metric = r.get("sweep.metric", default="energy", choices=("energy", "ksd"))
 
     r.leftover_check()
 
     # the ksd metric reads dual scores: projected samplers have none, nor has MIED's box map
-    if sampler is not None and sampler not in MIRRORED_SAMPLERS:
+    if sampler in SAMPLERS and sampler not in MIRRORED_SAMPLERS:
         for key, names in (("metrics.names", metric_names), ("sweep.metric", (sweep_metric,))):
             if "ksd" in names:
                 problems.append(f"{key}: ksd needs a mirrored sampler")
@@ -311,12 +310,9 @@ def execute_plan(plan: RunPlan, hooks=None):
     if hooks is None:
         hooks = {name: _metric(plan, name)
                  for name in METRIC_NAMES if name in plan.metric_names}
-    return run_sampler(
-        target=plan.target, sampler=plan.sampler,
-        n_particles=plan.n_particles, n_iters=plan.n_iters, seed=plan.seed,
-        stepper=plan.stepper, kernel=plan.kernel, mollifier=plan.mollifier,
-        spectral_terms=plan.spectral_terms, init=plan.init,
-        metric_every=plan.metric_every, hooks=hooks)
+    # the plan holds every other argument of the run, by its name
+    return run_sampler(**{name: getattr(plan, name) for name in RUN if name != "hooks"},
+                       hooks=hooks)
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +411,12 @@ def _pooled_sweep_job(plan: RunPlan):
 
 def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     problems = []
-    r = _Reader(raw, problems)
-    lrs, seeds = (r.get(f"sweep.{key}", *SWEEP[key]) for key in ("lrs", "seeds"))
-    if lrs == []:
-        problems.append("sweep needs sweep.lrs in the config or --lrs")
-    if seeds == []:
-        problems.append("sweep needs sweep.seeds in the config or --seeds")
+    # the pool size, a number or the text of --workers, is read with the config
+    r = _Reader({**raw, "--workers": max_workers}, problems)
+    max_workers = r.get("--workers", as_int, os.cpu_count() or 1)
+    lrs, seeds = (r.get(f"sweep.{key}", conv, []) for key, conv in SWEEP.items())
+    problems += [f"sweep needs sweep.{key} in the config or --{key}"
+                 for key, got in (("lrs", lrs), ("seeds", seeds)) if got == []]
     # a sweep runs a gradient sampler beside its coin twin, coin_<sampler>; a
     # sampler without one ends the checks, as the grid's lr would be refused too
     sampler = raw.get("sampler.kind")
@@ -432,16 +428,17 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     # Every job (each lr per seed, then the coin twin with its default
     # stepper) is planned, and so checked, before any job runs.  Without
     # seeds the config's own seed stands in, and without a job the config as
-    # given, so the rest of the config is still checked.  A change to None
-    # drops the key.
+    # given, so the rest of it is still checked, with a stand-in lr where a
+    # grid would give one.  A change to None drops the key.
     changes = []
     for seed in seeds or [raw.get("seed", "0")]:
         changes += [{"seed": str(seed), "stepper.lr": repr(float(lr))} for lr in lrs or []]
         if sampler in swept:
             changes.append({"seed": str(seed), "sampler.kind": "coin_" + sampler,
                             "stepper.kind": None, "stepper.lr": None})
+    stand_in = {"stepper.lr": "1.0"} if raw.get("stepper.kind") in GRAD_STEPPERS else {}
     plans = []
-    for change in changes or [{}]:
+    for change in changes or [stand_in]:
         job = {k: v for k, v in {**raw, **change}.items() if v is not None}
         try:
             plans.append(build_plan(job))
@@ -453,8 +450,6 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     if problems:
         raise ConfigError(list(dict.fromkeys(problems)))
 
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
     # the fork start method starts every worker up front, busy or not
     max_workers = min(max_workers, len(plans))
     if max_workers <= 1:
@@ -480,18 +475,19 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     return rows
 
 
-def build_target_only(raw: dict, n: int | None = None):
+def build_target_only(raw: dict, n=None):
     """Build just the target (plus the config seed) from a raw config.  With
-    ``n``, the size of a draw from its ground truth, also check that size
-    and that the target has a ground truth.
+    ``n``, the size of a draw from its ground truth (a number or its text,
+    as ``ground-truth --n`` gives it), also check that size and that the
+    target has a ground truth.
 
     Other sections are left alone so any sampler config can double as a
     ground-truth config; a ``target.*`` key the kind does not read is unknown.
     """
     problems: list = []
-    r = _Reader(raw, problems)
+    r = _Reader({**raw, "--n": n}, problems)
     seed = r.at_least(r.get("seed", as_int, 0), "seed", 0)
-    r.at_least(n, "--n", 1)
+    r.at_least(r.get("--n", as_int), "--n", 1)
     target = _build(r, "target", TARGETS, TARGET_SHARED)
     r.leftover_check("target.")
     if n is not None and target is not None and target.no_ground_truth:
@@ -501,9 +497,9 @@ def build_target_only(raw: dict, n: int | None = None):
     return target, seed
 
 
-def run_ground_truth(raw: dict, out_dir: str, n: int) -> np.ndarray:
+def run_ground_truth(raw: dict, out_dir: str, n) -> np.ndarray:
     target, seed = build_target_only(raw, n)
-    samples = target.sample_ground_truth(n, substream(seed, "ground_truth"))
+    samples = target.sample_ground_truth(int(n), substream(seed, "ground_truth"))
     os.makedirs(out_dir, exist_ok=True)
     write_particles_csv(os.path.join(out_dir, "ground_truth.csv"), samples)
     write_meta_json(os.path.join(out_dir, "meta.json"), {

@@ -41,7 +41,8 @@ class KernelConfig:
     def __post_init__(self):
         problems = []
         if self.family not in FAMILIES:
-            problems.append(f"unknown kernel family {self.family!r}")
+            problems.append(f"unknown kernel family {self.family!r} "
+                            f"(choices: {', '.join(FAMILIES)})")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "median":
                 problems.append(f"unknown bandwidth rule {self.bandwidth!r}")

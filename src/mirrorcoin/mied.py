@@ -36,7 +36,7 @@ class MollifierConfig:
     def __post_init__(self):
         problems = []
         if self.kind not in MOLLIFIERS:
-            problems.append(f"unknown mollifier {self.kind!r}")
+            problems.append(f"unknown mollifier {self.kind!r} (choices: {', '.join(MOLLIFIERS)})")
         if not self.eps > 0:
             problems.append("mollifier eps must be positive")
         if self.s is not None:

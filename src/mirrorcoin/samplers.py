@@ -51,7 +51,8 @@ class StepperConfig:
     def __post_init__(self):
         problems = []
         if self.kind not in GRAD_STEPPERS + COIN_STEPPERS:
-            problems.append(f"unknown stepper kind {self.kind!r}")
+            problems.append(f"unknown stepper kind {self.kind!r} "
+                            f"(choices: {', '.join(GRAD_STEPPERS + COIN_STEPPERS)})")
         elif self.kind in COIN_STEPPERS:
             if self.lr is not None:
                 problems.append(
@@ -490,13 +491,13 @@ def stepper_kinds(sampler) -> tuple:
     return ("fixed_lr",) if sampler == "mla" else ("rmsprop", "fixed_lr")
 
 
-def sampler_stepper(sampler, kind=None, lr=None, guard=False):
-    """The stepper ``sampler`` runs with: ``kind``, or by default the first
-    of its :func:`stepper_kinds`.  None when neither ``kind`` nor a known
-    ``sampler`` says which; StepperConfig's problems raise ConfigError."""
+def sampler_stepper(sampler, kind=None, **options):
+    """StepperConfig(kind, **options), ``kind`` by default the first of the
+    :func:`stepper_kinds` of ``sampler``; None when neither ``kind`` nor a
+    known ``sampler`` says which.  Refused options raise ConfigError."""
     if kind is None and sampler not in SAMPLERS:
         return None
-    return StepperConfig(stepper_kinds(sampler)[0] if kind is None else kind, lr=lr, guard=guard)
+    return StepperConfig(stepper_kinds(sampler)[0] if kind is None else kind, **options)
 
 
 def check_run(target, sampler, stepper, init, *, seed, n_particles, n_iters,
@@ -513,7 +514,8 @@ def check_run(target, sampler, stepper, init, *, seed, n_particles, n_iters,
     if sampler is None:
         return problems
     if sampler not in SAMPLERS:
-        return problems + [f"unknown sampler {sampler!r}"]
+        return problems + [f"sampler.kind: unknown sampler {sampler!r} "
+                           f"(choices: {', '.join(SAMPLERS)})"]
     kinds = stepper_kinds(sampler)
     if stepper is not None and stepper.kind not in kinds:
         problems.append(f"{sampler} takes stepper {' or '.join(kinds)}, "

@@ -7,7 +7,8 @@ the log density, to v without forming it; both are needed by the
 Stein-kernel machinery.  ``no_ground_truth`` is None when
 ``sample_ground_truth`` can draw an exact reference sample, and otherwise
 the reason it raises :class:`~mirrorcoin.errors.Unsupported`.
-``from_config`` applies the rules that tie a target's config keys together.
+``from_config`` (or else the constructor) holds the defaults of a target's
+config keys and applies the rules that tie them together.
 
 :class:`MirroredDensity` pairs a target with a mirror map.  The pushforward
 of the target under ``grad phi`` has negative log density
@@ -65,7 +66,7 @@ class SparseDirichlet:
         self._a = counts + alpha - 1.0
 
     @classmethod
-    def from_config(cls, counts, alpha, d=None):
+    def from_config(cls, counts, alpha=(1.0,), d=None):
         if d is not None and d != len(counts) - 1:
             raise ValueError("target.d must equal len(target.counts) - 1 when both are given")
         if len(alpha) not in (1, len(counts)):
@@ -125,7 +126,7 @@ class QuadraticSimplex:
         return cls(M / np.max(np.abs(M)), sigma)
 
     @classmethod
-    def from_config(cls, d, sigma, seed):
+    def from_config(cls, d, sigma=1.0, seed=0):
         return cls.random_instance(d, sigma, substream(seed, "target_synth"))
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
@@ -195,7 +196,7 @@ class UniformBox:
         self.d = as_dimension(lo.size)
 
     @classmethod
-    def from_config(cls, d, lo, hi):
+    def from_config(cls, d, lo=(0.0,), hi=(1.0,)):
         """Each bound is one value for every coordinate or d values."""
         d = as_dimension(d)
         lo, hi = (np.full(d, v[0]) if len(v) == 1 else np.asarray(v) for v in (lo, hi))
@@ -369,11 +370,10 @@ class SelectiveLasso:
         return cls(X, y, lam, np.arange(q), np.sign(beta[:q]), tau, eps_ridge)
 
     @classmethod
-    def from_config(cls, n, p, q, lam, tau, eps_ridge, seed):
+    def from_config(cls, n, p, q, seed=0, **options):  # options: lam, tau, eps_ridge
         if n < 1:
             raise ValueError(f"target.n must be >= 1 observations, got {n}")
-        return cls.synthetic(substream(seed, "target_synth"), n=n, p=p, q=q,
-                             lam=lam, tau=tau, eps_ridge=eps_ridge)
+        return cls.synthetic(substream(seed, "target_synth"), n=n, p=p, q=q, **options)
 
     # -- internals --------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Config parsing, plan building, writers, sweep orchestration, CLI."""
 
+import inspect
 import json
 import os
 import re
@@ -23,7 +24,15 @@ from mirrorcoin.harness import (
 )
 from mirrorcoin.rng import substream
 from mirrorcoin.metrics import ksd_vstat
-from mirrorcoin.samplers import InitSpec, StepperConfig, mirrored_density, run_sampler
+from mirrorcoin.kernels import KernelConfig
+from mirrorcoin.mied import MollifierConfig
+from mirrorcoin.samplers import (
+    InitSpec,
+    StepperConfig,
+    mirrored_density,
+    run_sampler,
+    sampler_stepper,
+)
 from mirrorcoin.targets import (
     ExpOrthant,
     LogNormalOrthant,
@@ -210,7 +219,7 @@ class TestBuildPlan:
 
     @pytest.mark.parametrize("sampler,problem", [
         (None, "sampler.kind is required"),
-        ("nuts", "sampler.kind: expected one of"),
+        ("nuts", "sampler.kind: unknown sampler 'nuts' (choices: msvgd, "),
     ], ids=["missing", "invalid"])
     def test_stepper_keys_read_without_a_sampler(self, sampler, problem):
         raw = self.base()
@@ -246,6 +255,44 @@ class TestBuildPlan:
                                "seed": plan.seed, "hooks": {"m": lambda x, y: 0.0},
                                arg: value})
         assert err.value.violations == [message]
+
+    @pytest.mark.parametrize("key,value,direct,prefix", [
+        ("sampler.kind", "hmc",
+         lambda: run_sampler(target=ExpOrthant(2), sampler="hmc", n_particles=4,
+                             n_iters=1, seed=0), ""),
+        ("stepper.kind", "adam", lambda: StepperConfig("adam"), "stepper: "),
+        ("kernel.family", "matern", lambda: KernelConfig(family="matern"), "kernel: "),
+        ("mollifier.kind", "cauchy", lambda: MollifierConfig(kind="cauchy"), "mollifier: "),
+    ], ids=["sampler", "stepper", "kernel", "mollifier"])
+    def test_enumeration_refused_by_both_entry_points(self, key, value, direct, prefix):
+        # one check, in the owner of the value: the config adds only the
+        # section prefix of the object it builds
+        raw = {"target.kind": "exp_orthant", "target.d": "2", "sampler.kind": "coin_msvgd",
+               "sampler.n_particles": "4", "sampler.n_iters": "1"}
+        with pytest.raises(ConfigError) as by_config:
+            build_plan({**raw, key: value})
+        with pytest.raises(ConfigError) as by_call:
+            direct()
+        assert by_config.value.violations == [prefix + v for v in by_call.value.violations]
+        assert len(by_call.value.violations) == 1
+        assert f"unknown {key.split('.')[0]}" in by_call.value.violations[0]
+        assert f"{value!r} (choices: " in by_call.value.violations[0]
+
+    def test_omitted_keys_take_the_defaults_of_the_api(self):
+        # a config's defaults are those of the objects it builds, read from
+        # their owners rather than written again
+        run = inspect.signature(run_sampler).parameters
+        for kind, (keys, _, _) in MINIMAL_TARGETS.items():
+            sampler = "coin_mied" if kind == "uniform_box" else "coin_msvgd"
+            plan = build_plan({"target.kind": kind, **keys, "sampler.kind": sampler,
+                               "sampler.n_particles": "4", "sampler.n_iters": "1"})
+            assert_same_target(plan.target, REQUIRED_ONLY[kind]())
+            assert plan.stepper == sampler_stepper(sampler)
+            assert plan.kernel == KernelConfig()
+            assert plan.mollifier == MollifierConfig()
+            assert plan.init == InitSpec()
+            assert plan.metric_every == run["metric_every"].default
+            assert plan.spectral_terms == run["spectral_terms"].default
 
     @pytest.mark.parametrize("entry", ["build_plan", "run_sampler"])
     def test_default_stepper_problem_joins_the_rest(self, entry):
@@ -331,6 +378,13 @@ class TestBuildPlan:
         t3 = build_plan(dict(raw)).target
         assert t3.X.tobytes() != t1.X.tobytes()
 
+    def test_count_given_as_a_number_is_read_as_its_text(self):
+        raw = {"target.kind": "exp_orthant", "target.d": "1"}
+        assert build_target_only(raw, 5)[0].d == 1
+        with pytest.raises(ConfigError) as err:
+            build_target_only(raw, 2.5)
+        assert err.value.violations == ["--n: expected an integer, got '2.5'"]
+
     def test_target_only_ignores_sampler_keys(self):
         target, seed = build_target_only({
             "seed": "5", "target.kind": "exp_orthant", "target.d": "1",
@@ -363,23 +417,38 @@ MINIMAL_TARGETS = {
 }
 
 
+# The constructor each target kind's config builds with, given only the
+# values of MINIMAL_TARGETS' required keys.
+REQUIRED_ONLY = {
+    "sparse_dirichlet": lambda: SparseDirichlet.from_config(counts=[4.0, 2.0, 1.0]),
+    "quadratic_simplex": lambda: QuadraticSimplex.from_config(d=2),
+    "uniform_box": lambda: UniformBox.from_config(d=2),
+    "exp_orthant": lambda: ExpOrthant(d=2),
+    "lognormal_orthant": lambda: LogNormalOrthant(d=2),
+    "selective_lasso": lambda: SelectiveLasso.from_config(n=12, p=3, q=1),
+}
+
+
+def assert_same_target(got, want):
+    assert type(got) is type(want)
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            assert vars(got)[name].tobytes() == value.tobytes(), name
+            assert vars(got)[name].shape == value.shape, name
+        else:
+            assert vars(got)[name] == value, name
+
+
 class TestTargetTable:
     def test_every_kind_is_pinned(self):
-        assert set(MINIMAL_TARGETS) == set(TARGETS)
+        assert set(MINIMAL_TARGETS) == set(TARGETS) == set(REQUIRED_ONLY)
 
     @pytest.mark.parametrize("kind", sorted(TARGETS))
     def test_minimal_config_matches_direct_construction(self, kind):
         keys, direct, _ = MINIMAL_TARGETS[kind]
         got, _ = build_target_only({"target.kind": kind, **keys})
-        want = direct()
-        assert type(got) is type(want)
-        assert vars(got).keys() == vars(want).keys()
-        for name, value in vars(want).items():
-            if isinstance(value, np.ndarray):
-                assert vars(got)[name].tobytes() == value.tobytes(), name
-                assert vars(got)[name].shape == value.shape, name
-            else:
-                assert vars(got)[name] == value, name
+        assert_same_target(got, direct())
 
     @pytest.mark.parametrize("kind", sorted(TARGETS))
     def test_each_required_key_is_required(self, kind):
@@ -577,16 +646,29 @@ class TestRunSweep:
         assert "unknown key 'sweep.coin_stepper'" in capsys.readouterr().err
 
     def test_sweep_without_a_grid_reports_every_problem(self, tmp_path, capsys):
-        # no lr and no coin twin plans no job, so the config is planned as given
+        # no lr and no coin twin plans no job, so the config is planned as
+        # given; its rmsprop stepper's missing lr is one the grid would give
         cfg = write_cfg(tmp_path, SWEEP_CONFIG.replace("msvgd", "hmc") + "bogus.key = 1\n")
         out = str(tmp_path / "s")
         assert main(["sweep", "--config", cfg, "--out", out, "--seeds", "0"]) == 1
-        err = capsys.readouterr().err
-        for message in ("sweep needs sweep.lrs in the config or --lrs",
-                        "sampler.kind: expected one of", "got 'hmc'",
-                        "unknown key 'bogus.key'"):
-            assert message in err, message
+        assert capsys.readouterr().err == (
+            "configuration error:\n"
+            "  - sweep needs sweep.lrs in the config or --lrs\n"
+            "  - unknown key 'bogus.key'\n"
+            "  - sampler.kind: unknown sampler 'hmc' (choices: msvgd, coin_msvgd, mksdd, "
+            "coin_mksdd, mlawgd, coin_mlawgd, mla, svgd_proj, coin_svgd_proj, mied, "
+            "coin_mied)\n")
         assert not os.path.exists(out)
+
+    def test_sweep_without_a_grid_keeps_its_other_stepper_problems(self, tmp_path):
+        # the stand-in lr leaves out only the problem the grid would fix
+        raw = {**read_config(write_cfg(tmp_path, SWEEP_CONFIG)), "sampler.kind": "hmc",
+               "stepper.guard": "true", "sweep.seeds": "0"}
+        with pytest.raises(ConfigError) as err:
+            run_sweep(raw, str(tmp_path / "s"))
+        assert err.value.violations[:2] == [
+            "sweep needs sweep.lrs in the config or --lrs",
+            "stepper: guard is only meaningful for coin_adaptive"]
 
     @pytest.mark.parametrize("sampler,target", [
         ("msvgd", {"target.kind": "sparse_dirichlet", "target.counts": "3,1"}),
@@ -716,6 +798,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:\n")
         assert f"  - {message}\n" in err and f"  - {problem}\n" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command,argv,messages", [
+        ("ground-truth", ["--n", "x", "--seed", "abc"],
+         ["seed: expected an integer, got 'abc'", "--n: expected an integer, got 'x'"]),
+        ("sweep", ["--lrs", "0.05", "--seeds", "0", "--workers", "two"],
+         ["--workers: expected an integer, got 'two'", "unknown key 'mystery.key'"]),
+    ], ids=["ground-truth-n", "sweep-workers"])
+    def test_malformed_count_flag_listed_with_the_rest(self, tmp_path, capsys,
+                                                       command, argv, messages):
+        # --n and --workers are no config keys, but their text is parsed and
+        # reported with the config's problems, not refused by argparse
+        text = SWEEP_CONFIG + ("mystery.key = 1\n" if command == "sweep" else "")
+        out = str(tmp_path / "o")
+        assert main([command, "--config", write_cfg(tmp_path, text), "--out", out]
+                    + argv) == 1
+        assert capsys.readouterr().err == "configuration error:\n" + "".join(
+            f"  - {m}\n" for m in messages)
         assert not os.path.exists(out)
 
     def test_bad_kernel_bandwidth_exit_one(self, tmp_path, capsys):
