@@ -13,10 +13,6 @@ class NumericalFailure(RuntimeError):
     """A computation produced NaN/Inf where a finite value is required."""
 
 
-class DegenerateCloud(ValueError):
-    """A particle cloud has no usable spread (e.g. all points coincide)."""
-
-
 class Unsupported(NotImplementedError):
     """The requested operation has no implementation for these inputs."""
 

@@ -417,6 +417,9 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     lrs, seeds = (r.get(f"sweep.{key}", conv, []) for key, conv in SWEEP.items())
     problems += [f"sweep needs sweep.{key} in the config or --{key}"
                  for key, got in (("lrs", lrs), ("seeds", seeds)) if got == []]
+    if "stepper.lr" in raw:
+        problems.append("stepper.lr: a sweep's grid (sweep.lrs or --lrs) sets each "
+                        "job's rate; remove it")
     # a sweep runs a gradient sampler beside its coin twin, coin_<sampler>; a
     # sampler without one ends the checks, as the grid's lr would be refused too
     sampler = raw.get("sampler.kind")
@@ -429,7 +432,8 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     # stepper) is planned, and so checked, before any job runs.  Without
     # seeds the config's own seed stands in, and without a job the config as
     # given, so the rest of it is still checked, with a stand-in lr where a
-    # grid would give one.  A change to None drops the key.
+    # grid would give one.  A change to None drops the key; the config's own
+    # lr, refused above, reaches no job.
     changes = []
     for seed in seeds or [raw.get("seed", "0")]:
         changes += [{"seed": str(seed), "stepper.lr": repr(float(lr))} for lr in lrs or []]
@@ -439,7 +443,8 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     stand_in = {"stepper.lr": "1.0"} if raw.get("stepper.kind") in GRAD_STEPPERS else {}
     plans = []
     for change in changes or [stand_in]:
-        job = {k: v for k, v in {**raw, **change}.items() if v is not None}
+        job = {k: v for k, v in {**raw, "stepper.lr": None, **change}.items()
+               if v is not None}
         try:
             plans.append(build_plan(job))
         except ConfigError as exc:

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, DegenerateCloud
+from .errors import ConfigError
 
 FAMILIES = ("imq", "rbf")
 
@@ -30,9 +30,9 @@ class KernelConfig:
     """Base kernel choice.
 
     bandwidth is either a positive float or the string "median", in which
-    case the bandwidth is re-resolved at every iteration from the cloud the
-    sampler moves: the dual cloud for mirrored samplers, the primal cloud
-    for projected ones.
+    case it is resolved at every iteration by :func:`median_h` from the
+    primal pairwise distances the kernel is evaluated on, for every sampler
+    and for the ksd metric.
     """
 
     family: str = "imq"
@@ -52,49 +52,38 @@ class KernelConfig:
             raise ConfigError(problems)
 
 
-def median_bandwidth(points: np.ndarray) -> float:
-    """sqrt(median(d)^2 / log N) over pairwise Euclidean distances.
+def median_h(r2: np.ndarray) -> float:
+    """The median heuristic from the full N x N matrix of squared pairwise
+    distances: h^2 = median of r^2 over the N(N-1)/2 pairs / log N, with
+    the midpoint on r^2 of the two middle pairs when their count is even.
 
-    The median is taken as an order statistic: the middle distance, or
-    (a + b) / 2 of the two middle ones, bit for bit what np.median returns
-    on a finite cloud.
-
-    Raises DegenerateCloud when there are no pairs or the median pairwise
-    distance is zero (no usable spread).
+    r2's diagonal holds N exact zeros and each pair twice (cdist is bitwise
+    symmetric), so pair order statistic k sits at flat sorted index N + 2k
+    and no pair needs gathering.  A singleton or collapsed cloud (zero
+    median) has no usable spread; at zero separation the kernel value is 1
+    and its gradient 0 for any bandwidth, so h = 1.0 then.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
+    n = r2.shape[0]
     if n < 2:
-        raise DegenerateCloud("median bandwidth needs at least two points")
-    pairs = n * (n - 1) // 2
-    mid = pairs // 2
-    # the lower middle distance is the largest of those left of mid
-    dist = np.partition(pdist(points), mid)
-    med = float(dist[mid] if pairs % 2 else (dist[:mid].max() + dist[mid]) / 2)
-    if med == 0.0:
-        raise DegenerateCloud("median pairwise distance is zero")
-    return float(np.sqrt(med**2 / np.log(n)))
-
-
-def resolve_bandwidth(config: KernelConfig, points: np.ndarray) -> float:
-    """The configured bandwidth, or the median heuristic on ``points``.
-
-    A singleton or fully collapsed cloud has no usable spread; at zero
-    separation the kernel value is 1 and its gradient 0 for any bandwidth,
-    so the direction does not depend on the choice.  Use 1.0 and keep going
-    rather than aborting the run.
-    """
-    if config.bandwidth != "median":
-        return float(config.bandwidth)
-    try:
-        return median_bandwidth(points)
-    except DegenerateCloud:
         return 1.0
+    pairs = n * (n - 1) // 2
+    k = n + 2 * (pairs // 2)
+    # one kth: numpy's partition at two is several times slower
+    flat = np.partition(r2, k, axis=None)
+    med = flat[k] if pairs % 2 else (flat[:k].max() + flat[k]) / 2
+    return float(np.sqrt(med / np.log(n))) if med > 0 else 1.0
 
 
-def radial_profile(family: str, r2: np.ndarray, h: float, order: int = 3):
+def median_bandwidth(points: np.ndarray) -> float:
+    """:func:`median_h` of a point cloud."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return median_h(cdist(points, points, "sqeuclidean"))
+
+
+def radial_profile(family: str, r2: np.ndarray, h: float | str, order: int = 3):
     """Return (f, f1, f2, f3): the kernel profile and d/d(r^2) derivatives,
-    or just (f, f1) with ``order`` 1.
+    or just (f, f1) with ``order`` 1.  ``h`` "median" is :func:`median_h`
+    of ``r2``, the full matrix of a cloud's squared pairwise distances.
 
     imq: f(u) = (1 + u/h^2)^(-1/2)
     rbf: f(u) = exp(-u/h^2)
@@ -102,19 +91,18 @@ def radial_profile(family: str, r2: np.ndarray, h: float, order: int = 3):
     if order not in (1, 3):
         raise ValueError(f"order must be 1 or 3, got {order!r}")
     r2 = np.asarray(r2, dtype=float)
+    if h == "median":
+        h = median_h(r2)
     h2 = h * h
     if family == "imq":
-        base = 1.0 + r2 / h2
-        out = (base**-0.5, -0.5 / h2 * base**-1.5)
-        if order == 3:
-            # each derivative is the previous one times -(k + 1/2) / (h^2 base)
-            inv = 1.0 / base
-            f2 = out[1] * inv
-            f2 *= -1.5 / h2
-            f3 = f2 * inv
-            f3 *= -2.5 / h2
-            out += (f2, f3)
-        return out
+        # f = sqrt(1/base), and each derivative is the previous one times
+        # -(k + 1/2) / (h^2 base); no power is taken
+        inv = h2 / (h2 + r2)
+        out = [np.sqrt(inv)]
+        for k in range(order):
+            out.append(out[-1] * inv)
+            out[-1] *= -(k + 0.5) / h2
+        return tuple(out)
     if family == "rbf":
         f = np.exp(-r2 / h2)
         out = (f, -f / h2)

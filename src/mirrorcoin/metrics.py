@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .kernels import KernelConfig, resolve_bandwidth
+from .kernels import KernelConfig
 from .samplers import stein_vstat
 
 
@@ -40,8 +40,7 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def ksd_vstat(Y: np.ndarray, md, kernel: KernelConfig = KernelConfig()) -> float:
     """Squared kernel Stein discrepancy (V-statistic) of a dual cloud."""
-    h = resolve_bandwidth(kernel, Y)
-    return stein_vstat(Y, md, kernel.family, h)
+    return stein_vstat(Y, md, kernel.family, kernel.bandwidth)
 
 
 def summary_moments(x: np.ndarray) -> dict:

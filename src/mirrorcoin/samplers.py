@@ -24,7 +24,7 @@ from scipy.spatial.distance import cdist
 from .coin import AdaptiveCoin, KTCoin
 from .errors import ConfigError, DomainViolation
 from .geometry import INTERIOR_TOL, make_map
-from .kernels import KernelConfig, pair_sum, radial_profile, resolve_bandwidth
+from .kernels import KernelConfig, pair_sum, radial_profile
 from .mied import MollifierConfig, mie_gradient
 from .rng import substream
 from .targets import LogNormalOrthant, MirroredDensity
@@ -210,7 +210,7 @@ def _pair_apply(c, X, V, sigma):
     return out
 
 
-def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
+def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float | str,
                     X: np.ndarray | None = None) -> np.ndarray:
     """Mirrored SVGD update direction for every particle.
 
@@ -230,7 +230,7 @@ def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
     return (f.T @ S + 2.0 * repulse) / Y.shape[0]
 
 
-def svgd_direction(X: np.ndarray, target, family: str, h: float) -> np.ndarray:
+def svgd_direction(X: np.ndarray, target, family: str, h: float | str) -> np.ndarray:
     """Plain primal-space SVGD direction (used by the projected baselines)."""
     n = X.shape[0]
     f, f1 = radial_profile(family, cdist(X, X, "sqeuclidean"), h, order=1)
@@ -315,7 +315,8 @@ def _stein_context(Y, md, family, h, X=None):
     return X, q, S, U, G, f, f1, f2, f3, S @ S.T, st, qp
 
 
-def stein_kernel_matrix(Y: np.ndarray, md: MirroredDensity, family: str, h: float) -> np.ndarray:
+def stein_kernel_matrix(Y: np.ndarray, md: MirroredDensity, family: str,
+                        h: float | str) -> np.ndarray:
     """K[j, i] = stein kernel of the mirrored target at (y_j, y_i).
 
     Four terms: score-score, score-gradient both ways, and the mixed
@@ -331,7 +332,7 @@ def stein_vstat(Y, md, family, h) -> float:
     return float(stein_kernel_matrix(Y, md, family, h).mean())
 
 
-def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float,
+def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float | str,
                     X: np.ndarray | None = None) -> np.ndarray:
     """Descent direction on the squared discrepancy:
     row i = -(1/N^2) sum_j grad_{y_i} K(y_j, y_i).
@@ -613,8 +614,7 @@ def run_sampler(
     # says a settled cloud is in the open domain (a projected one is, if finite).
     if projected:
         def direction(x, _):
-            return svgd_direction(x, target, kernel.family,
-                                  resolve_bandwidth(kernel, x))
+            return svgd_direction(x, target, kernel.family, kernel.bandwidth)
 
         def settle(z):
             x = project_to_domain(target, z)
@@ -628,10 +628,8 @@ def run_sampler(
         md = mirrored_density(target)
         mmap = md.mmap
         direction = {
-            "msvgd": lambda y, x: msvgd_direction(y, md, kernel.family,
-                                                  resolve_bandwidth(kernel, y), x),
-            "mksdd": lambda y, x: mksdd_direction(y, md, kernel.family,
-                                                  resolve_bandwidth(kernel, y), x),
+            "msvgd": lambda y, x: msvgd_direction(y, md, kernel.family, kernel.bandwidth, x),
+            "mksdd": lambda y, x: mksdd_direction(y, md, kernel.family, kernel.bandwidth, x),
             "mlawgd": lambda y, _: mlawgd_direction(y, spectral_terms),
             "mla": lambda y, x: md.dual_score_from_primal(x),
             "mied": lambda y, x: -mmap.hessian_inverse_apply(

@@ -4,7 +4,7 @@ for the test suite."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from mirrorcoin.kernels import radial_profile
@@ -132,10 +132,14 @@ def posterior_mean(target):
 
 
 def median_bandwidth(points: np.ndarray) -> float:
-    """sqrt(median(d)^2 / log N) with the median taken by np.median."""
+    """sqrt(median(r^2) / log N), the median taken by np.median over the
+    upper triangle of the squared distances; 1.0 without a positive median."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    med = float(np.median(pdist(points)))
-    return float(np.sqrt(med**2 / np.log(points.shape[0])))
+    n = points.shape[0]
+    if n < 2:
+        return 1.0
+    med = np.median(cdist(points, points, "sqeuclidean")[np.triu_indices(n, 1)])
+    return float(np.sqrt(med / np.log(n))) if med > 0 else 1.0
 
 
 def base_eval_grad(family: str, h: float, x: np.ndarray, x2: np.ndarray):

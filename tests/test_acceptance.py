@@ -56,6 +56,7 @@ DIR_T = 500
 DIR_MEAN1 = 90.1 / 102.1
 LR_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 5e-1)
 SEEDS = (0, 1, 2)
+MEAN_SEEDS = tuple(range(20))   # criterion 4's mean-x1 check
 
 
 def _report(num, name, ok, detail):
@@ -251,18 +252,24 @@ class TestSparseDirichletReproduction:
         ref = posterior_reference(0)
         ed_init = energy_distance(initial_cloud(t, 0, DIR_N), ref)
         ed_final, rec = coin_msvgd_final_ed(0, ref)
-        mean1 = rec.x_final[:, 0].mean()
+        # the posterior mean of x1 is recovered at every one of MEAN_SEEDS
+        errs = [abs(rec.x_final[:, 0].mean() - DIR_MEAN1)]
+        for seed in MEAN_SEEDS[1:]:
+            x = run_sampler(target=t, sampler="coin_msvgd", n_particles=DIR_N,
+                            n_iters=DIR_T, seed=seed).x_final
+            errs.append(abs(x[:, 0].mean() - DIR_MEAN1))
+        worst = int(np.argmax(errs))
         elapsed = time.perf_counter() - t0
         ok = (
             ed_final <= 0.05 * ed_init
-            and abs(mean1 - DIR_MEAN1) <= 0.03
+            and max(errs) <= 0.03
             and elapsed < 180.0
         )
         _report(
             4, "sparse Dirichlet coin MSVGD reproduction", ok,
             f"ed_final={ed_final:.5f}<=0.05*ed_init={0.05 * ed_init:.5f} "
-            f"|mean1-{DIR_MEAN1:.5f}|={abs(mean1 - DIR_MEAN1):.5f}<=0.03 "
-            f"{elapsed:.1f}s<180s",
+            f"max|mean1-{DIR_MEAN1:.5f}|={errs[worst]:.5f}<=0.03 (seed {MEAN_SEEDS[worst]} "
+            f"of {MEAN_SEEDS[0]}-{MEAN_SEEDS[-1]}) {elapsed:.1f}s<180s",
         )
 
     def test_05_learning_rate_robustness_vs_coin(self):

@@ -660,6 +660,21 @@ class TestRunSweep:
             "coin_mied)\n")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("lr,argv", [("abc", ["--lrs", "0.1"]), ("0.1", ["--lrs", "0.1"]),
+                                         ("abc", [])], ids=["bad", "good", "no-grid"])
+    def test_sweep_refuses_the_configs_own_lr(self, tmp_path, capsys, lr, argv):
+        # the grid sets every job's rate, so the config's lr is refused, once
+        cfg = write_cfg(tmp_path, SWEEP_CONFIG + f"stepper.lr = {lr}\n")
+        out = str(tmp_path / "s")
+        assert main(["sweep", "--config", cfg, "--out", out, "--seeds", "0",
+                     "--workers", "1"] + argv) == 1
+        problems = [] if argv else ["sweep needs sweep.lrs in the config or --lrs"]
+        problems.append("stepper.lr: a sweep's grid (sweep.lrs or --lrs) sets each job's "
+                        "rate; remove it")
+        assert capsys.readouterr().err == "configuration error:\n" + "".join(
+            f"  - {m}\n" for m in problems)
+        assert not os.path.exists(out)
+
     def test_sweep_without_a_grid_keeps_its_other_stepper_problems(self, tmp_path):
         # the stand-in lr leaves out only the problem the grid would fix
         raw = {**read_config(write_cfg(tmp_path, SWEEP_CONFIG)), "sampler.kind": "hmc",

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorcoin.errors import DegenerateCloud
+from scipy.spatial.distance import cdist
+
 from mirrorcoin.geometry import EntropicSimplexMap, PositiveOrthantMap
 from mirrorcoin.kernels import (
     KernelConfig,
     median_bandwidth,
+    median_h,
     radial_profile,
-    resolve_bandwidth,
 )
 
 from helpers import (
@@ -119,42 +120,52 @@ class TestMedianBandwidth:
         assert abs(h - np.sqrt(1.0 / np.log(3.0))) < 1e-12
 
     def test_degenerate_cloud(self):
-        with pytest.raises(DegenerateCloud):
-            median_bandwidth(np.zeros((5, 2)))
-        with pytest.raises(DegenerateCloud):
-            median_bandwidth(np.array([[1.0, 2.0]]))
+        # a singleton or collapsed cloud falls back to h = 1.0
+        for pts in (np.array([[1.0, 2.0]]), np.zeros((5, 2)), np.full((4, 3), 0.3)):
+            assert median_bandwidth(pts) == 1.0
+            assert median_bandwidth_oracle(pts) == 1.0
 
     def test_resolve(self):
-        pts = np.array([[0.0], [1.0]])
-        assert resolve_bandwidth(KernelConfig("imq", 2.5), pts) == 2.5
-        assert resolve_bandwidth(KernelConfig("imq", "median"), pts) == median_bandwidth(pts)
+        # "median" is resolved from the r^2 the profile is handed
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(9, 3))
+        r2 = cdist(pts, pts, "sqeuclidean")
+        h = median_h(r2)
+        assert h == median_bandwidth(pts)
+        for fam in ("imq", "rbf"):
+            for order in (1, 3):
+                got = radial_profile(fam, r2, "median", order)
+                want = radial_profile(fam, r2, h, order)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
-    # N pairs: 2 -> 1, 3 -> 3, 5 -> 10, 8 -> 28, 9 -> 36, 50 -> 1225
+    # N pairs: 2 -> 1, 3 -> 3, 4 -> 6, 5 -> 10, 8 -> 28, 9 -> 36, 50 -> 1225
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 50])
     @pytest.mark.parametrize("ties", [False, True], ids=["spread", "ties"])
     def test_order_statistic_matches_np_median_bitwise(self, n, ties):
         rng = np.random.default_rng([n, ties])
         for _ in range(20):
             if ties:
-                # integer points on a small grid repeat many distances
+                # integer points on a small grid repeat many distances, and
+                # often whole particles
                 pts = rng.integers(0, 3, size=(n, 2)).astype(float)
-                if not np.ptp(pts, axis=0).any():
-                    continue
             else:
                 pts = rng.normal(size=(n, 3))
-            want = median_bandwidth_oracle(pts)
-            if want == 0.0:
-                with pytest.raises(DegenerateCloud):
-                    median_bandwidth(pts)
-                continue
-            assert median_bandwidth(pts) == want
+            assert median_bandwidth(pts) == median_bandwidth_oracle(pts)
 
     def test_even_pair_count_takes_mean_of_middle_two(self):
-        # the points 0, 1, 3, 4 on a line are {1, 1, 2, 3, 3, 4} apart; the
-        # middle two of the six distances are 2 and 3
+        # the points 0, 1, 3, 4 on a line are {1, 1, 4, 9, 9, 16} apart in
+        # r^2; the middle two of the six are 4 and 9
         pts = np.array([[0.0], [1.0], [3.0], [4.0]])
-        assert median_bandwidth(pts) == float(np.sqrt(2.5**2 / np.log(4.0)))
+        assert median_bandwidth(pts) == float(np.sqrt(6.5 / np.log(4.0)))
         assert median_bandwidth(pts) == median_bandwidth_oracle(pts)
+
+    def test_duplicate_particles(self):
+        # copies add zero pairs below the median and repeat its neighbours;
+        # 9, 10 and 12 particles make 36, 45 and 66 pairs
+        base = np.random.default_rng(6).normal(size=(6, 2))
+        for copies in (base[[0, 0, 1]], base[[2, 2, 2, 2]], base):
+            pts = np.vstack([base, copies])
+            assert median_bandwidth(pts) == median_bandwidth_oracle(pts)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -162,8 +173,11 @@ class TestMedianBandwidth:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(12, 3))
         h = median_bandwidth(pts)
-        assert abs(median_bandwidth(pts + 7.5) - h) < 1e-9
-        perm = rng.permutation(12)
+        assert h == median_bandwidth_oracle(pts)
+        moved, perm = pts + 7.5, rng.permutation(12)
+        assert median_bandwidth(moved) == median_bandwidth_oracle(moved)
+        assert abs(median_bandwidth(moved) - h) < 1e-9
+        assert median_bandwidth(pts[perm]) == median_bandwidth_oracle(pts[perm])
         assert abs(median_bandwidth(pts[perm]) - h) < 1e-12
 
 

@@ -5,9 +5,10 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import eval_hermitenorm, gammaln
 
+from mirrorcoin import kernels, samplers
 from mirrorcoin.errors import ConfigError, DomainViolation
 from mirrorcoin.geometry import BoxMirrorMap, EntropicSimplexMap, PositiveOrthantMap
-from mirrorcoin.kernels import KernelConfig, resolve_bandwidth
+from mirrorcoin.kernels import KernelConfig, median_bandwidth
 from mirrorcoin.rng import substream
 from mirrorcoin.samplers import (
     COIN_STEPPERS,
@@ -502,8 +503,9 @@ class TestRunLoop:
         X0 = draw_init(InitSpec(), target, 6, rng)
         Y0 = mmap.primal_to_dual(X0)
         md = MirroredDensity(target, mmap)
-        h = resolve_bandwidth(KernelConfig(), Y0)
-        c = msvgd_direction(Y0, md, "imq", h)
+        # "median" is the bandwidth of the primal image the direction sees
+        c = msvgd_direction(Y0, md, "imq", median_bandwidth(mmap.dual_to_primal(Y0)))
+        assert np.array_equal(c, msvgd_direction(Y0, md, "imq", "median"))
         assert np.array_equal(rec.y_final, Y0 + c / 2.0)
 
     @pytest.mark.parametrize("sampler,stepper", [
@@ -519,7 +521,8 @@ class TestRunLoop:
     def test_settled_cloud_gives_the_directions_that_map_back(self, sampler, stepper,
                                                               target):
         # replay with directions that map every dual cloud back themselves,
-        # the first one included: the run must match it bit for bit
+        # the first one included, at the bandwidth of that primal image: the
+        # run must match it bit for bit
         rec = run_sampler(target=target, sampler=sampler, n_particles=8,
                           n_iters=6, seed=4, stepper=stepper)
         md = mirrored_density(target)
@@ -529,13 +532,15 @@ class TestRunLoop:
             engine = _Langevin(stepper.lr, substream(4, "mla_noise"))
         else:
             engine = make_stepper(stepper or sampler_stepper(sampler), Y)
-        direction = {
-            "msvgd": lambda y: msvgd_direction(y, md, "imq", resolve_bandwidth(KernelConfig(), y)),
-            "mksdd": lambda y: mksdd_direction(y, md, "imq", resolve_bandwidth(KernelConfig(), y)),
-            "mla": lambda y: dual_score(md, y),
-        }[sampler.removeprefix("coin_")]
+        kernel_direction = {"msvgd": msvgd_direction,
+                            "mksdd": mksdd_direction}.get(sampler.removeprefix("coin_"))
         for _ in range(6):
-            Y = engine.step(Y, direction(Y))
+            if kernel_direction:
+                c = kernel_direction(Y, md, "imq", median_bandwidth(md.mmap.dual_to_primal(Y)))
+                assert c.tobytes() == kernel_direction(Y, md, "imq", "median").tobytes()
+            else:
+                c = dual_score(md, Y)
+            Y = engine.step(Y, c)
         assert rec.y_final.tobytes() == Y.tobytes()
         assert rec.x_final.tobytes() == md.mmap.dual_to_primal(Y).tobytes()
 
@@ -553,7 +558,7 @@ class TestRunLoop:
         engine = make_stepper(stepper, X)
         projections_moved = 0
         for _ in range(6):
-            c = svgd_direction(X, target, kernel.family, resolve_bandwidth(kernel, X))
+            c = svgd_direction(X, target, kernel.family, median_bandwidth(X))
             stepped = engine.step(X, c)
             X = project_to_domain(target, stepped)
             projections_moved += not np.array_equal(X, stepped)
@@ -631,10 +636,26 @@ class TestRunLoop:
     @pytest.mark.parametrize("setup", [dirichlet_setup, exp_setup])
     def test_direction_given_the_primal_cloud_is_unchanged(self, direction, setup):
         _, mmap, md, Y = setup(n=7)
-        h = resolve_bandwidth(KernelConfig(), Y)
-        want = direction(Y, md, "imq", h)
-        got = direction(Y, md, "imq", h, mmap.dual_to_primal(Y))
+        want = direction(Y, md, "imq", "median")
+        got = direction(Y, md, "imq", "median", mmap.dual_to_primal(Y))
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sampler,n_iters", [("msvgd", 5), ("coin_mksdd", 4)])
+    def test_one_pairwise_pass_per_iteration(self, monkeypatch, sampler, n_iters):
+        # "median" comes from the r^2 the direction evaluates its kernel on,
+        # so each iteration measures the cloud once
+        calls = []
+        for module in (kernels, samplers):
+            for name in ("cdist", "pdist"):
+                if hasattr(module, name):
+                    fn = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *a, fn=fn, **kw:
+                                        calls.append(1) or fn(*a, **kw))
+        target, stepper = ((ExpOrthant(2, rate=1.0), None) if sampler == "coin_mksdd"
+                           else (self.target(), StepperConfig("rmsprop", lr=1e-2)))
+        run_sampler(target=target, sampler=sampler, n_particles=6, n_iters=n_iters,
+                    seed=3, stepper=stepper)
+        assert len(calls) == n_iters
 
     def test_mla_reproducible_and_moves(self):
         t = ExpOrthant(2, rate=1.0)
