@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import os
 import time
 import warnings
@@ -34,10 +35,13 @@ from .samplers import (
     MIRRORED_SAMPLERS,
     SAMPLERS,
     InitSpec,
+    Run,
     StepperConfig,
     check_run,
+    max_stack,
     mirrored_density,
     run_sampler,
+    run_stack,
     sampler_stepper,
 )
 from .targets import (
@@ -396,17 +400,27 @@ def run_sample(raw: dict, out_dir: str) -> RunPlan:
     return plan
 
 
-def _sweep_job(plan: RunPlan) -> float:
-    record = execute_plan(plan, hooks={})
-    return _metric(plan, plan.sweep_metric)(record.x_final, record.y_final)
+def _sweep_job(plans: list) -> list:
+    """Run a stack of a sweep's jobs, which differ only in sampler (one
+    family), seed and stepper, and return each job's final metric.  A
+    failure names its job by sampler, lr (NA for a coin stepper) and seed."""
+    runs = [Run(p.sampler, p.seed, p.stepper, f"{p.sampler} (lr {p.stepper.lr or 'NA'}, "
+                f"seed {p.seed})") for p in plans]
+    shared = {name: getattr(plans[0], name) for name in RUN
+              if name not in ("sampler", "seed", "stepper", "hooks")}
+    records = run_stack(runs, hooks={}, **shared)
+    # the jobs of one seed share their metric (and its ground-truth draw)
+    metric = {p.seed: p for p in plans}
+    metric = {seed: _metric(p, p.sweep_metric) for seed, p in metric.items()}
+    return [metric[p.seed](r.x_final, r.y_final) for p, r in zip(plans, records)]
 
 
-def _pooled_sweep_job(plan: RunPlan):
+def _pooled_sweep_job(plans: list):
     """_sweep_job in a pool worker, with the warnings it raised, which the
     caller raises again so that they meet its filters as its own do."""
     with warnings.catch_warnings(record=True) as caught:
-        value = _sweep_job(plan)
-    return value, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        values = _sweep_job(plans)
+    return values, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
@@ -455,17 +469,24 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     if problems:
         raise ConfigError(list(dict.fromkeys(problems)))
 
-    # the fork start method starts every worker up front, busy or not
-    max_workers = min(max_workers, len(plans))
+    # The jobs run in plan order as min(workers, jobs) contiguous stacks of
+    # near-equal size, one per worker, and as more where KSD descent's
+    # memory budget caps a stack.  The fork start method starts every
+    # worker up front, busy or not, so the pool has no more than stacks.
+    cap = max_stack(plans[0].sampler, plans[0].n_particles, plans[0].target.d)
+    n_stacks = max(1, min(max_workers, len(plans)), math.ceil(len(plans) / cap))
+    cuts = [len(plans) * i // n_stacks for i in range(n_stacks + 1)]
+    stacks = [plans[a:b] for a, b in zip(cuts, cuts[1:])]
+    max_workers = min(max_workers, n_stacks)
     if max_workers <= 1:
-        results = [_sweep_job(p) for p in plans]
+        done = [(_sweep_job(stack), []) for stack in stacks]
     else:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            done = list(pool.map(_pooled_sweep_job, plans))
+            done = list(pool.map(_pooled_sweep_job, stacks))
         for _, caught in done:
             for warning in caught:
                 warnings.warn_explicit(*warning)
-        results = [value for value, _ in done]
+    results = [value for values, _ in done for value in values]
 
     rows = [(p.sampler, p.stepper.lr, p.seed, value) for p, value in zip(plans, results)]
     os.makedirs(out_dir, exist_ok=True)

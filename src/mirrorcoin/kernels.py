@@ -10,7 +10,8 @@ derivatives are what every downstream gradient needs:
 and similarly for the second- and third-order terms of the Stein kernel.
 Sums over particle pairs are written as N x N scalar weights followed by
 matrix products (:func:`pair_sum`), so no (N, N, d) difference tensor is
-ever built.
+ever built.  Every function takes clouds with leading axes, a stack of
+runs, and treats each (N, d) slice as its own cloud.
 """
 
 from __future__ import annotations
@@ -52,10 +53,24 @@ class KernelConfig:
             raise ConfigError(problems)
 
 
-def median_h(r2: np.ndarray) -> float:
+def sq_dists(points: np.ndarray) -> np.ndarray:
+    """The N x N squared pairwise distances of each (N, d) cloud in
+    ``points``, taken by cdist one cloud at a time."""
+    if points.ndim == 2:
+        return cdist(points, points, "sqeuclidean")
+    n, d = points.shape[-2:]
+    out = np.empty(points.shape[:-1] + (n,))
+    for x, o in zip(points.reshape(-1, n, d), out.reshape(-1, n, n)):
+        cdist(x, x, "sqeuclidean", out=o)
+    return out
+
+
+def median_h(r2: np.ndarray):
     """The median heuristic from the full N x N matrix of squared pairwise
     distances: h^2 = median of r^2 over the N(N-1)/2 pairs / log N, with
     the midpoint on r^2 of the two middle pairs when their count is even.
+    A stack of matrices gives one h per matrix, shaped to broadcast
+    against it; a single matrix gives a float.
 
     r2's diagonal holds N exact zeros and each pair twice (cdist is bitwise
     symmetric), so pair order statistic k sits at flat sorted index N + 2k
@@ -63,15 +78,17 @@ def median_h(r2: np.ndarray) -> float:
     median) has no usable spread; at zero separation the kernel value is 1
     and its gradient 0 for any bandwidth, so h = 1.0 then.
     """
-    n = r2.shape[0]
+    n = r2.shape[-1]
     if n < 2:
-        return 1.0
+        return 1.0 if r2.ndim == 2 else np.ones(r2.shape[:-2] + (1, 1))
     pairs = n * (n - 1) // 2
     k = n + 2 * (pairs // 2)
     # one kth: numpy's partition at two is several times slower
-    flat = np.partition(r2, k, axis=None)
-    med = flat[k] if pairs % 2 else (flat[:k].max() + flat[k]) / 2
-    return float(np.sqrt(med / np.log(n))) if med > 0 else 1.0
+    flat = np.partition(r2.reshape(r2.shape[:-2] + (n * n,)), k, axis=-1)
+    med = flat[..., k] if pairs % 2 else (flat[..., :k].max(axis=-1) + flat[..., k]) / 2
+    if r2.ndim == 2:
+        return float(np.sqrt(med / np.log(n))) if med > 0 else 1.0
+    return np.where(med > 0, np.sqrt(med / np.log(n)), 1.0)[..., None, None]
 
 
 def median_bandwidth(points: np.ndarray) -> float:
@@ -83,7 +100,8 @@ def median_bandwidth(points: np.ndarray) -> float:
 def radial_profile(family: str, r2: np.ndarray, h: float | str, order: int = 3):
     """Return (f, f1, f2, f3): the kernel profile and d/d(r^2) derivatives,
     or just (f, f1) with ``order`` 1.  ``h`` "median" is :func:`median_h`
-    of ``r2``, the full matrix of a cloud's squared pairwise distances.
+    of ``r2``, the full matrix of a cloud's squared pairwise distances (or a
+    stack of them, each with its own h).
 
     imq: f(u) = (1 + u/h^2)^(-1/2)
     rbf: f(u) = exp(-u/h^2)
@@ -114,4 +132,4 @@ def radial_profile(family: str, r2: np.ndarray, h: float | str, order: int = 3):
 
 def pair_sum(c: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Row i = sum_j c[j, i] (x_j - x_i), as c^T X - colsum(c) x_i."""
-    return c.T @ X - c.sum(axis=0)[:, None] * X
+    return c.mT @ X - c.sum(axis=-2)[..., None] * X

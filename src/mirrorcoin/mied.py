@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
+from .kernels import sq_dists
 
 MOLLIFIERS = ("riesz", "gaussian", "laplace")
 
@@ -82,15 +82,16 @@ def _interaction_terms(x: np.ndarray, target, config: MollifierConfig):
     e, c and k are the mollifier terms (see _mollifier_terms), zero the mask
     of pairs at r2 = 0, a = exp(b - max b) <= 1 with b = -log(pi) / 2 the
     density factor of each particle, and shift the largest log term,
-    log phi(0) + 2 max b, taken on the diagonal.
+    log phi(0) + 2 max b, taken on the diagonal.  A stack of clouds takes
+    max b, and so a and shift, per cloud.
     """
     x = np.asarray(x, dtype=float)
-    r2 = cdist(x, x, "sqeuclidean")
+    r2 = sq_dists(x)
     zero = r2 == 0.0
     e, c, k, log_peak = _mollifier_terms(config, x.shape[-1], r2)
     b = -0.5 * target.log_density(x)
-    bmax = b.max()
-    return e, c, k, zero, np.exp(b - bmax), log_peak + 2.0 * bmax
+    bmax = b.max(axis=-1)
+    return e, c, k, zero, np.exp(b - bmax[..., None]), log_peak + 2.0 * bmax
 
 
 def mie_gradient(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
@@ -105,15 +106,16 @@ def mie_gradient(x: np.ndarray, target, config: MollifierConfig) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     e, c, k, zero, a, _ = _interaction_terms(x, target, config)
+    a = a[..., None]
     ea = e @ a
     # the pair difference is 0 at r2 = 0, so c is too, whatever the scale
     # (riesz c is 1 there and ~1e-24 at a pair 0.01 apart: left in, its
     # rounding would swamp them); masked only now, since the gaussian's c is e
     np.copyto(c, 0.0, where=zero)
-    p = c @ np.column_stack([a[:, None] * x, a])
-    g = p[:, -1:] * x
-    g -= p[:, :-1]
+    p = c @ np.concatenate([a * x, a], axis=-1)
+    g = p[..., -1:] * x
+    g -= p[..., :-1]
     g *= k
-    g -= (0.5 * ea)[:, None] * target.score(x)
-    g *= (2.0 / (a @ ea)) * a[:, None]
+    g -= 0.5 * ea * target.score(x)
+    g *= (2.0 / (a.mT @ ea)) * a
     return g

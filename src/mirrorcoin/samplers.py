@@ -10,21 +10,26 @@ dual-space particles ``Y`` and read off primal particles ``X`` through the
 mirror map every iteration, as MIED (mied and its coin twin) does with the
 box's map.  Projected baselines (svgd_proj and its coin twin) move primal
 particles directly and re-project onto the domain after every step.  One
-loop, :func:`run_sampler`, runs them all.
+loop runs them all: :func:`run_sampler` runs one run on its (N, d) cloud,
+and :func:`run_stack` a stack of B runs of one sampler family, which differ
+only in seed and stepper, as one (B, N, d) array.  Every direction takes
+leading axes and treats each (N, d) slice as its own cloud, so a run in a
+stack gets the same bits it gets alone, and a sweep's grid pays each
+array call's overhead once per iteration rather than once per run.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .coin import AdaptiveCoin, KTCoin
-from .errors import ConfigError, DomainViolation
+from .errors import ConfigError, DomainViolation, NumericalFailure, NumericalOverflow
 from .geometry import INTERIOR_TOL, make_map
-from .kernels import KernelConfig, pair_sum, radial_profile
+from .kernels import KernelConfig, pair_sum, radial_profile, sq_dists
 from .mied import MollifierConfig, mie_gradient
 from .rng import substream
 from .targets import LogNormalOrthant, MirroredDensity
@@ -204,9 +209,9 @@ def project_to_domain(target, x: np.ndarray) -> np.ndarray:
 def _pair_apply(c, X, V, sigma):
     """Row i = sum_j c[j, i] A_j v_i = (c^T X) v_i - sigma sum_j c[j, i] (x_j . v_i) x_j,
     with A_j = diag(x_j) - sigma x_j x_j^T; O(N^2 d), and no A_j is formed."""
-    out = (c.T @ X) * V
+    out = (c.mT @ X) * V
     if sigma:
-        out -= sigma * ((c * (X @ V.T)).T @ X)
+        out -= sigma * ((c * (X @ V.mT)).mT @ X)
     return out
 
 
@@ -225,16 +230,15 @@ def msvgd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float | 
     if X is None:
         X = mmap.assert_interior(mmap.dual_to_primal(Y))
     S = md.dual_score_from_primal(X)
-    f, f1 = radial_profile(family, cdist(X, X, "sqeuclidean"), h, order=1)
-    repulse = f1.T @ mmap.hessian_inverse_apply(X, X) - _pair_apply(f1, X, X, mmap.sigma)
-    return (f.T @ S + 2.0 * repulse) / Y.shape[0]
+    f, f1 = radial_profile(family, sq_dists(X), h, order=1)
+    repulse = f1.mT @ mmap.hessian_inverse_apply(X, X) - _pair_apply(f1, X, X, mmap.sigma)
+    return (f.mT @ S + 2.0 * repulse) / Y.shape[-2]
 
 
 def svgd_direction(X: np.ndarray, target, family: str, h: float | str) -> np.ndarray:
     """Plain primal-space SVGD direction (used by the projected baselines)."""
-    n = X.shape[0]
-    f, f1 = radial_profile(family, cdist(X, X, "sqeuclidean"), h, order=1)
-    return (f.T @ target.score(X) + 2.0 * pair_sum(f1, X)) / n
+    f, f1 = radial_profile(family, sq_dists(X), h, order=1)
+    return (f.mT @ target.score(X) + 2.0 * pair_sum(f1, X)) / X.shape[-2]
 
 
 # -- Stein kernel of the mirrored target ------------------------------------
@@ -257,7 +261,7 @@ def svgd_direction(X: np.ndarray, target, family: str, h: float | str) -> np.nda
 
 def _rowdot(a, b):
     """Column of the row-wise dot products a_i . b_i."""
-    return (a * b).sum(axis=1, keepdims=True)
+    return (a * b).sum(axis=-1, keepdims=True)
 
 
 def _stein_context(Y, md, family, h, X=None):
@@ -269,13 +273,13 @@ def _stein_context(Y, md, family, h, X=None):
     S = mmap.hessian_inverse_apply(X, q)          # dual scores
     U = mmap.hessian_inverse_apply(X, X)
     X2 = X * X
-    f, f1, f2, f3 = radial_profile(family, cdist(X, X, "sqeuclidean"), h)
-    G = X @ X.T
+    f, f1, f2, f3 = radial_profile(family, sq_dists(X), h)
+    G = X @ X.mT
     st = G.copy()                                  # tr(A_j A_i)
-    cross = X2 @ X2.T                              # x_i^T A_j A_i x_j
+    cross = X2 @ X2.mT                             # x_i^T A_j A_i x_j
     if sigma:
-        t = X @ X2.T
-        t = t + t.T
+        t = X @ X2.mT
+        t = t + t.mT
         t *= sigma
         st -= t
         t *= G
@@ -288,31 +292,31 @@ def _stein_context(Y, md, family, h, X=None):
         del t
     # st += dx^T (A_i S_j - A_j S_i), the term that shares its weight with
     # the trace; s4 = dx^T A_i S_j
-    s4 = (X * S) @ X.T
-    s4 -= S @ U.T
+    s4 = (X * S) @ X.mT
+    s4 -= S @ U.mT
     if sigma:
-        t = S @ X.T
+        t = S @ X.mT
         t *= G
         t *= sigma
         s4 -= t
         del t
     st += s4
-    st += s4.T
+    st += s4.mT
     del s4
     # qp = dx^T A_j A_i dx = z + z^T - u_j . u_i - cross, z = x_j^T A_j A_i x_j
-    z = (U * X) @ X.T
+    z = (U * X) @ X.mT
     if sigma:
-        t = U @ X.T
+        t = U @ X.mT
         t *= G
         t *= sigma
         z -= t
         del t
-    qp = z + z.T
+    qp = z + z.mT
     del z
-    qp -= U @ U.T
+    qp -= U @ U.mT
     qp -= cross
     del cross
-    return X, q, S, U, G, f, f1, f2, f3, S @ S.T, st, qp
+    return X, q, S, U, G, f, f1, f2, f3, S @ S.mT, st, qp
 
 
 def stein_kernel_matrix(Y: np.ndarray, md: MirroredDensity, family: str,
@@ -348,7 +352,7 @@ def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float | 
     mmap = md.mmap
     sigma = mmap.sigma
     X, q, S, U, G, f, f1, f2, f3, ss, st, qp = _stein_context(Y, md, family, h, X)
-    n = X.shape[0]
+    n = X.shape[-2]
     X2 = X * X
 
     # every term along dx: (S_j . S_i) grad_{x'} k, the Hessians acting on
@@ -367,21 +371,21 @@ def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float | 
 
     # f1Ax_i = sum_j f1 A_j x_i, and likewise for f2; the rank-one part of A
     # brings in the same sums weighted by f1 G, f2 G and f2 G G
-    f1X, f1S, f2X2 = f1.T @ X, f1.T @ S, f2.T @ X2
-    f1Ax, f2Ax = f1X * X, (f2.T @ X) * X
+    f1X, f1S, f2X2 = f1.mT @ X, f1.mT @ S, f2.mT @ X2
+    f1Ax, f2Ax = f1X * X, (f2.mT @ X) * X
     if sigma:
         F = f1 * G
-        f1GX, f1GS = F.T @ X, F.T @ S
+        f1GX, f1GS = F.mT @ X, F.mT @ S
         F = f2 * G
-        f2GX, f2GX2, f2GU = F.T @ X, F.T @ X2, F.T @ U
+        f2GX, f2GX2, f2GU = F.mT @ X, F.mT @ X2, F.mT @ U
         F *= G
-        f2GGX = F.T @ X
+        f2GGX = F.mT @ X
         del F
         f1Ax -= sigma * f1GX
         f2Ax -= sigma * f2GX
-    f2Adx = f2.T @ U - f2Ax                        # sum_j f2 A_j dx
+    f2Adx = f2.mT @ U - f2Ax                       # sum_j f2 A_j dx
     # W_i = sum_j w[j,i], w = f S_j + A_j grad_x k = f S_j + 2 f1 A_j dx
-    W = f.T @ S + 2.0 * (f1.T @ U - f1Ax)
+    W = f.mT @ S + 2.0 * (f1.mT @ U - f1Ax)
     del f
 
     # One Frobenius contraction <dA/dx_m, M> at x_i collects three sources:
@@ -393,22 +397,22 @@ def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float | 
     # P_i = sum_j f2 x_j x_j^T and Q_i = sum_j f2 G x_j x_j^T.  M_i x_i and
     # M_i^T x_i come from the rank-one part of A and the contraction scales
     # them by sigma, so with sigma = 0 they are left at zero.
-    diag = (W * q - 2.0 * (f1.T @ (S * X) - f1S * X) - 2.0 * f1X
-            - 4.0 * (f2.T @ (U * X) - X * f2X2 - f2Adx * X))
+    diag = (W * q - 2.0 * (f1.mT @ (S * X) - f1S * X) - 2.0 * f1X
+            - 4.0 * (f2.mT @ (U * X) - X * f2X2 - f2Adx * X))
     aax = X * f2X2                                 # sum_j f2 A_j A_i x_j
     mx = mtx = 0.0
     if sigma:
-        diag += sigma * (2.0 * (f1.T @ X2) - 4.0 * f2GX2)
-        H = X @ X2.T
-        f2HX, f2HtX = (f2 * H).T @ X, (f2 * H.T).T @ X
+        diag += sigma * (2.0 * (f1.mT @ X2) - 4.0 * f2GX2)
+        H = X @ X2.mT
+        f2HX, f2HtX = (f2 * H).mT @ X, (f2 * H.mT).mT @ X
         del H
         aax -= sigma * (X * f2GX + f2HtX - sigma * f2GGX)
-        F = S @ X.T
+        F = S @ X.mT
         F *= f1
-        f1SXX = F.T @ X                            # sum_j f1 (S_j . x_i) x_j
-        F = U @ X.T
+        f1SXX = F.mT @ X                           # sum_j f1 (S_j . x_i) x_j
+        F = U @ X.mT
         F *= f2
-        f2UXX = F.T @ X                            # sum_j f2 (u_j . x_i) x_j
+        f2UXX = F.mT @ X                           # sum_j f2 (u_j . x_i) x_j
         del F
         xx = _rowdot(X, X)
         both = -2.0 * f1Ax - 4.0 * sigma * f2GGX
@@ -448,12 +452,10 @@ def hermite_features(y: np.ndarray, n_terms: int) -> np.ndarray:
 
 def mlawgd_direction(Y: np.ndarray, n_terms: int) -> np.ndarray:
     """Row i = -(1/N) sum_j d/dy_i k(y_i, y_j) for the Hermite kernel."""
-    n = Y.shape[0]
-    F = hermite_features(Y, n_terms)
-    ksum = F[:, 1:].sum(axis=0)                      # sum_j He_k(y_j)/sqrt(k!)
+    F = hermite_features(Y, n_terms).reshape(Y.shape[:-1] + (n_terms + 1,))
+    ksum = F[..., 1:].sum(axis=-2)                   # sum_j He_k(y_j)/sqrt(k!)
     coef = ksum / np.sqrt(np.arange(1.0, n_terms + 1.0))
-    per_i = F[:, :n_terms] @ coef
-    return -(per_i / n)[:, None]
+    return -(F[..., :n_terms] @ coef[..., None] / Y.shape[-2])
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +475,24 @@ class RunRecord:
 # the simplex (about 20 on the orthant, where the rank-one terms drop out);
 # it holds no (N, d, d) array.  The estimate counts ten (N, N) matrices and
 # forty (N, d) arrays.  Runs whose estimate passes this budget are refused.
-# 2 GiB is a quarter of an 8 GiB host, so a two-worker sweep stays under
-# half of it.
+# A stack of B runs holds B times as much at once, so a sweep puts no more
+# runs in one stack than the budget holds (max_stack).  2 GiB is a quarter
+# of an 8 GiB host, so a two-worker sweep stays under half of it.
 KSD_DESCENT_BUDGET = 2 * 2**30
 
 
 def ksd_descent_bytes(n: int, d: int) -> int:
     """Estimated peak bytes of one KSD-descent direction, 8 N (10 N + 40 d)."""
     return 8 * n * (10 * n + 40 * d)
+
+
+def max_stack(sampler, n_particles, d):
+    """The most runs of ``sampler`` one stack may hold: as many KSD-descent
+    runs as fit in KSD_DESCENT_BUDGET together, and at least one; any
+    number of other runs."""
+    if sampler.removeprefix("coin_") != "mksdd":
+        return math.inf
+    return max(1, KSD_DESCENT_BUDGET // ksd_descent_bytes(n_particles, d))
 
 
 def stepper_kinds(sampler) -> tuple:
@@ -554,6 +566,18 @@ def mirrored_density(target) -> MirroredDensity:
     return MirroredDensity(target, make_map(target))
 
 
+@dataclass(frozen=True)
+class Run:
+    """One run of a stack: its sampler, seed and stepper (None takes the
+    sampler's default, as in :func:`run_sampler`), and the name a failure
+    report gives it, by default its sampler."""
+
+    sampler: str
+    seed: int
+    stepper: StepperConfig | None = None
+    name: str | None = None
+
+
 def run_sampler(
     *,
     target,
@@ -570,6 +594,9 @@ def run_sampler(
     hooks: dict | None = None,
 ) -> RunRecord:
     """Run one sampler for ``n_iters`` iterations and return its record.
+
+    This is the loop of :func:`run_stack` with one run, which moves the
+    (N, d) cloud itself rather than a stack of one.
 
     The stepper moves one of two kinds of coordinates, as the sampler
     family says: the dual coordinates of the mirror map of
@@ -592,22 +619,57 @@ def run_sampler(
     evaluated at iteration 0, every ``metric_every`` iterations, and at the
     final iteration.  ``y_cloud`` is None for projected samplers.
     """
-    problems = []
-    if stepper is None:
-        try:
-            stepper = sampler_stepper(sampler)
-        except ConfigError as exc:
-            problems = [f"stepper: {v}" for v in exc.violations]
-    problems += check_run(target, sampler, stepper, init, seed=seed,
-                          n_particles=n_particles, n_iters=n_iters,
-                          metric_every=metric_every, spectral_terms=spectral_terms)
+    return _loop([Run(sampler, seed, stepper)], False, target=target,
+                 n_particles=n_particles, n_iters=n_iters, kernel=kernel,
+                 mollifier=mollifier, spectral_terms=spectral_terms, init=init,
+                 metric_every=metric_every, hooks=hooks)[0]
+
+
+def run_stack(runs, **options) -> list:
+    """Run a stack of runs as one (B, N, d) array and return their records.
+
+    The runs share every keyword argument of :func:`run_sampler` but
+    ``sampler``, ``seed`` and ``stepper``, which each :class:`Run` gives;
+    each is given, none has a default.  They share one sampler family
+    (msvgd with coin_msvgd, say).  Each run draws its cloud from its own
+    seed and keeps its own stepper engine.  Every array op acts on each
+    (N, d) slice as :func:`run_sampler` acts on its cloud, so each record
+    holds the same bits as that run's alone.  The first iteration at which
+    a settled cloud leaves the open domain (or fails to map back) ends the
+    stack, and its failure names the first run, in stack order, that did.
+    """
+    return _loop(runs, True, **options)
+
+
+def _loop(runs, stacked, *, target, n_particles, n_iters, kernel, mollifier,
+          spectral_terms, init, metric_every, hooks):
+    """The run loop of :func:`run_sampler` (``stacked`` False, one run) and
+    :func:`run_stack`."""
+    steppers, problems = [], []
+    for run in runs:
+        stepper = run.stepper
+        if stepper is None:
+            try:
+                stepper = sampler_stepper(run.sampler)
+            except ConfigError as exc:
+                problems += [f"stepper: {v}" for v in exc.violations]
+        steppers.append(stepper)
+        problems += check_run(target, run.sampler, stepper, init, seed=run.seed,
+                              n_particles=n_particles, n_iters=n_iters,
+                              metric_every=metric_every, spectral_terms=spectral_terms)
+    if len({run.sampler.removeprefix("coin_") for run in runs}) > 1:
+        problems.append("a stack's runs take one sampler family")
     if problems:
-        raise ConfigError(problems)
+        raise ConfigError(list(dict.fromkeys(problems)))
     hooks = hooks or {}
-    base = sampler.removeprefix("coin_")
+    base = runs[0].sampler.removeprefix("coin_")
     projected = base == "svgd_proj"
 
-    X = draw_init(init, target, n_particles, substream(seed, "init"))
+    def per_run(a):
+        return list(a) if stacked else [a]
+
+    X = [draw_init(init, target, n_particles, substream(run.seed, "init")) for run in runs]
+    X = np.stack(X) if stacked else X[0]
 
     # Z is what the stepper moves; settle maps a stepped Z to (Z, X), and
     # direction(Z, X) is the outcome the stepper takes at the pair; inside(X)
@@ -642,27 +704,48 @@ def run_sampler(
         inside = mmap.inside
         Z = mmap.primal_to_dual(X)
 
-    if base == "mla":
-        engine = _Langevin(stepper.lr, substream(seed, "mla_noise"))
-    else:
-        engine = make_stepper(stepper, Z)
-    record = RunRecord()
+    # each run keeps its own engine, which steps the run's (N, d) slice
+    engines = [_Langevin(stepper.lr, substream(run.seed, "mla_noise")) if base == "mla"
+               else make_stepper(stepper, z0)
+               for run, stepper, z0 in zip(runs, steppers, per_run(Z))]
+
+    def step(z, c):
+        return np.stack([e.step(zb, cb) for e, zb, cb in zip(engines, z, c)])
+
+    if not stacked:
+        step = engines[0].step
+
+    records = [RunRecord() for _ in runs]
     t0 = time.perf_counter()
 
     def observe(it, x, z):
         if hooks and (it == 0 or it == n_iters or it % metric_every == 0):
             ms = (time.perf_counter() - t0) * 1e3
-            for name, fn in hooks.items():
-                record.trace.append((it, name, float(fn(x, None if projected else z)), ms))
+            for record, xb, zb in zip(records, per_run(x), per_run(z)):
+                for name, fn in hooks.items():
+                    record.trace.append((it, name, float(fn(xb, None if projected else zb)), ms))
 
     def checked(z, it):
-        # the loop's interior check; the directions trust the X it passes
-        z, x = settle(z)
-        if not inside(x):
+        # the loop's interior check, one per settled stack; the directions
+        # trust the X it passes
+        try:
+            settled = settle(z)
+            if inside(settled[1]):
+                return settled
+        except (NumericalFailure, NumericalOverflow):
+            if not stacked:
+                raise
+        # only a failed check works out which run failed
+        for run, zb in zip(runs, per_run(z)):
+            name = run.name or run.sampler
+            try:
+                if inside(settle(zb)[1]):
+                    continue
+            except (NumericalFailure, NumericalOverflow) as exc:
+                raise type(exc)(f"{name}: {exc} at iteration {it}") from None
             raise DomainViolation(
-                f"{sampler}: particle left the open domain at iteration {it}"
+                f"{name}: particle left the open domain at iteration {it}"
             )
-        return z, x
 
     observe(0, X, Z)
     if not projected and n_iters:
@@ -670,9 +753,10 @@ def run_sampler(
         # in rounding; the first direction sees the image, as all later ones do
         Z, X = checked(Z, 0)
     for it in range(1, n_iters + 1):
-        Z, X = checked(engine.step(Z, direction(Z, X)), it)
+        Z, X = checked(step(Z, direction(Z, X)), it)
         observe(it, X, Z)
 
-    record.x_final = X
-    record.y_final = None if projected else Z
-    return record
+    for record, xb, zb in zip(records, per_run(X), per_run(Z)):
+        record.x_final = xb
+        record.y_final = None if projected else zb
+    return records

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mirrorcoin.harness as harness
+import mirrorcoin.samplers as samplers
 from mirrorcoin.cli import main
 from mirrorcoin.errors import ConfigError, DomainViolation
 from mirrorcoin.harness import (
@@ -23,12 +24,13 @@ from mirrorcoin.harness import (
     write_particles_csv,
 )
 from mirrorcoin.rng import substream
-from mirrorcoin.metrics import ksd_vstat
+from mirrorcoin.metrics import energy_distance, ksd_vstat
 from mirrorcoin.kernels import KernelConfig
 from mirrorcoin.mied import MollifierConfig
 from mirrorcoin.samplers import (
     InitSpec,
     StepperConfig,
+    ksd_descent_bytes,
     mirrored_density,
     run_sampler,
     sampler_stepper,
@@ -606,9 +608,10 @@ class TestRunSweep:
 
     def test_pool_worker_warnings_reach_the_caller(self, tmp_path, monkeypatch):
         # raised again in the calling process, where its filters apply
-        def overflowing_job(plan):
-            np.float64(1e308) * 10.0
-            return 0.0
+        def overflowing_job(plans):
+            for _ in plans:
+                np.float64(1e308) * 10.0
+            return [0.0] * len(plans)
         monkeypatch.setattr(harness, "_sweep_job", overflowing_job)
         raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
         with pytest.warns(RuntimeWarning, match="overflow") as caught:
@@ -697,7 +700,7 @@ class TestRunSweep:
         # the jobs are planned as they would run; none is run
         steppers = []
         monkeypatch.setattr(harness, "_sweep_job",
-                            lambda plan: steppers.append(plan.stepper) or 0.0)
+                            lambda plans: [steppers.append(p.stepper) or 0.0 for p in plans])
         raw = {"sampler.kind": sampler, "sampler.n_particles": "4", "sampler.n_iters": "1",
                "stepper.kind": "fixed_lr", **target, "sweep.lrs": "0.1",
                "sweep.seeds": "0,1"}
@@ -738,6 +741,47 @@ class TestRunSweep:
                          str(tmp_path / "s"), max_workers=asked)
         assert len(rows) == 3
         assert sizes == ([] if pool is None else [pool])
+
+    def test_stacks_write_the_same_bytes_at_any_worker_count(self, tmp_path):
+        # 6 jobs run as 1, 2 or 3 stacks; each value is its job's run alone
+        raw = {**read_config(write_cfg(tmp_path, SWEEP_CONFIG)), "sweep.lrs": "0.05,0.2",
+               "sweep.seeds": "0,1"}
+        outs = [tmp_path / f"w{workers}" for workers in (1, 2, 3)]
+        rows = [run_sweep(dict(raw), str(out), max_workers=workers)
+                for workers, out in zip((1, 2, 3), outs)]
+        assert rows[0] == rows[1] == rows[2]
+        assert len({out.joinpath("sweep.csv").read_bytes() for out in outs}) == 1
+        for sampler, lr, seed, value in rows[0]:
+            job = {k: v for k, v in raw.items() if not k.startswith("sweep.")}
+            job.update({"seed": str(seed), "sampler.kind": sampler})
+            if lr is None:
+                del job["stepper.kind"]
+            else:
+                job["stepper.lr"] = repr(lr)
+            plan = build_plan(job)
+            record = run_sampler(target=plan.target, sampler=sampler, seed=seed,
+                                 stepper=plan.stepper, n_particles=plan.n_particles,
+                                 n_iters=plan.n_iters)
+            ref = plan.target.sample_ground_truth(plan.gt_n, substream(seed, "ground_truth"))
+            assert value == energy_distance(record.x_final, ref)
+
+    @pytest.mark.parametrize("fit,sizes", [(1, [1, 1, 1, 1, 1]), (2, [1, 2, 2]), (9, [5])])
+    def test_stacks_of_ksd_descent_fit_the_budget(self, tmp_path, monkeypatch, fit, sizes):
+        # a budget that holds ``fit`` runs of the sweep's size; a fake runner
+        # records the stacks and runs none
+        raw = {"sampler.kind": "mksdd", "sampler.n_particles": "4", "sampler.n_iters": "1",
+               "stepper.kind": "fixed_lr", "target.kind": "exp_orthant", "target.d": "2",
+               "sweep.lrs": "0.1,0.2,0.3,0.4", "sweep.seeds": "0"}
+        monkeypatch.setattr(samplers, "KSD_DESCENT_BUDGET", fit * ksd_descent_bytes(4, 2))
+        stacks = []
+        monkeypatch.setattr(harness, "_sweep_job",
+                            lambda plans: stacks.append(len(plans)) or [0.0] * len(plans))
+        rows = run_sweep(raw, str(tmp_path / "s"), max_workers=1)
+        assert len(rows) == 5 and stacks == sizes
+        # one run over the budget is still refused
+        monkeypatch.setattr(samplers, "KSD_DESCENT_BUDGET", ksd_descent_bytes(4, 2) - 1)
+        with pytest.raises(ConfigError, match="over the 0 GiB budget"):
+            run_sweep(raw, str(tmp_path / "t"), max_workers=1)
 
     def test_sweep_needs_grids(self, tmp_path):
         raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
@@ -1121,8 +1165,24 @@ class TestCli:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--workers", "2"]) == 2
         assert capfd.readouterr().err == (
-            "runtime failure: DomainViolation: svgd_proj: particle left the open "
-            "domain at iteration 2\n")
+            "runtime failure: DomainViolation: svgd_proj (lr 1e+300, seed 1): particle "
+            "left the open domain at iteration 2\n")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_sweep_names_its_run(self, tmp_path, capsys, workers):
+        # every stack stops at the first failure, and names the run that failed
+        cfg = write_cfg(tmp_path, (
+            "target.kind = sparse_dirichlet\ntarget.alpha = 0.1\n"
+            "target.counts = 90,5,5" + ",0" * 18 + "\n"
+            "sampler.kind = msvgd\nsampler.n_particles = 10\nsampler.n_iters = 20\n"
+            "stepper.kind = fixed_lr\n"))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--lrs", "0.001,1,5",
+                     "--seeds", "0,1", "--workers", workers]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: DomainViolation: msvgd (lr 1.0, seed 0): particle left the "
+            "open domain at iteration 1\n")
+        assert not (out / "sweep.csv").exists()
 
     def test_warnings_of_a_successful_run_still_shown(self, tmp_path, capsys, monkeypatch):
         # held back while the command runs, then shown once it has succeeded

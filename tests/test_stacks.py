@@ -1,0 +1,142 @@
+"""Stacks of runs: a (B, N, d) array moves through every direction, and each
+run of a stack gets the bits it gets alone."""
+
+import numpy as np
+import pytest
+
+from mirrorcoin.errors import DomainViolation, NumericalOverflow
+from mirrorcoin.kernels import KernelConfig, median_h, sq_dists
+from mirrorcoin.mied import MOLLIFIERS, MollifierConfig, mie_gradient
+from mirrorcoin.samplers import (
+    InitSpec,
+    Run,
+    StepperConfig,
+    mirrored_density,
+    mksdd_direction,
+    mlawgd_direction,
+    msvgd_direction,
+    run_sampler,
+    run_stack,
+    svgd_direction,
+)
+from mirrorcoin.targets import ExpOrthant, LogNormalOrthant, SparseDirichlet, UniformBox
+
+DIRICHLET = SparseDirichlet(alpha=0.5, counts=np.array([6.0, 2.0, 1.0, 0.0]))
+ORTHANT = ExpOrthant(3)
+TARGETS = {"simplex": DIRICHLET, "orthant": ORTHANT}
+B, N = 3, 7
+
+
+def cloud_stack(target, seed=0):
+    """B primal clouds of N points in the target's domain."""
+    rng = np.random.default_rng(seed)
+    if target.domain == "simplex":
+        return rng.dirichlet(np.full(target.d + 1, 2.0), size=(B, N))[..., :target.d]
+    if target.domain == "box":
+        return rng.uniform(0.8 * target.lo, 0.8 * target.hi, size=(B, N, target.d))
+    return np.exp(rng.standard_normal((B, N, target.d)))
+
+
+def assert_slices_equal(stacked, per_slice):
+    assert stacked.shape[0] == len(per_slice)
+    for got, want in zip(stacked, per_slice):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("domain", TARGETS)
+@pytest.mark.parametrize("direction", [msvgd_direction, mksdd_direction])
+@pytest.mark.parametrize("family,h", [("imq", "median"), ("rbf", "median"), ("imq", 0.7)])
+def test_mirrored_direction_of_a_stack_is_its_slices(domain, direction, family, h):
+    md = mirrored_density(TARGETS[domain])
+    X = cloud_stack(md.target)
+    Y = md.mmap.primal_to_dual(X)
+    assert_slices_equal(direction(Y, md, family, h, X),
+                        [direction(y, md, family, h, x) for y, x in zip(Y, X)])
+    # without X, each slice is mapped back from Y
+    assert_slices_equal(direction(Y, md, family, h), [direction(y, md, family, h) for y in Y])
+
+
+def test_projected_direction_of_a_stack_is_its_slices():
+    X = cloud_stack(DIRICHLET)
+    assert_slices_equal(svgd_direction(X, DIRICHLET, "imq", "median"),
+                        [svgd_direction(x, DIRICHLET, "imq", "median") for x in X])
+
+
+def test_spectral_direction_of_a_stack_is_its_slices():
+    Y = np.random.default_rng(1).standard_normal((B, N, 1))
+    assert_slices_equal(mlawgd_direction(Y, 12), [mlawgd_direction(y, 12) for y in Y])
+
+
+@pytest.mark.parametrize("kind", MOLLIFIERS)
+@pytest.mark.parametrize("target", [UniformBox(-np.ones(2), np.ones(2)), ExpOrthant(2)])
+def test_mied_gradient_of_a_stack_is_its_slices(kind, target):
+    # the exponential density's largest factor differs from slice to slice
+    X = cloud_stack(UniformBox(-np.ones(2), np.ones(2)))
+    X[1] *= 0.3
+    config = MollifierConfig(kind, eps=0.5)
+    assert_slices_equal(mie_gradient(X, target, config),
+                        [mie_gradient(x, target, config) for x in X])
+
+
+def test_a_collapsed_slice_alone_takes_h_one():
+    md = mirrored_density(DIRICHLET)
+    X = cloud_stack(DIRICHLET)
+    X[1] = X[1, 0]                       # every point of slice 1 at one place
+    h = median_h(sq_dists(X))
+    assert h.shape == (B, 1, 1) and h[1, 0, 0] == 1.0
+    for b in (0, 2):
+        assert h[b, 0, 0] == median_h(sq_dists(X[b])) != 1.0
+    Y = md.mmap.primal_to_dual(X)
+    assert_slices_equal(msvgd_direction(Y, md, "imq", "median", X),
+                        [msvgd_direction(y, md, "imq", "median", x) for y, x in zip(Y, X)])
+
+
+OPTIONS = dict(n_particles=6, n_iters=5, kernel=KernelConfig(), mollifier=MollifierConfig(),
+               spectral_terms=8, init=InitSpec(), metric_every=2)
+
+
+def mean_x1(x, y):
+    return float(x[:, 0].mean())
+
+
+@pytest.mark.parametrize("base,target", [
+    ("msvgd", DIRICHLET), ("msvgd", ORTHANT), ("mksdd", DIRICHLET), ("mksdd", ORTHANT),
+    ("mlawgd", LogNormalOrthant(1)), ("svgd_proj", DIRICHLET),
+    ("mied", UniformBox(-np.ones(2), np.ones(2))),
+])
+def test_each_run_of_a_stack_is_the_run_alone(base, target):
+    # rmsprop runs share an engine across a fixed_lr run, and the coin twin
+    # runs with both engines
+    runs = [Run(base, 0, StepperConfig("rmsprop", lr=0.05)),
+            Run(base, 1, StepperConfig("fixed_lr", lr=0.02)),
+            Run(base, 1, StepperConfig("rmsprop", lr=0.01)),
+            Run("coin_" + base, 0),
+            Run("coin_" + base, 2, StepperConfig("coin_kt"))]
+    records = run_stack(runs, target=target, hooks={"mean_x1": mean_x1}, **OPTIONS)
+    for run, got in zip(runs, records):
+        alone = run_sampler(target=target, sampler=run.sampler, seed=run.seed,
+                            stepper=run.stepper, hooks={"mean_x1": mean_x1}, **OPTIONS)
+        assert np.array_equal(got.x_final, alone.x_final)
+        assert (got.y_final is None) == (alone.y_final is None)
+        if got.y_final is not None:
+            assert np.array_equal(got.y_final, alone.y_final)
+        assert [row[:3] for row in got.trace] == [row[:3] for row in alone.trace]
+
+
+def test_a_failed_stack_names_the_run_that_failed():
+    # the first run is fine; the second fails at once
+    runs = [Run("svgd_proj", 0, StepperConfig("fixed_lr", lr=0.01), "calm"),
+            Run("svgd_proj", 0, StepperConfig("fixed_lr", lr=1e300), "wild")]
+    with pytest.warns(RuntimeWarning), pytest.raises(
+            DomainViolation, match="^wild: particle left the open domain at iteration 2$"):
+        run_stack(runs, target=DIRICHLET, hooks={}, **OPTIONS)
+    runs[1] = Run("msvgd", 0, StepperConfig("rmsprop", lr=1e3), "wild")
+    runs[0] = Run("msvgd", 0, StepperConfig("fixed_lr", lr=0.01), "calm")
+    with pytest.raises(NumericalOverflow, match="^wild: exp overflow: .* at iteration 1$"):
+        run_stack(runs, target=LogNormalOrthant(3), hooks={}, **OPTIONS)
+
+
+def test_a_stack_takes_one_sampler_family():
+    with pytest.raises(ValueError, match="one sampler family"):
+        run_stack([Run("msvgd", 0, StepperConfig("rmsprop", lr=0.1)),
+                   Run("coin_mksdd", 0)], target=DIRICHLET, hooks={}, **OPTIONS)
