@@ -27,7 +27,7 @@ against phi itself (acceptance criterion 01).
 
 Only the entry points check that a primal cloud is in the open domain
 (DomainViolation): ``primal_to_dual``, ``assert_interior``, the run loop
-(:func:`mirrorcoin.samplers.run_sampler`), and the calls that map a dual
+(:func:`mirrorcoin.samplers.run_stack`), and the calls that map a dual
 cloud back themselves.  Every other map method trusts its ``x``.
 
 All operations act on the last axis of their inputs and broadcast over any

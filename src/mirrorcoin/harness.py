@@ -180,7 +180,9 @@ RUN = inspect.signature(run_sampler).parameters
 def _build(r: _Reader, section: str, table, shared=None):
     """The object the ``<section>.*`` keys describe, or None (with the
     problems logged) when a key is missing or does not parse, or the
-    constructor refuses the values.
+    constructor refuses the values.  The constructor runs on the keys that
+    parse whenever every required key does, so its refusals are reported
+    beside the parse problems.
 
     ``table`` is (constructor, converters) or, for a section with kinds, a
     dict from the required ``<section>.kind`` to such a pair.  ``table``
@@ -204,14 +206,16 @@ def _build(r: _Reader, section: str, table, shared=None):
               for key, conv in params.items()}
     for key, conv in (shared or {}).items():
         r.get(f"{section}.{key}", conv)
-    if len(r.problems) > logged:
+    parsed = len(r.problems) == logged
+    if any(values[key] is None for key in params if key in required):
         return None
     try:
-        # a value read is never None, so None marks a key left out
-        return make(**{key: value for key, value in values.items() if value is not None})
+        # a value read is never None, so None marks a key left out or unparsed
+        made = make(**{key: value for key, value in values.items() if value is not None})
     except ValueError as exc:
         r.problems.extend(f"{section}: {v}" for v in getattr(exc, "violations", [exc]))
         return None
+    return made if parsed else None
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ runs, and treats each (N, d) slice as its own cloud.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,21 +57,21 @@ class KernelConfig:
 def sq_dists(points: np.ndarray) -> np.ndarray:
     """The N x N squared pairwise distances of each (N, d) cloud in
     ``points``, taken by cdist one cloud at a time."""
-    if points.ndim == 2:
-        return cdist(points, points, "sqeuclidean")
     n, d = points.shape[-2:]
-    out = np.empty(points.shape[:-1] + (n,))
-    for x, o in zip(points.reshape(-1, n, d), out.reshape(-1, n, n)):
-        cdist(x, x, "sqeuclidean", out=o)
-    return out
+    clouds = points.reshape(-1, n, d)
+    out = np.empty((len(clouds), n, n))
+    for b in range(len(clouds)):
+        cdist(clouds[b], clouds[b], "sqeuclidean", out=out[b])
+    return out.reshape(points.shape[:-1] + (n,))
 
 
 def median_h(r2: np.ndarray):
     """The median heuristic from the full N x N matrix of squared pairwise
     distances: h^2 = median of r^2 over the N(N-1)/2 pairs / log N, with
     the midpoint on r^2 of the two middle pairs when their count is even.
-    A stack of matrices gives one h per matrix, shaped to broadcast
-    against it; a single matrix gives a float.
+    A stack of B > 1 matrices gives one h per matrix, shaped (B, 1, 1) to
+    broadcast against it; one matrix (alone or a stack of one) gives a
+    float, so a lone run's kernel scales by a scalar.
 
     r2's diagonal holds N exact zeros and each pair twice (cdist is bitwise
     symmetric), so pair order statistic k sits at flat sorted index N + 2k
@@ -79,16 +80,18 @@ def median_h(r2: np.ndarray):
     and its gradient 0 for any bandwidth, so h = 1.0 then.
     """
     n = r2.shape[-1]
-    if n < 2:
-        return 1.0 if r2.ndim == 2 else np.ones(r2.shape[:-2] + (1, 1))
+    flat = r2.reshape(-1, n * n)
     pairs = n * (n - 1) // 2
-    k = n + 2 * (pairs // 2)
-    # one kth: numpy's partition at two is several times slower
-    flat = np.partition(r2.reshape(r2.shape[:-2] + (n * n,)), k, axis=-1)
-    med = flat[..., k] if pairs % 2 else (flat[..., :k].max(axis=-1) + flat[..., k]) / 2
-    if r2.ndim == 2:
-        return float(np.sqrt(med / np.log(n))) if med > 0 else 1.0
-    return np.where(med > 0, np.sqrt(med / np.log(n)), 1.0)[..., None, None]
+    h = [1.0] * len(flat)                          # a singleton has no pair
+    if pairs:
+        k = n + 2 * (pairs // 2)
+        # one kth: numpy's partition at two is several times slower
+        flat = np.partition(flat, k, axis=-1)
+        med = flat[:, k] if pairs % 2 else (flat[:, :k].max(axis=-1) + flat[:, k]) / 2
+        # in Python floats: numpy's ops on a single value cost a lone run more
+        log_n = float(np.log(n))
+        h = [math.sqrt(m / log_n) if m > 0 else 1.0 for m in med.tolist()]
+    return h[0] if len(h) == 1 else np.reshape(h, r2.shape[:-2] + (1, 1))
 
 
 def median_bandwidth(points: np.ndarray) -> float:

@@ -9,7 +9,7 @@ is taken relative to the largest, as e_ij a_i a_j with e = phi / phi(0) <= 1
 and a = exp(b - max b) <= 1, b = -log(pi) / 2: nothing overflows, and the
 density stays a vector of N factors.  The particles move in the dual
 coordinates of the box's mirror map (:class:`mirrorcoin.geometry.BoxMirrorMap`);
-the run loop lives in :func:`mirrorcoin.samplers.run_sampler`.
+the run loop lives in :func:`mirrorcoin.samplers.run_stack`.
 """
 
 from __future__ import annotations

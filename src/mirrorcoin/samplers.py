@@ -10,9 +10,9 @@ dual-space particles ``Y`` and read off primal particles ``X`` through the
 mirror map every iteration, as MIED (mied and its coin twin) does with the
 box's map.  Projected baselines (svgd_proj and its coin twin) move primal
 particles directly and re-project onto the domain after every step.  One
-loop runs them all: :func:`run_sampler` runs one run on its (N, d) cloud,
-and :func:`run_stack` a stack of B runs of one sampler family, which differ
-only in seed and stepper, as one (B, N, d) array.  Every direction takes
+loop, :func:`run_stack`, runs them all: it moves a stack of B runs of one
+sampler family, which differ only in seed and stepper, as one (B, N, d)
+array, and :func:`run_sampler` is a stack of one.  Every direction takes
 leading axes and treats each (N, d) slice as its own cloud, so a run in a
 stack gets the same bits it gets alone, and a sweep's grid pays each
 array call's overhead once per iteration rather than once per run.
@@ -593,10 +593,8 @@ def run_sampler(
     metric_every: int = 10,
     hooks: dict | None = None,
 ) -> RunRecord:
-    """Run one sampler for ``n_iters`` iterations and return its record.
-
-    This is the loop of :func:`run_stack` with one run, which moves the
-    (N, d) cloud itself rather than a stack of one.
+    """Run one sampler for ``n_iters`` iterations and return its record:
+    :func:`run_stack` with a stack of one run.
 
     The stepper moves one of two kinds of coordinates, as the sampler
     family says: the dual coordinates of the mirror map of
@@ -610,6 +608,7 @@ def run_sampler(
     mapping the coordinates back again.  Each settled cloud, the first image
     of the drawn cloud's dual coordinates included, is checked once before a
     direction reads it; one outside the open domain raises DomainViolation.
+    A failure names the sampler and the iteration, as in a stack.
 
     ``stepper`` defaults to ``sampler_stepper(sampler)``, as in a config,
     so a gradient sampler still needs an lr; that default's problems and
@@ -619,13 +618,14 @@ def run_sampler(
     evaluated at iteration 0, every ``metric_every`` iterations, and at the
     final iteration.  ``y_cloud`` is None for projected samplers.
     """
-    return _loop([Run(sampler, seed, stepper)], False, target=target,
-                 n_particles=n_particles, n_iters=n_iters, kernel=kernel,
-                 mollifier=mollifier, spectral_terms=spectral_terms, init=init,
-                 metric_every=metric_every, hooks=hooks)[0]
+    return run_stack([Run(sampler, seed, stepper)], target=target,
+                     n_particles=n_particles, n_iters=n_iters, kernel=kernel,
+                     mollifier=mollifier, spectral_terms=spectral_terms, init=init,
+                     metric_every=metric_every, hooks=hooks)[0]
 
 
-def run_stack(runs, **options) -> list:
+def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
+              spectral_terms, init, metric_every, hooks) -> list:
     """Run a stack of runs as one (B, N, d) array and return their records.
 
     The runs share every keyword argument of :func:`run_sampler` but
@@ -633,18 +633,11 @@ def run_stack(runs, **options) -> list:
     each is given, none has a default.  They share one sampler family
     (msvgd with coin_msvgd, say).  Each run draws its cloud from its own
     seed and keeps its own stepper engine.  Every array op acts on each
-    (N, d) slice as :func:`run_sampler` acts on its cloud, so each record
-    holds the same bits as that run's alone.  The first iteration at which
-    a settled cloud leaves the open domain (or fails to map back) ends the
-    stack, and its failure names the first run, in stack order, that did.
+    (N, d) slice as it would on that cloud alone, so each record holds the
+    same bits as that run's alone.  The first iteration at which a settled
+    cloud leaves the open domain (or fails to map back) ends the stack, and
+    its failure names the first run, in stack order, that did.
     """
-    return _loop(runs, True, **options)
-
-
-def _loop(runs, stacked, *, target, n_particles, n_iters, kernel, mollifier,
-          spectral_terms, init, metric_every, hooks):
-    """The run loop of :func:`run_sampler` (``stacked`` False, one run) and
-    :func:`run_stack`."""
     steppers, problems = [], []
     for run in runs:
         stepper = run.stepper
@@ -665,11 +658,8 @@ def _loop(runs, stacked, *, target, n_particles, n_iters, kernel, mollifier,
     base = runs[0].sampler.removeprefix("coin_")
     projected = base == "svgd_proj"
 
-    def per_run(a):
-        return list(a) if stacked else [a]
-
-    X = [draw_init(init, target, n_particles, substream(run.seed, "init")) for run in runs]
-    X = np.stack(X) if stacked else X[0]
+    X = np.stack([draw_init(init, target, n_particles, substream(run.seed, "init"))
+                  for run in runs])
 
     # Z is what the stepper moves; settle maps a stepped Z to (Z, X), and
     # direction(Z, X) is the outcome the stepper takes at the pair; inside(X)
@@ -707,13 +697,14 @@ def _loop(runs, stacked, *, target, n_particles, n_iters, kernel, mollifier,
     # each run keeps its own engine, which steps the run's (N, d) slice
     engines = [_Langevin(stepper.lr, substream(run.seed, "mla_noise")) if base == "mla"
                else make_stepper(stepper, z0)
-               for run, stepper, z0 in zip(runs, steppers, per_run(Z))]
+               for run, stepper, z0 in zip(runs, steppers, Z)]
 
     def step(z, c):
-        return np.stack([e.step(zb, cb) for e, zb, cb in zip(engines, z, c)])
-
-    if not stacked:
-        step = engines[0].step
+        # into a new stack: np.stack costs a lone run more than this
+        out = np.empty_like(z)
+        for e, o, zb, cb in zip(engines, out, z, c):
+            o[...] = e.step(zb, cb)
+        return out
 
     records = [RunRecord() for _ in runs]
     t0 = time.perf_counter()
@@ -721,7 +712,7 @@ def _loop(runs, stacked, *, target, n_particles, n_iters, kernel, mollifier,
     def observe(it, x, z):
         if hooks and (it == 0 or it == n_iters or it % metric_every == 0):
             ms = (time.perf_counter() - t0) * 1e3
-            for record, xb, zb in zip(records, per_run(x), per_run(z)):
+            for record, xb, zb in zip(records, x, z):
                 for name, fn in hooks.items():
                     record.trace.append((it, name, float(fn(xb, None if projected else zb)), ms))
 
@@ -733,10 +724,9 @@ def _loop(runs, stacked, *, target, n_particles, n_iters, kernel, mollifier,
             if inside(settled[1]):
                 return settled
         except (NumericalFailure, NumericalOverflow):
-            if not stacked:
-                raise
+            pass
         # only a failed check works out which run failed
-        for run, zb in zip(runs, per_run(z)):
+        for run, zb in zip(runs, z):
             name = run.name or run.sampler
             try:
                 if inside(settle(zb)[1]):
@@ -756,7 +746,7 @@ def _loop(runs, stacked, *, target, n_particles, n_iters, kernel, mollifier,
         Z, X = checked(step(Z, direction(Z, X)), it)
         observe(it, X, Z)
 
-    for record, xb, zb in zip(records, per_run(X), per_run(Z)):
+    for record, xb, zb in zip(records, X, Z):
         record.x_final = xb
         record.y_final = None if projected else zb
     return records

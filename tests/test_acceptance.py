@@ -8,6 +8,7 @@ so the full gate can be audited from the pytest log alone.  Tolerances are
 pinned in the asserts; shared protocol constants live at module level.
 """
 
+import hashlib
 import sys
 import time
 
@@ -463,4 +464,60 @@ target.counts = 90,5,5,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0
         _report(
             11, "repeated seeded run emits byte-identical particles", ok,
             f"bytes={len(blobs[0])} identical={blobs[0] == blobs[1]}",
+        )
+
+    # The benchmark's four commands (perfbench/workloads.py) at seed 701,
+    # written out here so that a change to the benchmark cannot move them,
+    # and the sha256 of each output.  A change that moves an output by
+    # design updates its pin and says so.
+    DIRICHLET = ("target.kind = sparse_dirichlet\ntarget.alpha = 0.1\n"
+                 "target.counts = 90,5,5" + ",0" * 18 + "\n")
+    PINNED = {
+        "dirichlet_sample": (
+            "sample", "seed = 701\nsampler.kind = coin_msvgd\nsampler.n_particles = 50\n"
+            "sampler.n_iters = 500\nsampler.metric_every = 1\nmetrics.names = energy\n"
+            + DIRICHLET, {
+                "particles_final.csv":
+                    "429f4e097d30087fbe572e745784bf5d9fd033c388b4d5c2234ab39f6bba56ab",
+                "trace.csv": "5e35bf099c83fc0caa7c0a4bf040233d3f9cca1127515f2c6fc3de0cb1ff7de0",
+            }),
+        "dirichlet_sweep": (
+            "sweep", "seed = 701\nsampler.kind = msvgd\nsampler.n_particles = 50\n"
+            "sampler.n_iters = 500\nstepper.kind = rmsprop\n"
+            "sweep.lrs = 0.0001,0.001,0.01,0.1,0.5\nsweep.seeds = 701,702\n" + DIRICHLET, {
+                "sweep.csv": "1959109f7ea64d44c6d9e6c8d40806ea33f59ed6b89605a04fcc5cc190a87f8f",
+            }),
+        "orthant_ksd": (
+            "sample", "seed = 701\nsampler.kind = coin_mksdd\nsampler.n_particles = 100\n"
+            "sampler.n_iters = 100\nmetrics.names = ksd\n"
+            "target.kind = exp_orthant\ntarget.d = 10\n", {
+                "particles_final.csv":
+                    "4fbe5ff2c15368224ca71d65a0d0b9733f8bd7ad00ddd8a9091d4b073b4e9576",
+                "trace.csv": "6787cc4036eb5d52c4e4aa6da87c5d9b95775e11d9e377c81af54c5deab1afd4",
+            }),
+        "box_mied": (
+            "sample", "seed = 701\nsampler.kind = coin_mied\nsampler.n_particles = 400\n"
+            "sampler.n_iters = 250\nsampler.metric_every = 10\nmetrics.names = energy\n"
+            "target.kind = uniform_box\ntarget.d = 2\ntarget.lo = -1\ntarget.hi = 1\n", {
+                "particles_final.csv":
+                    "fbfc15202d639fbfdd42911573dfeb16424e10448e7057b08611f9cbc0ae6f3c",
+                "trace.csv": "446c8d3c829ff8737928f2e84d562929bda2fc75b003790dd53755b9e5d5ef22",
+            }),
+    }
+
+    def test_11_benchmark_outputs_match_their_pinned_hashes(self, tmp_path):
+        from mirrorcoin import cli
+
+        moved = []
+        for name, (command, config, pins) in self.PINNED.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(config, encoding="utf-8")
+            out = tmp_path / name
+            argv = [command, "--config", str(cfg), "--out", str(out)]
+            assert cli.main(argv + (["--workers", "2"] if command == "sweep" else [])) == 0
+            moved += [f"{name}/{file}" for file, pin in pins.items()
+                      if hashlib.sha256((out / file).read_bytes()).hexdigest() != pin]
+        _report(
+            11, "the benchmark's seeded outputs match their pinned sha256", not moved,
+            f"moved={moved or 'none'} of 7 files",
         )

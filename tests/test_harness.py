@@ -280,6 +280,24 @@ class TestBuildPlan:
         assert f"unknown {key.split('.')[0]}" in by_call.value.violations[0]
         assert f"{value!r} (choices: " in by_call.value.violations[0]
 
+    @pytest.mark.parametrize("keys,problems", [
+        ({"stepper.kind": "adam", "stepper.lr": "x"},
+         ["stepper.lr: expected a number, got 'x'",
+          "stepper: unknown stepper kind 'adam' "
+          "(choices: fixed_lr, rmsprop, coin_kt, coin_adaptive)"]),
+        ({"stepper.lr": "0.1", "kernel.family": "gauss", "kernel.bandwidth": "y"},
+         ["kernel.bandwidth: expected a number, got 'y'",
+          "kernel: unknown kernel family 'gauss' (choices: imq, rbf)"]),
+    ], ids=["stepper", "kernel"])
+    def test_section_rules_run_beside_a_key_that_does_not_parse(self, keys, problems):
+        # the constructor runs on the keys that parse, so a section's own
+        # refusals are reported in the same run as its parse problems
+        raw = {"target.kind": "exp_orthant", "target.d": "2", "sampler.kind": "msvgd",
+               "sampler.n_particles": "4", "sampler.n_iters": "1"}
+        with pytest.raises(ConfigError) as err:
+            build_plan({**raw, **keys})
+        assert err.value.violations == problems
+
     def test_omitted_keys_take_the_defaults_of_the_api(self):
         # a config's defaults are those of the objects it builds, read from
         # their owners rather than written again
@@ -1154,6 +1172,16 @@ class TestCli:
             f"runtime failure: DomainViolation: {sampler}: particle left the open "
             f"domain at iteration {iteration}\n")
         assert not (out / "particles_final.csv").exists()
+
+    def test_numeric_failure_names_the_run_exit_two(self, tmp_path, capsys):
+        # a run is a stack of one, so its overflow is named as a stack's is
+        cfg = write_cfg(tmp_path, (
+            "seed = 0\ntarget.kind = lognormal_orthant\ntarget.d = 3\nsampler.kind = msvgd\n"
+            "sampler.n_particles = 6\nsampler.n_iters = 5\n"
+            "stepper.kind = rmsprop\nstepper.lr = 1e3\n"))
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert re.fullmatch(r"runtime failure: NumericalOverflow: msvgd: exp overflow: "
+                            r".* at iteration 1\n", capsys.readouterr().err)
 
     def test_failed_pooled_sweep_reports_alone(self, tmp_path, capfd):
         # the pool workers' warnings are dropped with the run; capfd also

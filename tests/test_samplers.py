@@ -618,7 +618,7 @@ class TestRunLoop:
 
         def image_on_the_boundary(self, y):
             x = to_x(self, y)
-            x[1, 0] = 0.0                  # on the boundary of all three domains
+            x[..., 1, 0] = 0.0             # on the boundary of all three domains
             return x
 
         def direction_ran(*args, **kwargs):

@@ -78,6 +78,40 @@ def test_mied_gradient_of_a_stack_is_its_slices(kind, target):
                         [mie_gradient(x, target, config) for x in X])
 
 
+def test_median_h_is_a_float_for_one_cloud_and_a_column_for_a_stack():
+    r2 = sq_dists(cloud_stack(DIRICHLET))
+    h = median_h(r2)
+    assert h.shape == (B, 1, 1)
+    for b in range(B):
+        alone = median_h(r2[b])
+        assert type(alone) is float and alone != 1.0
+        assert type(median_h(r2[b:b + 1])) is float
+        assert median_h(r2[b:b + 1]) == alone == h[b, 0, 0]
+    # a singleton cloud takes h = 1 in every form
+    single = sq_dists(cloud_stack(DIRICHLET)[:, :1])
+    assert median_h(single[0]) == median_h(single[:1]) == 1.0
+    assert median_h(single).shape == (B, 1, 1) and np.all(median_h(single) == 1.0)
+
+
+@pytest.mark.parametrize("h", ["median", 0.7])
+def test_a_stack_of_one_is_its_cloud_alone(h):
+    # the run loop moves a lone run as a stack of one
+    md = mirrored_density(DIRICHLET)
+    X = cloud_stack(DIRICHLET)[:1]
+    Y = md.mmap.primal_to_dual(X)
+    box = UniformBox(-np.ones(2), np.ones(2))
+    Xb = cloud_stack(box)[:1]
+    Ys = np.random.default_rng(1).standard_normal((1, N, 1))
+    pairs = [(direction(Y, md, "imq", h, X), direction(Y[0], md, "imq", h, X[0]))
+             for direction in (msvgd_direction, mksdd_direction)]
+    pairs += [(svgd_direction(X, DIRICHLET, "imq", h), svgd_direction(X[0], DIRICHLET, "imq", h)),
+              (mie_gradient(Xb, box, MollifierConfig()), mie_gradient(Xb[0], box, MollifierConfig())),
+              (mlawgd_direction(Ys, 12), mlawgd_direction(Ys[0], 12))]
+    for stacked, alone in pairs:
+        assert stacked.shape == (1,) + alone.shape
+        assert stacked[0].tobytes() == alone.tobytes()
+
+
 def test_a_collapsed_slice_alone_takes_h_one():
     md = mirrored_density(DIRICHLET)
     X = cloud_stack(DIRICHLET)
@@ -134,6 +168,13 @@ def test_a_failed_stack_names_the_run_that_failed():
     runs[0] = Run("msvgd", 0, StepperConfig("fixed_lr", lr=0.01), "calm")
     with pytest.raises(NumericalOverflow, match="^wild: exp overflow: .* at iteration 1$"):
         run_stack(runs, target=LogNormalOrthant(3), hooks={}, **OPTIONS)
+
+
+def test_a_lone_run_failure_names_its_run():
+    # run_sampler is a stack of one, so its failure reads as a stack's does
+    with pytest.raises(NumericalOverflow, match="^msvgd: exp overflow: .* at iteration 1$"):
+        run_sampler(target=LogNormalOrthant(3), sampler="msvgd", n_particles=6, n_iters=5,
+                    seed=0, stepper=StepperConfig("rmsprop", lr=1e3))
 
 
 def test_a_stack_takes_one_sampler_family():
