@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
+from . import cores
 from .kernels import KernelConfig
 from .samplers import stein_vstat
 
@@ -21,7 +22,14 @@ def energy_distance_to(ref: np.ndarray):
         if a.shape[-1] != ref.shape[-1]:
             raise ValueError("clouds must share a dimension")
         na = a.shape[0]
-        cross = cdist(a, ref).mean()
+        # by rows of a on the run's threads; each pair's distance is the
+        # same at any split
+        cross = np.empty((na, nb))
+        parts = min(cores.width(), na)
+        cuts = [na * k // parts for k in range(parts + 1)]
+        cores.spread(lambda k: cdist(a[cuts[k]:cuts[k + 1]], ref,
+                                     out=cross[cuts[k]:cuts[k + 1]]), parts)
+        cross = cross.mean()
         within_a = 2.0 * pdist(a).sum() / na**2 if na > 1 else 0.0
         return float(2.0 * cross - within_a - within_ref)
 

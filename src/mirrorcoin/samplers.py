@@ -15,7 +15,10 @@ sampler family, which differ only in seed and stepper, as one (B, N, d)
 array, and :func:`run_sampler` is a stack of one.  Every direction takes
 leading axes and treats each (N, d) slice as its own cloud, so a run in a
 stack gets the same bits it gets alone, and a sweep's grid pays each
-array call's overhead once per iteration rather than once per run.
+array call's overhead once per iteration rather than once per run.  For
+the length of a run the loop holds one thread per usable core
+(:mod:`mirrorcoin.cores`), over which MIED's pair terms and the energy
+metric split their rows.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cores
 from .coin import AdaptiveCoin, KTCoin
 from .errors import ConfigError, DomainViolation, NumericalFailure, NumericalOverflow
 from .geometry import INTERIOR_TOL, make_map
@@ -737,14 +741,16 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
                 f"{name}: particle left the open domain at iteration {it}"
             )
 
-    observe(0, X, Z)
-    if not projected and n_iters:
-        # the drawn cloud and the primal image of its dual coordinates differ
-        # in rounding; the first direction sees the image, as all later ones do
-        Z, X = checked(Z, 0)
-    for it in range(1, n_iters + 1):
-        Z, X = checked(step(Z, direction(Z, X)), it)
-        observe(it, X, Z)
+    with cores.run_pool():
+        observe(0, X, Z)
+        if not projected and n_iters:
+            # the drawn cloud and the primal image of its dual coordinates
+            # differ in rounding; the first direction sees the image, as all
+            # later ones do
+            Z, X = checked(Z, 0)
+        for it in range(1, n_iters + 1):
+            Z, X = checked(step(Z, direction(Z, X)), it)
+            observe(it, X, Z)
 
     for record, xb, zb in zip(records, X, Z):
         record.x_final = xb

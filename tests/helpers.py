@@ -7,8 +7,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from mirrorcoin.kernels import radial_profile
-from mirrorcoin.mied import MollifierConfig, _interaction_terms
+from mirrorcoin import mied
+from mirrorcoin.kernels import radial_profile, sq_dists
+from mirrorcoin.mied import MollifierConfig
 from mirrorcoin.samplers import hermite_features
 from mirrorcoin.targets import MirroredDensity
 
@@ -115,9 +116,30 @@ def dual_score(md: MirroredDensity, y):
     return md.dual_score_from_primal(md.mmap.dual_to_primal(y))
 
 
+def interaction_terms(x: np.ndarray, target, config: MollifierConfig):
+    """MIED's interaction terms as full N x N matrices, exp(log E term ij) =
+    e_ij a_i a_j exp(shift).
+
+    e and c are the mollifier terms and k their gradient scale (see
+    mied._mollifier_terms), zero the mask of pairs at r2 = 0, a =
+    exp(b - max b) <= 1 with b = -log(pi) / 2 the density factor of each
+    particle, and shift the largest log term, log phi(0) + 2 max b, taken
+    on the diagonal.  A stack of clouds takes max b, and so a and shift,
+    per cloud.
+    """
+    x = np.asarray(x, dtype=float)
+    r2 = sq_dists(x)
+    zero = r2 == 0.0
+    s, k, log_peak = mied._mollifier_scales(config, x.shape[-1])
+    e, c = mied._mollifier_terms(config, s, r2)
+    b = -0.5 * target.log_density(x)
+    bmax = b.max(axis=-1)
+    return e, c, k, zero, np.exp(b - bmax[..., None]), log_peak + 2.0 * bmax
+
+
 def mie_log_energy(x, target, config: MollifierConfig) -> float:
     """log E = log S + shift - 2 log N, with S = a^T e a >= sum a_i^2 >= 1."""
-    e, _, _, _, a, shift = _interaction_terms(x, target, config)
+    e, _, _, _, a, shift = interaction_terms(x, target, config)
     return float(np.log(a @ (e @ a)) + shift - 2.0 * np.log(x.shape[0]))
 
 

@@ -5,17 +5,12 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from mirrorcoin.errors import ConfigError
-from mirrorcoin.mied import (
-    MOLLIFIERS,
-    MollifierConfig,
-    _interaction_terms,
-    mie_gradient,
-)
+from mirrorcoin.mied import MOLLIFIERS, MollifierConfig, mie_gradient
 from mirrorcoin.geometry import BoxMirrorMap
 from mirrorcoin.samplers import StepperConfig, mirrored_density, run_sampler
 from mirrorcoin.targets import ExpOrthant, SparseDirichlet, UniformBox
 
-from helpers import fd_grad, mie_log_energy, rel_err
+from helpers import fd_grad, interaction_terms, mie_log_energy, rel_err
 
 
 class TestMollifierConfig:
@@ -113,7 +108,7 @@ class TestGradient:
         x[7] = x[3]                                 # a coincident pair
         r2 = cdist(x, x, "sqeuclidean")            # the pair distances it starts from
         assert r2.tobytes() == r2.T.tobytes()
-        e, c, _, zero, _, _ = _interaction_terms(x, target, MollifierConfig(kind=kind, eps=0.3))
+        e, c, _, zero, _, _ = interaction_terms(x, target, MollifierConfig(kind=kind, eps=0.3))
         assert e.tobytes() == e.T.tobytes()
         assert zero.tobytes() == zero.T.tobytes()
         assert c.tobytes() == c.T.tobytes()

@@ -228,3 +228,19 @@ def test_mie_gradient_peak_memory(moll):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("moll", MOLLIFIERS, ids=["riesz", "riesz_wide", "gaussian", "laplace"])
+def test_mie_gradient_holds_no_pair_matrix(moll):
+    # the pair terms live in row tiles: the peak stays below one N x N array
+    n = 2000
+    x = np.random.default_rng(7).uniform(-1.0, 1.0, size=(n, 2))
+    box = UniformBox(-np.ones(2), np.ones(2))
+    tracemalloc.start()
+    try:
+        mie_gradient(x, box, moll)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+
