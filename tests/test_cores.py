@@ -45,7 +45,7 @@ def test_mie_gradient_bytes_do_not_depend_on_the_threads(kind, shape):
         assert on_threads(threads, mie_gradient, x, BOX, moll).tobytes() == one
 
 
-@pytest.mark.parametrize("n,d", [(400, 2), (50, 20), (1, 2)])
+@pytest.mark.parametrize("n,d", [(400, 2), (700, 3), (50, 20), (1, 2)])
 def test_energy_distance_does_not_depend_on_the_threads(n, d):
     rng = np.random.default_rng([9, n, d])
     distance = energy_distance_to(rng.uniform(size=(1000, d)))
