@@ -19,11 +19,12 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
+from . import cores
 from . import metrics as metrics_mod
 from .errors import ConfigError
 from .kernels import KernelConfig
@@ -43,6 +44,7 @@ from .samplers import (
     run_sampler,
     run_stack,
     sampler_stepper,
+    stepper_kinds,
 )
 from .targets import (
     ExpOrthant,
@@ -314,10 +316,8 @@ def _metric(plan: RunPlan, name: str):
     return lambda x, y: float(x[:, 0].mean())
 
 
-def execute_plan(plan: RunPlan, hooks=None):
-    if hooks is None:
-        hooks = {name: _metric(plan, name)
-                 for name in METRIC_NAMES if name in plan.metric_names}
+def execute_plan(plan: RunPlan):
+    hooks = {name: _metric(plan, name) for name in METRIC_NAMES if name in plan.metric_names}
     # the plan holds every other argument of the run, by its name
     return run_sampler(**{name: getattr(plan, name) for name in RUN if name != "hooks"},
                        hooks=hooks)
@@ -404,26 +404,24 @@ def run_sample(raw: dict, out_dir: str) -> RunPlan:
     return plan
 
 
-def _sweep_job(plans: list) -> list:
-    """Run a stack of a sweep's jobs, which differ only in sampler (one
-    family), seed and stepper, and return each job's final metric.  A
-    failure names its job by sampler, lr (NA for a coin stepper) and seed."""
-    runs = [Run(p.sampler, p.seed, p.stepper, f"{p.sampler} (lr {p.stepper.lr or 'NA'}, "
-                f"seed {p.seed})") for p in plans]
-    shared = {name: getattr(plans[0], name) for name in RUN
+def _sweep_job(plan: RunPlan, runs: list) -> list:
+    """Run a stack of a sweep's jobs, ``runs`` of the sweep's ``plan`` that
+    differ only in sampler (one family), seed and stepper, and return each
+    job's final metric.  A failure names its job by its Run's name."""
+    shared = {name: getattr(plan, name) for name in RUN
               if name not in ("sampler", "seed", "stepper", "hooks")}
     records = run_stack(runs, hooks={}, **shared)
     # the jobs of one seed share their metric (and its ground-truth draw)
-    metric = {p.seed: p for p in plans}
-    metric = {seed: _metric(p, p.sweep_metric) for seed, p in metric.items()}
-    return [metric[p.seed](r.x_final, r.y_final) for p, r in zip(plans, records)]
+    metric = {seed: _metric(replace(plan, seed=seed), plan.sweep_metric)
+              for seed in dict.fromkeys(run.seed for run in runs)}
+    return [metric[run.seed](r.x_final, r.y_final) for run, r in zip(runs, records)]
 
 
-def _pooled_sweep_job(plans: list):
+def _pooled_sweep_job(plan: RunPlan, runs: list):
     """_sweep_job in a pool worker, with the warnings it raised, which the
     caller raises again so that they meet its filters as its own do."""
     with warnings.catch_warnings(record=True) as caught:
-        values = _sweep_job(plans)
+        values = _sweep_job(plan, runs)
     return values, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
@@ -431,7 +429,7 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     problems = []
     # the pool size, a number or the text of --workers, is read with the config
     r = _Reader({**raw, "--workers": max_workers}, problems)
-    max_workers = r.get("--workers", as_int, os.cpu_count() or 1)
+    max_workers = r.get("--workers", as_int, cores.usable_cores())
     lrs, seeds = (r.get(f"sweep.{key}", conv, []) for key, conv in SWEEP.items())
     problems += [f"sweep needs sweep.{key} in the config or --{key}"
                  for key, got in (("lrs", lrs), ("seeds", seeds)) if got == []]
@@ -446,53 +444,58 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
         raise ConfigError(problems + [f"sweep takes a sampler with a coin twin "
                                       f"({', '.join(swept)}), got {sampler!r}"])
 
-    # Every job (each lr per seed, then the coin twin with its default
-    # stepper) is planned, and so checked, before any job runs.  Without
-    # seeds the config's own seed stands in, and without a job the config as
-    # given, so the rest of it is still checked, with a stand-in lr where a
-    # grid would give one.  A change to None drops the key; the config's own
-    # lr, refused above, reaches no job.
-    changes = []
-    for seed in seeds or [raw.get("seed", "0")]:
-        changes += [{"seed": str(seed), "stepper.lr": repr(float(lr))} for lr in lrs or []]
-        if sampler in swept:
-            changes.append({"seed": str(seed), "sampler.kind": "coin_" + sampler,
-                            "stepper.kind": None, "stepper.lr": None})
-    stand_in = {"stepper.lr": "1.0"} if raw.get("stepper.kind") in GRAD_STEPPERS else {}
-    plans = []
-    for change in changes or [stand_in]:
-        job = {k: v for k, v in {**raw, "stepper.lr": None, **change}.items()
-               if v is not None}
-        try:
-            plans.append(build_plan(job))
-        except ConfigError as exc:
-            problems.extend(exc.violations)
-    # every job shares the target and the metric
-    if plans and plans[0].sweep_metric == "energy" and plans[0].target.no_ground_truth:
-        problems.append(f"energy metric unavailable ({plans[0].target.no_ground_truth})")
+    # The config is planned once, without its own lr and with a stand-in lr
+    # for a gradient stepper.  Each job is a Run of that plan: each lr of the
+    # grid per seed, then the coin twin with its default stepper.  Every Run
+    # is checked as run_stack checks it, so no job is refused in a worker.
+    config = {k: v for k, v in raw.items() if k != "stepper.lr"}
+    if (raw.get("stepper.kind") or stepper_kinds(str(sampler))[0]) in GRAD_STEPPERS:
+        config["stepper.lr"] = "1.0"
+    try:
+        plan = build_plan(config)
+    except ConfigError as exc:
+        raise ConfigError(list(dict.fromkeys(problems + exc.violations))) from None
+    runs = []
+    for seed in seeds:
+        for lr in lrs:
+            try:
+                stepper = replace(plan.stepper, lr=lr)
+            except ConfigError as exc:
+                problems.extend(f"stepper: {v}" for v in exc.violations)
+                continue
+            runs.append(Run(sampler, seed, stepper, f"{sampler} (lr {lr}, seed {seed})"))
+        twin = "coin_" + sampler
+        runs.append(Run(twin, seed, sampler_stepper(twin), f"{twin} (lr NA, seed {seed})"))
+    counts = {name: getattr(plan, name)
+              for name in ("n_particles", "n_iters", "metric_every", "spectral_terms")}
+    for run in runs:
+        problems += check_run(plan.target, run.sampler, run.stepper, plan.init,
+                              seed=run.seed, **counts)
+    if plan.sweep_metric == "energy" and plan.target.no_ground_truth:
+        problems.append(f"energy metric unavailable ({plan.target.no_ground_truth})")
     if problems:
         raise ConfigError(list(dict.fromkeys(problems)))
 
-    # The jobs run in plan order as min(workers, jobs) contiguous stacks of
+    # The jobs run in order as min(workers, jobs) contiguous stacks of
     # near-equal size, one per worker, and as more where KSD descent's
     # memory budget caps a stack.  The fork start method starts every
     # worker up front, busy or not, so the pool has no more than stacks.
-    cap = max_stack(plans[0].sampler, plans[0].n_particles, plans[0].target.d)
-    n_stacks = max(1, min(max_workers, len(plans)), math.ceil(len(plans) / cap))
-    cuts = [len(plans) * i // n_stacks for i in range(n_stacks + 1)]
-    stacks = [plans[a:b] for a, b in zip(cuts, cuts[1:])]
+    cap = max_stack(plan.sampler, plan.n_particles, plan.target.d)
+    n_stacks = max(1, min(max_workers, len(runs)), math.ceil(len(runs) / cap))
+    cuts = [len(runs) * i // n_stacks for i in range(n_stacks + 1)]
+    stacks = [runs[a:b] for a, b in zip(cuts, cuts[1:])]
     max_workers = min(max_workers, n_stacks)
     if max_workers <= 1:
-        done = [(_sweep_job(stack), []) for stack in stacks]
+        done = [(_sweep_job(plan, stack), []) for stack in stacks]
     else:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            done = list(pool.map(_pooled_sweep_job, stacks))
+            done = list(pool.map(partial(_pooled_sweep_job, plan), stacks))
         for _, caught in done:
             for warning in caught:
                 warnings.warn_explicit(*warning)
     results = [value for values, _ in done for value in values]
 
-    rows = [(p.sampler, p.stepper.lr, p.seed, value) for p, value in zip(plans, results)]
+    rows = [(run.sampler, run.stepper.lr, run.seed, value) for run, value in zip(runs, results)]
     os.makedirs(out_dir, exist_ok=True)
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)
     write_meta_json(os.path.join(out_dir, "meta.json"), {
@@ -500,7 +503,7 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
         "config": dict(raw),
         "lrs": [float(v) for v in lrs],
         "seeds": [int(s) for s in seeds],
-        "metric": plans[0].sweep_metric,
+        "metric": plan.sweep_metric,
     })
     return rows
 

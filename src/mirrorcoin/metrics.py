@@ -7,7 +7,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from . import cores
 from .kernels import KernelConfig
-from .samplers import stein_vstat
+from .samplers import stein_kernel_matrix
 
 
 # Values a pair sum holds at once, per thread.  numpy's add reduces a run of
@@ -173,8 +173,9 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def ksd_vstat(Y: np.ndarray, md, kernel: KernelConfig = KernelConfig()) -> float:
-    """Squared kernel Stein discrepancy (V-statistic) of a dual cloud."""
-    return stein_vstat(Y, md, kernel.family, kernel.bandwidth)
+    """Squared kernel Stein discrepancy of a dual cloud: the V-statistic
+    (1/N^2) sum_{j,i} K[j, i] of its Stein kernel matrix."""
+    return float(stein_kernel_matrix(Y, md, kernel.family, kernel.bandwidth).mean())
 
 
 def summary_moments(x: np.ndarray) -> dict:

@@ -335,11 +335,6 @@ def stein_kernel_matrix(Y: np.ndarray, md: MirroredDensity, family: str,
     return f * ss - 2.0 * f1 * st - 4.0 * f2 * qp
 
 
-def stein_vstat(Y, md, family, h) -> float:
-    """V-statistic (1/N^2) sum_{j,i} K[j, i]; the squared discrepancy."""
-    return float(stein_kernel_matrix(Y, md, family, h).mean())
-
-
 def mksdd_direction(Y: np.ndarray, md: MirroredDensity, family: str, h: float | str,
                     X: np.ndarray | None = None) -> np.ndarray:
     """Descent direction on the squared discrepancy:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mirrorcoin.cores as cores
 import mirrorcoin.harness as harness
 import mirrorcoin.samplers as samplers
 from mirrorcoin.cli import main
@@ -626,10 +627,10 @@ class TestRunSweep:
 
     def test_pool_worker_warnings_reach_the_caller(self, tmp_path, monkeypatch):
         # raised again in the calling process, where its filters apply
-        def overflowing_job(plans):
-            for _ in plans:
+        def overflowing_job(plan, runs):
+            for _ in runs:
                 np.float64(1e308) * 10.0
-            return [0.0] * len(plans)
+            return [0.0] * len(runs)
         monkeypatch.setattr(harness, "_sweep_job", overflowing_job)
         raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
         with pytest.warns(RuntimeWarning, match="overflow") as caught:
@@ -667,8 +668,8 @@ class TestRunSweep:
         assert "unknown key 'sweep.coin_stepper'" in capsys.readouterr().err
 
     def test_sweep_without_a_grid_reports_every_problem(self, tmp_path, capsys):
-        # no lr and no coin twin plans no job, so the config is planned as
-        # given; its rmsprop stepper's missing lr is one the grid would give
+        # the config is planned with a stand-in lr, so its rmsprop stepper's
+        # missing lr, which the grid would give, is not reported
         cfg = write_cfg(tmp_path, SWEEP_CONFIG.replace("msvgd", "hmc") + "bogus.key = 1\n")
         out = str(tmp_path / "s")
         assert main(["sweep", "--config", cfg, "--out", out, "--seeds", "0"]) == 1
@@ -715,10 +716,10 @@ class TestRunSweep:
     ])
     def test_coin_twin_is_coin_prefixed_with_its_default_stepper(
             self, tmp_path, monkeypatch, sampler, target):
-        # the jobs are planned as they would run; none is run
+        # the jobs reach _sweep_job as the Runs they would run; none is run
         steppers = []
         monkeypatch.setattr(harness, "_sweep_job",
-                            lambda plans: [steppers.append(p.stepper) or 0.0 for p in plans])
+                            lambda plan, runs: [steppers.append(r.stepper) or 0.0 for r in runs])
         raw = {"sampler.kind": sampler, "sampler.n_particles": "4", "sampler.n_iters": "1",
                "stepper.kind": "fixed_lr", **target, "sweep.lrs": "0.1",
                "sweep.seeds": "0,1"}
@@ -735,8 +736,8 @@ class TestRunSweep:
         assert [r[0] for r in rows] == ["msvgd", "msvgd", "coin_msvgd"]
         assert all(np.isfinite(r[3]) for r in rows)
 
-    @pytest.mark.parametrize("asked,pool", [(5000, 3), (2, 2), (1, None), (0, None)])
-    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch, asked, pool):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         # a fake pool records its size and starts no process
         sizes = []
 
@@ -754,11 +755,34 @@ class TestRunSweep:
                 return map(fn, jobs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        return sizes
+
+    @pytest.mark.parametrize("asked,pool", [(5000, 3), (2, 2), (1, None), (0, None)])
+    def test_pool_capped_at_job_count(self, tmp_path, pool_sizes, asked, pool):
         raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
         rows = run_sweep({**raw, "sweep.lrs": "0.05,0.2", "sweep.seeds": "0"},
                          str(tmp_path / "s"), max_workers=asked)
         assert len(rows) == 3
-        assert sizes == ([] if pool is None else [pool])
+        assert pool_sizes == ([] if pool is None else [pool])
+
+    def test_pool_defaults_to_the_usable_cores(self, tmp_path, monkeypatch, pool_sizes):
+        # the cores a run's threads may use, not every core of the host
+        monkeypatch.setattr(cores, "usable_cores", lambda: 3)
+        raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
+        rows = run_sweep({**raw, "sweep.lrs": "0.05,0.2", "sweep.seeds": "0,1"},
+                         str(tmp_path / "s"))
+        assert len(rows) == 6
+        assert pool_sizes == [3]
+
+    def test_config_planned_once(self, tmp_path, monkeypatch):
+        # every job is a Run of one plan; none is planned from text again
+        calls = []
+        real = harness.build_plan
+        monkeypatch.setattr(harness, "build_plan", lambda raw: calls.append(raw) or real(raw))
+        raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
+        rows = run_sweep({**raw, "sweep.lrs": "0.05,0.2", "sweep.seeds": "0,1"},
+                         str(tmp_path / "s"), max_workers=1)
+        assert len(rows) == 6 and len(calls) == 1
 
     def test_stacks_write_the_same_bytes_at_any_worker_count(self, tmp_path):
         # 6 jobs run as 1, 2 or 3 stacks; each value is its job's run alone
@@ -793,7 +817,7 @@ class TestRunSweep:
         monkeypatch.setattr(samplers, "KSD_DESCENT_BUDGET", fit * ksd_descent_bytes(4, 2))
         stacks = []
         monkeypatch.setattr(harness, "_sweep_job",
-                            lambda plans: stacks.append(len(plans)) or [0.0] * len(plans))
+                            lambda plan, runs: stacks.append(len(runs)) or [0.0] * len(runs))
         rows = run_sweep(raw, str(tmp_path / "s"), max_workers=1)
         assert len(rows) == 5 and stacks == sizes
         # one run over the budget is still refused

@@ -74,4 +74,4 @@ def test_the_benchmark_finds_every_layer_it_traces_but_the_stale_ones():
     modules = {name: module for name, module in sys.modules.items()
                if name == "mirrorcoin" or name.startswith("mirrorcoin.")}
     missing = tracer.install(NoOpTracer(), modules)
-    assert set(missing) <= STALE_LAYERS
+    assert set(missing) == STALE_LAYERS

@@ -14,7 +14,7 @@ from mirrorcoin.harness import build_plan, execute_plan
 from mirrorcoin.kernels import KernelConfig
 from mirrorcoin.metrics import LEAF, energy_distance, energy_distance_to, ksd_vstat, summary_moments
 from mirrorcoin.rng import substream
-from mirrorcoin.samplers import stein_vstat
+from mirrorcoin.samplers import stein_kernel_matrix
 from mirrorcoin.targets import ExpOrthant, MirroredDensity
 
 
@@ -173,12 +173,12 @@ class TestEnergyInLeaves:
 
 
 class TestKsd:
-    def test_wraps_stein_vstat_with_resolved_bandwidth(self):
+    def test_is_the_stein_matrix_mean_with_resolved_bandwidth(self):
         rng = np.random.default_rng(3)
         md = MirroredDensity(ExpOrthant(2, rate=1.0), PositiveOrthantMap(2))
         Y = rng.normal(size=(10, 2)) * 0.5
         got = ksd_vstat(Y, md, KernelConfig(bandwidth=0.8))
-        assert np.isclose(got, stein_vstat(Y, md, "imq", 0.8))
+        assert got == float(stein_kernel_matrix(Y, md, "imq", 0.8).mean())
         assert ksd_vstat(Y, md) >= -1e-8
 
     def test_smaller_near_target_than_far(self):
