@@ -226,7 +226,6 @@ def _build(r: _Reader, section: str, table, shared=None):
 
 @dataclass
 class RunPlan:
-    raw: dict
     seed: int
     sampler: str
     n_particles: int
@@ -241,9 +240,20 @@ class RunPlan:
     metric_names: tuple
     gt_n: int
     sweep_metric: str
+    lrs: list
+    seeds: list
+    workers: int | None
+    runs: list
 
 
-def build_plan(raw: dict) -> RunPlan:
+# the samplers a sweep takes: those with a coin twin, coin_<sampler>
+SWEPT = tuple(s for s in SAMPLERS if "coin_" + s in SAMPLERS)
+
+
+def build_plan(raw: dict, sweep=False) -> RunPlan:
+    """The plan of the sample ``raw`` describes, its config's own Run, or with
+    ``sweep`` of its sweep, the Runs of its grid, in one pass; a sweep's pool
+    size is ``raw``'s ``--workers``, a number or the flag's text."""
     problems: list = []
     r = _Reader(raw, problems)
 
@@ -252,6 +262,22 @@ def build_plan(raw: dict) -> RunPlan:
     n_particles = r.get("sampler.n_particles", as_int, REQUIRED)
     n_iters = r.get("sampler.n_iters", as_int, REQUIRED)
     metric_every = r.get("sampler.metric_every", as_int, RUN["metric_every"].default)
+
+    # a sample reads the grid too, so that one config serves both commands
+    lrs, seeds = (r.get(f"sweep.{key}", conv, []) for key, conv in SWEEP.items())
+    workers = r.get("--workers", as_int, cores.usable_cores()) if sweep else None
+    if sweep:
+        problems += [f"sweep needs sweep.{key} in the config or --{key}"
+                     for key, got in (("lrs", lrs), ("seeds", seeds)) if got == []]
+        # the grid sets each job's lr, replacing a gradient stepper's stand-in
+        if r.raw.pop("stepper.lr", None) is not None:
+            problems.append("stepper.lr: a sweep's grid (sweep.lrs or --lrs) sets each "
+                            "job's rate; remove it")
+        if (r.raw.get("stepper.kind") or stepper_kinds(str(sampler))[0]) in GRAD_STEPPERS:
+            r.raw["stepper.lr"] = "1.0"
+        if sampler in SAMPLERS and sampler not in SWEPT:
+            problems.append(f"sweep takes a sampler with a coin twin ({', '.join(SWEPT)}), "
+                            f"got {sampler!r}")
 
     target = _build(r, "target", TARGETS, TARGET_SHARED)
     stepper = _build(r, "stepper", (partial(sampler_stepper, sampler), STEPPER))
@@ -268,10 +294,6 @@ def build_plan(raw: dict) -> RunPlan:
                  for name in metric_names if name not in METRIC_NAMES]
     gt_n = r.at_least(r.get("metrics.ground_truth_n", as_int, 1000),
                       "metrics.ground_truth_n", 1)
-
-    # run_sweep reads the grid; it is checked here
-    for key, conv in SWEEP.items():
-        r.get(f"sweep.{key}", conv)
     sweep_metric = r.get("sweep.metric", default="energy", choices=("energy", "ksd"))
 
     r.leftover_check()
@@ -281,22 +303,42 @@ def build_plan(raw: dict) -> RunPlan:
         for key, names in (("metrics.names", metric_names), ("sweep.metric", (sweep_metric,))):
             if "ksd" in names:
                 problems.append(f"{key}: ksd needs a mirrored sampler")
-
-    if "energy" in metric_names and target is not None and target.no_ground_truth:
+    # the energy metric, of a sample's trace or a sweep's rows, draws from the ground truth
+    if ("energy" in metric_names or sweep and sweep_metric == "energy") and (
+            target is not None and target.no_ground_truth):
         problems.append(f"energy metric unavailable ({target.no_ground_truth})")
-    problems += check_run(target, sampler, stepper, init, seed=seed,
-                          n_particles=n_particles, n_iters=n_iters,
-                          metric_every=metric_every, spectral_terms=spectral_terms)
+
+    # A sweep's jobs are, per seed, the sampler at each lr of the grid (replace
+    # re-runs StepperConfig's checks; a stepper without the stand-in lr stays
+    # as it is), then the coin twin with its default stepper.
+    own = Run(sampler, seed, stepper)
+    runs = [own]
+    if sweep and sampler in SWEPT:
+        twin, runs = "coin_" + sampler, []
+        for s in seeds or ():
+            for lr in lrs or ():
+                try:
+                    job = replace(stepper, lr=lr) if stepper and stepper.lr else stepper
+                except ConfigError as exc:
+                    problems.extend(f"stepper: {v}" for v in exc.violations)
+                    continue
+                runs.append(Run(sampler, s, job, f"{sampler} (lr {lr}, seed {s})"))
+            runs.append(Run(twin, s, sampler_stepper(twin), f"{twin} (lr NA, seed {s})"))
+    # the config's own Run is checked in a sweep too, its seed among the rest
+    for run in dict.fromkeys([own, *runs]):
+        problems += check_run(target, run.sampler, run.stepper, init, seed=run.seed,
+                              n_particles=n_particles, n_iters=n_iters,
+                              metric_every=metric_every, spectral_terms=spectral_terms)
 
     if problems:
-        raise ConfigError(problems)
+        raise ConfigError(list(dict.fromkeys(problems)))
 
     return RunPlan(
-        raw=dict(raw), seed=seed, sampler=sampler, n_particles=n_particles,
-        n_iters=n_iters, metric_every=metric_every, target=target,
-        stepper=stepper, kernel=kernel, mollifier=mollifier,
-        spectral_terms=spectral_terms, init=init, metric_names=metric_names,
-        gt_n=gt_n, sweep_metric=sweep_metric,
+        seed=seed, sampler=sampler, n_particles=n_particles, n_iters=n_iters,
+        metric_every=metric_every, target=target, stepper=stepper, kernel=kernel,
+        mollifier=mollifier, spectral_terms=spectral_terms, init=init,
+        metric_names=metric_names, gt_n=gt_n, sweep_metric=sweep_metric, lrs=lrs,
+        seeds=seeds, workers=workers, runs=runs,
     )
 
 
@@ -304,10 +346,10 @@ def build_plan(raw: dict) -> RunPlan:
 # execution
 
 
-def _metric(plan: RunPlan, name: str):
-    """The metric ``name`` of a plan as a callable (x_cloud, y_cloud) -> float."""
+def _metric(plan: RunPlan, name: str, seed: int):
+    """The metric ``name`` of a plan's run at ``seed``, a callable (x_cloud, y_cloud) -> float."""
     if name == "energy":
-        ref = plan.target.sample_ground_truth(plan.gt_n, substream(plan.seed, "ground_truth"))
+        ref = plan.target.sample_ground_truth(plan.gt_n, substream(seed, "ground_truth"))
         distance = metrics_mod.energy_distance_to(ref)
         return lambda x, y: distance(x)
     if name == "ksd":
@@ -317,7 +359,8 @@ def _metric(plan: RunPlan, name: str):
 
 
 def execute_plan(plan: RunPlan):
-    hooks = {name: _metric(plan, name) for name in METRIC_NAMES if name in plan.metric_names}
+    hooks = {name: _metric(plan, name, plan.seed) for name in METRIC_NAMES
+             if name in plan.metric_names}
     # the plan holds every other argument of the run, by its name
     return run_sampler(**{name: getattr(plan, name) for name in RUN if name != "hooks"},
                        hooks=hooks)
@@ -392,7 +435,7 @@ def run_sample(raw: dict, out_dir: str) -> RunPlan:
     write_trace_csv(os.path.join(out_dir, "trace.csv"), record.trace)
     write_meta_json(os.path.join(out_dir, "meta.json"), {
         "command": "sample",
-        "config": plan.raw,
+        "config": dict(raw),
         "sampler": plan.sampler,
         "seed": plan.seed,
         "n_particles": plan.n_particles,
@@ -412,7 +455,7 @@ def _sweep_job(plan: RunPlan, runs: list) -> list:
               if name not in ("sampler", "seed", "stepper", "hooks")}
     records = run_stack(runs, hooks={}, **shared)
     # the jobs of one seed share their metric (and its ground-truth draw)
-    metric = {seed: _metric(replace(plan, seed=seed), plan.sweep_metric)
+    metric = {seed: _metric(plan, plan.sweep_metric, seed)
               for seed in dict.fromkeys(run.seed for run in runs)}
     return [metric[run.seed](r.x_final, r.y_final) for run, r in zip(runs, records)]
 
@@ -426,65 +469,20 @@ def _pooled_sweep_job(plan: RunPlan, runs: list):
 
 
 def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
-    problems = []
     # the pool size, a number or the text of --workers, is read with the config
-    r = _Reader({**raw, "--workers": max_workers}, problems)
-    max_workers = r.get("--workers", as_int, cores.usable_cores())
-    lrs, seeds = (r.get(f"sweep.{key}", conv, []) for key, conv in SWEEP.items())
-    problems += [f"sweep needs sweep.{key} in the config or --{key}"
-                 for key, got in (("lrs", lrs), ("seeds", seeds)) if got == []]
-    if "stepper.lr" in raw:
-        problems.append("stepper.lr: a sweep's grid (sweep.lrs or --lrs) sets each "
-                        "job's rate; remove it")
-    # a sweep runs a gradient sampler beside its coin twin, coin_<sampler>; a
-    # sampler without one ends the checks, as the grid's lr would be refused too
-    sampler = raw.get("sampler.kind")
-    swept = [s for s in SAMPLERS if "coin_" + s in SAMPLERS]
-    if sampler in SAMPLERS and sampler not in swept:  # build_plan reports the rest
-        raise ConfigError(problems + [f"sweep takes a sampler with a coin twin "
-                                      f"({', '.join(swept)}), got {sampler!r}"])
-
-    # The config is planned once, without its own lr and with a stand-in lr
-    # for a gradient stepper.  Each job is a Run of that plan: each lr of the
-    # grid per seed, then the coin twin with its default stepper.  Every Run
-    # is checked as run_stack checks it, so no job is refused in a worker.
-    config = {k: v for k, v in raw.items() if k != "stepper.lr"}
-    if (raw.get("stepper.kind") or stepper_kinds(str(sampler))[0]) in GRAD_STEPPERS:
-        config["stepper.lr"] = "1.0"
-    try:
-        plan = build_plan(config)
-    except ConfigError as exc:
-        raise ConfigError(list(dict.fromkeys(problems + exc.violations))) from None
-    runs = []
-    for seed in seeds:
-        for lr in lrs:
-            try:
-                stepper = replace(plan.stepper, lr=lr)
-            except ConfigError as exc:
-                problems.extend(f"stepper: {v}" for v in exc.violations)
-                continue
-            runs.append(Run(sampler, seed, stepper, f"{sampler} (lr {lr}, seed {seed})"))
-        twin = "coin_" + sampler
-        runs.append(Run(twin, seed, sampler_stepper(twin), f"{twin} (lr NA, seed {seed})"))
-    counts = {name: getattr(plan, name)
-              for name in ("n_particles", "n_iters", "metric_every", "spectral_terms")}
-    for run in runs:
-        problems += check_run(plan.target, run.sampler, run.stepper, plan.init,
-                              seed=run.seed, **counts)
-    if plan.sweep_metric == "energy" and plan.target.no_ground_truth:
-        problems.append(f"energy metric unavailable ({plan.target.no_ground_truth})")
-    if problems:
-        raise ConfigError(list(dict.fromkeys(problems)))
+    plan = build_plan({**raw, "--workers": max_workers}, sweep=True)
+    os.makedirs(out_dir, exist_ok=True)  # before any job runs, after every check
 
     # The jobs run in order as min(workers, jobs) contiguous stacks of
     # near-equal size, one per worker, and as more where KSD descent's
     # memory budget caps a stack.  The fork start method starts every
     # worker up front, busy or not, so the pool has no more than stacks.
+    runs = plan.runs
     cap = max_stack(plan.sampler, plan.n_particles, plan.target.d)
-    n_stacks = max(1, min(max_workers, len(runs)), math.ceil(len(runs) / cap))
+    n_stacks = max(1, min(plan.workers, len(runs)), math.ceil(len(runs) / cap))
     cuts = [len(runs) * i // n_stacks for i in range(n_stacks + 1)]
     stacks = [runs[a:b] for a, b in zip(cuts, cuts[1:])]
-    max_workers = min(max_workers, n_stacks)
+    max_workers = min(plan.workers, n_stacks)
     if max_workers <= 1:
         done = [(_sweep_job(plan, stack), []) for stack in stacks]
     else:
@@ -496,13 +494,12 @@ def run_sweep(raw: dict, out_dir: str, max_workers=None) -> list:
     results = [value for values, _ in done for value in values]
 
     rows = [(run.sampler, run.stepper.lr, run.seed, value) for run, value in zip(runs, results)]
-    os.makedirs(out_dir, exist_ok=True)
     write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)
     write_meta_json(os.path.join(out_dir, "meta.json"), {
         "command": "sweep",
         "config": dict(raw),
-        "lrs": [float(v) for v in lrs],
-        "seeds": [int(s) for s in seeds],
+        "lrs": [float(v) for v in plan.lrs],
+        "seeds": [int(s) for s in plan.seeds],
         "metric": plan.sweep_metric,
     })
     return rows

@@ -1,7 +1,7 @@
 """Deterministic random-number substreams.
 
 Every random draw in the package comes from a Philox counter-based
-generator keyed by ``(master seed, purpose tag, index)``.  Philox streams
+generator keyed by ``(master seed, purpose tag)``.  Philox streams
 seeded this way are independent and reproducible across platforms and
 across any parallel execution order, which is what makes whole runs
 byte-identical for a fixed config and seed.
@@ -21,11 +21,12 @@ PURPOSE_TAGS = {
 }
 
 
-def substream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
-    """Return the generator for one (seed, purpose, index) substream."""
+def substream(seed: int, purpose: str) -> np.random.Generator:
+    """Return the generator for one (seed, purpose) substream."""
     try:
         tag = PURPOSE_TAGS[purpose]
     except KeyError:
         raise KeyError(f"unknown RNG purpose {purpose!r}; known: {sorted(PURPOSE_TAGS)}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(tag, int(index)))
+    # the spawn key's trailing 0 is part of every draw's bits: keep it
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(tag, 0))
     return np.random.Generator(np.random.Philox(ss))

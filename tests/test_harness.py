@@ -778,11 +778,38 @@ class TestRunSweep:
         # every job is a Run of one plan; none is planned from text again
         calls = []
         real = harness.build_plan
-        monkeypatch.setattr(harness, "build_plan", lambda raw: calls.append(raw) or real(raw))
+        monkeypatch.setattr(harness, "build_plan",
+                            lambda raw, sweep=False: calls.append(raw) or real(raw, sweep))
         raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
         rows = run_sweep({**raw, "sweep.lrs": "0.05,0.2", "sweep.seeds": "0,1"},
                          str(tmp_path / "s"), max_workers=1)
         assert len(rows) == 6 and len(calls) == 1
+
+    @pytest.mark.parametrize("grid,problem", [
+        ({"sweep.lrs": "0.1", "sweep.seeds": "0,-1"}, "seed must be >= 0"),
+        ({"sweep.lrs": "0.1,-2", "sweep.seeds": "0"},
+         "stepper: stepper 'rmsprop' requires a positive lr"),
+    ], ids=["seed", "lr"])
+    def test_grid_problems_listed_with_the_configs(self, tmp_path, grid, problem):
+        # the grid is read in the same pass as the rest of the config
+        raw = {"sampler.kind": "msvgd", "sampler.n_particles": "4", "sampler.n_iters": "1",
+               "stepper.kind": "rmsprop", "target.kind": "sparse_dirichlet",
+               "target.counts": "3,1", "bogus.key": "1", **grid}
+        with pytest.raises(ConfigError) as err:
+            run_sweep(raw, str(tmp_path / "s"), max_workers=1)
+        assert err.value.violations == ["unknown key 'bogus.key'", problem]
+        assert not os.path.exists(str(tmp_path / "s"))
+
+    def test_unwritable_out_refused_before_any_job_runs(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_sweep_job",
+                            lambda plan, runs: calls.append(runs) or [0.0] * len(runs))
+        (tmp_path / "file").write_text("")
+        raw = read_config(write_cfg(tmp_path, SWEEP_CONFIG))
+        with pytest.raises(OSError):
+            run_sweep({**raw, "sweep.lrs": "0.05", "sweep.seeds": "0"},
+                      str(tmp_path / "file" / "s"), max_workers=1)
+        assert calls == []
 
     def test_stacks_write_the_same_bytes_at_any_worker_count(self, tmp_path):
         # 6 jobs run as 1, 2 or 3 stacks; each value is its job's run alone

@@ -1,9 +1,11 @@
 """The layers the benchmark reaches: the direct layer calls that its layer
 grid (perfbench/grid.py) makes, each of which still takes the arguments it
-is given there and returns a finite value of the right shape, and the layers
-its tracer (perfbench/tracer.py) wraps."""
+is given there and returns a finite value of the right shape, the layers
+its tracer (perfbench/tracer.py) wraps, and the set-up its child
+(perfbench/child.py) times on each of its configs."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -15,6 +17,18 @@ from mirrorcoin.kernels import median_bandwidth
 from mirrorcoin.metrics import ksd_vstat
 from mirrorcoin.samplers import mksdd_direction, msvgd_direction
 from mirrorcoin.targets import ExpOrthant, MirroredDensity, SparseDirichlet
+
+import test_acceptance
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """The benchmark's module ``name``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def dirichlet(n, d, rng):
@@ -65,13 +79,20 @@ class NoOpTracer:
 
 
 def test_the_benchmark_finds_every_layer_it_traces_but_the_stale_ones():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer")
     import mirrorcoin.cli  # noqa: F401  imports every layer's module
 
     modules = {name: module for name, module in sys.modules.items()
                if name == "mirrorcoin" or name.startswith("mirrorcoin.")}
     missing = tracer.install(NoOpTracer(), modules)
     assert set(missing) == STALE_LAYERS
+
+
+@pytest.mark.parametrize("name", sorted(test_acceptance.TestHarnessDeterminism.PINNED))
+def test_the_benchmark_sets_up_each_of_its_configs(tmp_path, name):
+    # the set-up the benchmark times plans each config through build_plan
+    command, config, _ = test_acceptance.TestHarnessDeterminism.PINNED[name]
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(config, encoding="utf-8")
+    result = load_perfbench("child").setup(str(path), command)
+    assert math.isfinite(result["setup_s"]) and result["setup_s"] >= 0
