@@ -3,7 +3,7 @@
 :func:`mirrorcoin.samplers.run_stack` holds a thread pool for the length of
 a run (:func:`run_pool`), so that the run's calling thread and the pool
 together make one thread per usable core.  Pair work split into parts
-(MIED's row tiles, the energy metric's cross distances) runs its parts on
+(MIED's row tiles, the energy metric's row blocks) runs its parts on
 those threads through :func:`spread`.  Outside a run, and inside a sweep's
 pool worker, every part runs in the calling thread.  A split never changes
 how a value is computed, so the bits do not depend on the core count.

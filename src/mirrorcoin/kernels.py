@@ -31,10 +31,10 @@ FAMILIES = ("imq", "rbf")
 class KernelConfig:
     """Base kernel choice.
 
-    bandwidth is either a positive float or the string "median", in which
-    case it is resolved at every iteration by :func:`median_h` from the
-    primal pairwise distances the kernel is evaluated on, for every sampler
-    and for the ksd metric.
+    bandwidth is either a positive finite float or the string "median", in
+    which case it is resolved at every iteration by :func:`median_h` from
+    the primal pairwise distances the kernel is evaluated on, for every
+    sampler and for the ksd metric.
     """
 
     family: str = "imq"
@@ -48,8 +48,8 @@ class KernelConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "median":
                 problems.append(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif not self.bandwidth > 0:
-            problems.append("bandwidth must be positive")
+        elif not 0 < self.bandwidth < math.inf:
+            problems.append("bandwidth must be positive and finite")
         if problems:
             raise ConfigError(problems)
 

@@ -606,8 +606,9 @@ def run_sampler(
     ``X`` once, and the direction takes that settled ``X`` rather than
     mapping the coordinates back again.  Each settled cloud, the first image
     of the drawn cloud's dual coordinates included, is checked once before a
-    direction reads it; one outside the open domain raises DomainViolation.
-    A failure names the sampler and the iteration, as in a stack.
+    direction reads it; one outside the open domain raises DomainViolation,
+    and a non-finite outcome raises NumericalFailure.  A failure names the
+    sampler and the iteration, as in a stack.
 
     ``stepper`` defaults to ``sampler_stepper(sampler)``, as in a config,
     so a gradient sampler still needs an lr; that default's problems and
@@ -633,9 +634,10 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
     (msvgd with coin_msvgd, say).  Each run draws its cloud from its own
     seed and keeps its own stepper engine.  Every array op acts on each
     (N, d) slice as it would on that cloud alone, so each record holds the
-    same bits as that run's alone.  The first iteration at which a settled
-    cloud leaves the open domain (or fails to map back) ends the stack, and
-    its failure names the first run, in stack order, that did.
+    same bits as that run's alone.  The first iteration at which an outcome
+    is not finite (NumericalFailure), or a settled cloud leaves the open
+    domain (or fails to map back), ends the stack, and its failure names the
+    first run, in stack order, that did.
     """
     steppers, problems = [], []
     for run in runs:
@@ -736,6 +738,15 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
                 f"{name}: particle left the open domain at iteration {it}"
             )
 
+    def finite(c, it):
+        # one check per stack's outcome: a stepper may read a non-finite one
+        # as "no move" (AdaptiveCoin does), which no settled check would see
+        if np.isfinite(c).all():
+            return c
+        name = next(run.name or run.sampler for run, cb in zip(runs, c)
+                    if not np.isfinite(cb).all())
+        raise NumericalFailure(f"{name}: non-finite outcome at iteration {it}")
+
     with cores.run_pool():
         observe(0, X, Z)
         if not projected and n_iters:
@@ -744,7 +755,7 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
             # later ones do
             Z, X = checked(Z, 0)
         for it in range(1, n_iters + 1):
-            Z, X = checked(step(Z, direction(Z, X)), it)
+            Z, X = checked(step(Z, finite(direction(Z, X), it)), it)
             observe(it, X, Z)
 
     for record, xb, zb in zip(records, X, Z):

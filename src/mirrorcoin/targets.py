@@ -59,6 +59,10 @@ class SparseDirichlet:
             raise ValueError("all alpha must be positive")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(counts.sum()):
+                # the dual score adds up terms that scale with the counts
+                raise ValueError("the sum of counts must be finite")
         self.alpha = alpha
         self.counts = counts
         self.d = counts.size - 1
@@ -111,6 +115,10 @@ class QuadraticSimplex:
         _check_finite(sigma=sigma)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
+        with np.errstate(over="ignore", divide="ignore"):
+            if not np.isfinite(1.0 / np.square(float(sigma))):
+                # the log density and the score scale by 1/sigma^2
+                raise ValueError("1/sigma^2 must be finite")
         self.A = A
         self.sigma = float(sigma)
         self.d = as_dimension(A.shape[0])

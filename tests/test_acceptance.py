@@ -478,13 +478,13 @@ target.counts = 90,5,5,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0
             + DIRICHLET, {
                 "particles_final.csv":
                     "429f4e097d30087fbe572e745784bf5d9fd033c388b4d5c2234ab39f6bba56ab",
-                "trace.csv": "5e35bf099c83fc0caa7c0a4bf040233d3f9cca1127515f2c6fc3de0cb1ff7de0",
+                "trace.csv": "5dc2c82c3a20907a0fe7ec8a363829ada1c120812e0b2ec17b5a31020425936a",
             }),
         "dirichlet_sweep": (
             "sweep", "seed = 701\nsampler.kind = msvgd\nsampler.n_particles = 50\n"
             "sampler.n_iters = 500\nstepper.kind = rmsprop\n"
             "sweep.lrs = 0.0001,0.001,0.01,0.1,0.5\nsweep.seeds = 701,702\n" + DIRICHLET, {
-                "sweep.csv": "1959109f7ea64d44c6d9e6c8d40806ea33f59ed6b89605a04fcc5cc190a87f8f",
+                "sweep.csv": "91c8664fb016e78dfee61f390516a4ca2c0d2abc1bd1f4423c0112e9e0517749",
             }),
         "orthant_ksd": (
             "sample", "seed = 701\nsampler.kind = coin_mksdd\nsampler.n_particles = 100\n"
@@ -500,7 +500,7 @@ target.counts = 90,5,5,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0
             "target.kind = uniform_box\ntarget.d = 2\ntarget.lo = -1\ntarget.hi = 1\n", {
                 "particles_final.csv":
                     "fbfc15202d639fbfdd42911573dfeb16424e10448e7057b08611f9cbc0ae6f3c",
-                "trace.csv": "446c8d3c829ff8737928f2e84d562929bda2fc75b003790dd53755b9e5d5ef22",
+                "trace.csv": "6de587100ac314b34930cf237891290f085d8a18308b24cc80c25ed6284b70b8",
             }),
     }
 

@@ -1234,6 +1234,65 @@ class TestCli:
         assert re.fullmatch(r"runtime failure: NumericalOverflow: msvgd: exp overflow: "
                             r".* at iteration 1\n", capsys.readouterr().err)
 
+    def test_non_finite_outcome_names_the_run_exit_two(self, tmp_path, capsys, monkeypatch):
+        # the coin stepper would take a NaN outcome for "no move" and the
+        # cloud would stay where it is; the loop refuses the outcome instead
+        calls = []
+        direction = samplers.msvgd_direction
+
+        def nan_at_iteration_two(*args):
+            calls.append(1)
+            c = direction(*args)
+            return np.full_like(c, np.nan) if len(calls) == 2 else c
+
+        monkeypatch.setattr(samplers, "msvgd_direction", nan_at_iteration_two)
+        out = tmp_path / "o"
+        assert main(["sample", "--config", write_cfg(tmp_path, SAMPLE_CONFIG),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: NumericalFailure: coin_msvgd: non-finite outcome at iteration 2\n")
+        assert not (out / "particles_final.csv").exists()
+
+    def test_non_finite_outcome_in_a_sweep_names_its_job(self, tmp_path, capsys, monkeypatch):
+        # one stack of three jobs; only the second job's outcome is NaN
+        calls = []
+        direction = samplers.msvgd_direction
+
+        def nan_in_the_second_job(*args):
+            calls.append(1)
+            c = direction(*args)
+            if len(calls) == 2:
+                c[1] = np.nan
+            return c
+
+        monkeypatch.setattr(samplers, "msvgd_direction", nan_in_the_second_job)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_cfg(tmp_path, SWEEP_CONFIG), "--out", str(out),
+                     "--lrs", "0.01,0.1", "--seeds", "0", "--workers", "1"]) == 2
+        assert capsys.readouterr().err == ("runtime failure: NumericalFailure: msvgd "
+                                           "(lr 0.1, seed 0): non-finite outcome at iteration 2\n")
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("config,message", [
+        ("target.kind = exp_orthant\ntarget.d = 2\nkernel.bandwidth = inf\n",
+         "kernel: bandwidth must be positive and finite"),
+        ("target.kind = quadratic_simplex\ntarget.d = 2\ntarget.sigma = 1e-300\n",
+         "target: 1/sigma^2 must be finite"),
+        ("target.kind = sparse_dirichlet\ntarget.counts = 1e308,1e308\n",
+         "target: the sum of counts must be finite"),
+    ], ids=["bandwidth-inf", "sigma-1e-300", "counts-sum-overflow"])
+    def test_unrepresentable_value_exit_one(self, tmp_path, capsys, config, message):
+        # each ran to exit 0 with NaN outcomes; now each is refused up front,
+        # beside the config's other problems
+        cfg = write_cfg(tmp_path, config + (
+            "sampler.kind = coin_msvgd\nsampler.n_particles = 5\nsampler.n_iters = 3\n"
+            "metrics.names = ksd\nbogus.key = 1\n"))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error:\n  - {message}\n  - unknown key 'bogus.key'\n")
+        assert not out.exists()
+
     def test_failed_pooled_sweep_reports_alone(self, tmp_path, capfd):
         # the pool workers' warnings are dropped with the run; capfd also
         # sees what a worker would write to the inherited stderr

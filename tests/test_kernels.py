@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scipy.spatial.distance import cdist
 
+from mirrorcoin.errors import ConfigError
 from mirrorcoin.geometry import EntropicSimplexMap, PositiveOrthantMap
 from mirrorcoin.kernels import (
     KernelConfig,
@@ -191,6 +192,13 @@ class TestKernelConfig:
             KernelConfig("imq", -1.0)
         with pytest.raises(ValueError):
             KernelConfig("imq", "mean")
+
+    def test_rejects_non_finite_bandwidth(self):
+        # an infinite bandwidth makes the imq profile inf/inf = NaN
+        for bandwidth in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError) as err:
+                KernelConfig("imq", bandwidth)
+            assert err.value.violations == ["bandwidth must be positive and finite"]
 
 
 class TestMirroredKernel:

@@ -12,7 +12,7 @@ from mirrorcoin import cores, metrics
 from mirrorcoin.geometry import PositiveOrthantMap
 from mirrorcoin.harness import build_plan, execute_plan
 from mirrorcoin.kernels import KernelConfig
-from mirrorcoin.metrics import LEAF, energy_distance, energy_distance_to, ksd_vstat, summary_moments
+from mirrorcoin.metrics import BLOCK, energy_distance, energy_distance_to, ksd_vstat, summary_moments
 from mirrorcoin.rng import substream
 from mirrorcoin.samplers import stein_kernel_matrix
 from mirrorcoin.targets import ExpOrthant, MirroredDensity
@@ -63,95 +63,105 @@ class TestEnergyDistance:
 
 
     def test_run_hook_computes_reference_self_distance_once(self, monkeypatch):
-        plan = build_plan({
-            "target.kind": "sparse_dirichlet", "target.alpha": "0.5",
-            "target.counts": "6,3,1", "sampler.kind": "coin_msvgd",
-            "sampler.n_particles": "8", "sampler.n_iters": "6",
-            "sampler.metric_every": "1", "metrics.names": "energy",
-            "metrics.ground_truth_n": "300",
-        })
-        ref = plan.target.sample_ground_truth(300, substream(plan.seed, "ground_truth"))
-        sizes = []
-        pdist = metrics.pdist
-        monkeypatch.setattr(metrics, "pdist", lambda x: sizes.append(len(x)) or pdist(x))
-        rec = execute_plan(plan)
-        assert sizes.count(300) == 1 and sizes.count(8) == 7
-        monkeypatch.undo()
-        last = [v for it, name, v, ms in rec.trace if it == 6]
-        assert last == [energy_distance(rec.x_final, ref)]
+        pdist, block_sum = metrics.pdist, metrics._block_sum
+        # 300 points take pdist's path, the default 1000 the block path
+        for n in (300, 1000):
+            plan = build_plan({
+                "target.kind": "sparse_dirichlet", "target.alpha": "0.5",
+                "target.counts": "6,3,1", "sampler.kind": "coin_msvgd",
+                "sampler.n_particles": "8", "sampler.n_iters": "6",
+                "sampler.metric_every": "1", "metrics.names": "energy",
+                "metrics.ground_truth_n": str(n),
+            })
+            ref = plan.target.sample_ground_truth(n, substream(plan.seed, "ground_truth"))
+            sizes = []
+
+            def own_block_sum(a, b, parts=1):
+                if a is b:
+                    sizes.append(len(a))
+                return block_sum(a, b, parts)
+
+            monkeypatch.setattr(metrics, "pdist", lambda x: sizes.append(len(x)) or pdist(x))
+            monkeypatch.setattr(metrics, "_block_sum", own_block_sum)
+            rec = execute_plan(plan)
+            assert sizes.count(n) == 1 and sizes.count(8) == 7
+            monkeypatch.undo()
+            last = [v for it, name, v, ms in rec.trace if it == 6]
+            assert last == [energy_distance(rec.x_final, ref)]
 
 
-LENGTHS = [1, 7, 8, 9, 127, 128, 129, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 3, 499_500]
-
-
-def signed_spread(n, seed):
-    """n values of magnitude 1e-8 to 1e8 with random signs."""
-    rng = np.random.default_rng([seed, n])
-    return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-8.0, 8.0, size=n)
-
-
-def leaf_sum(v):
-    return metrics._pairwise_sum(v.size, lambda start, stop, out: np.copyto(out, v[start:stop]))
-
-
-class TestPairwiseSum:
-    @pytest.mark.parametrize("n", LENGTHS)
-    def test_numpys_bits(self, n):
-        for seed in range(20):
-            v = signed_spread(n, seed)
-            assert leaf_sum(v).tobytes() == np.add.reduce(v).tobytes()
-
-    @pytest.mark.parametrize("n", [n for n in LENGTHS if n > LEAF])
-    def test_blocks_added_in_turn_are_not_numpys(self, n):
-        # the negative control: the leaves must be added up as numpy halves
-        def in_turn(v):
-            return sum(np.add.reduce(v[k:k + LEAF]) for k in range(0, v.size, LEAF))
-        vectors = [signed_spread(n, seed) for seed in range(20)]
-        assert any(in_turn(v) != np.add.reduce(v) for v in vectors)
-
-    def test_leaves_hold_at_most_leaf_values(self):
-        sizes = []
-        metrics._pairwise_sum(499_500, lambda start, stop, out: sizes.append(out.size))
-        assert sum(sizes) == 499_500 and max(sizes) <= LEAF and len(sizes) == 8
+def materialised_within(x):
+    """x's own term with every pair distance held at once."""
+    return 2.0 * pdist(x).sum() / len(x)**2 if len(x) > 1 else 0.0
 
 
 def materialised_energy(a, ref):
-    """Every pair distance held at once: the formula the metric keeps the
-    bits of."""
-    na, nb = len(a), len(ref)
-    within_a = 2.0 * pdist(a).sum() / na**2 if na > 1 else 0.0
-    within_ref = 2.0 * pdist(ref).sum() / nb**2 if nb > 1 else 0.0
-    return float(2.0 * cdist(a, ref).mean() - within_a - within_ref)
+    """Every pair distance held at once."""
+    return float(2.0 * cdist(a, ref).mean() - materialised_within(a) - materialised_within(ref))
+
+
+# Stated before the first run: a term summed in blocks is within 8 ulps
+# (relative 8 eps) of numpy's sum over all its distances at once.  Both add
+# up positive values, each with a rounding error of about an eps at these
+# sizes, while a block dropped or counted twice is off by about 1/blocks.
+EPS = np.finfo(float).eps
 
 
 class TestEnergyInLeaves:
     @pytest.mark.parametrize("na,nb,d", [
-        (700, 1000, 3),     # every term in several leaves
-        (40, 60, 2),        # none
-        (400, 1000, 2),     # the box run's hook
-        (1, 1000, 3), (700, 1, 3), (1, 1, 2),
+        (40, 60, 2),
+        (50, 1000, 20),     # the sparse Dirichlet hook's cross term
+        (128, 512, 3),      # a cross term of exactly one block, the largest pdist term
+        (512, 128, 2), (1, 512, 3), (512, 1, 3), (1, 1, 2),
     ])
     def test_materialised_bits(self, na, nb, d):
+        # a cross term of one block (na <= BLOCK // nb) is one
+        # cdist(a, ref).sum(), and an own term of at most 2 * BLOCK pairs
+        # (n <= 512) one pdist(x).sum(), on any number of parts
         rng = np.random.default_rng([10, na, nb, d])
         a, ref = rng.uniform(size=(na, d)), rng.normal(size=(nb, d))
-        distance = energy_distance_to(ref)
-        assert distance(a) == distance(a) == materialised_energy(a, ref)
+        for parts in (1, 3):
+            assert metrics._block_sum(a, ref, parts) / (na * nb) == cdist(a, ref).mean()
+        for x in (a, ref):
+            if len(x) <= 512:
+                assert metrics._within(x) == materialised_within(x)
+        if nb <= 512:
+            distance = energy_distance_to(ref)
+            assert distance(a) == distance(a) == materialised_energy(a, ref)
 
-    @pytest.mark.parametrize("n", [2, 3, 12, 60])
-    def test_fills_write_any_run_of_values(self, n):
-        rng = np.random.default_rng(n)
-        x, y = rng.normal(size=(n, 3)), rng.normal(size=(n + 5, 3))
-        for fill, values in [(metrics._condensed(x), pdist(x)),
-                             (metrics._cross(x, y), cdist(x, y).ravel())]:
-            if n <= 12:                                 # every run
-                starts, stops = np.triu_indices(values.size + 1, 1)
-            else:
-                starts = rng.integers(0, values.size, 3000)
-                stops = starts + 1 + rng.integers(0, values.size - starts)
-            for start, stop in zip(starts, stops):
-                out = np.full(stop - start, np.nan)
-                fill(start, stop, out)
-                assert out.tobytes() == values[start:stop].tobytes()
+    @pytest.mark.parametrize("na,nb,d", [
+        (700, 1000, 3),
+        (400, 1000, 2),     # the box run's hook
+        (66, 1000, 20),     # a block of 65 rows and one of a single row
+        (1000, 3000, 2),
+        (3, 70_000, 2),     # rows longer than a block, one at a time
+    ])
+    def test_multi_block_cross_terms_agree_with_the_materialised_sum(self, na, nb, d):
+        rng = np.random.default_rng([12, na, nb, d])
+        a, ref = rng.uniform(size=(na, d)), rng.normal(size=(nb, d))
+        got, want = metrics._block_sum(a, ref), cdist(a, ref).sum()
+        assert abs(got - want) <= 8 * EPS * want
+        assert metrics._block_sum(a, ref, 2) == metrics._block_sum(a, ref, 5) == got
+
+    @pytest.mark.parametrize("n,d", [(513, 2), (1000, 2), (1000, 20), (3000, 2)])
+    def test_multi_block_own_terms_agree_with_the_materialised_sum(self, n, d):
+        x = np.random.default_rng([13, n, d]).normal(size=(n, d))
+        got, want = metrics._within(x), materialised_within(x)
+        assert abs(got - want) <= 8 * EPS * want
+
+    @pytest.mark.parametrize("d", [2, 20])
+    def test_own_term_holds_one_block(self, d):
+        # the default reference's own term: one block of BLOCK // 1000 rows,
+        # where pdist holds its 499 500 distances (4 MB)
+        n = 1000
+        x = np.random.default_rng([14, d]).uniform(size=(n, d))
+        tracemalloc.start()
+        try:
+            metrics._within(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * BLOCK + 8 * n
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_holds_no_pair_matrix(self, threads, monkeypatch):
@@ -169,7 +179,7 @@ class TestEnergyInLeaves:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 8 * LEAF * (threads + 2) + 8 * (na + nb)
+        assert peak < 8 * BLOCK * (threads + 2) + 8 * (na + nb)
 
 
 class TestKsd:

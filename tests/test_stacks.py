@@ -4,7 +4,8 @@ run of a stack gets the bits it gets alone."""
 import numpy as np
 import pytest
 
-from mirrorcoin.errors import DomainViolation, NumericalOverflow
+from mirrorcoin import samplers
+from mirrorcoin.errors import DomainViolation, NumericalFailure, NumericalOverflow
 from mirrorcoin.kernels import KernelConfig, median_h, sq_dists
 from mirrorcoin.mied import MOLLIFIERS, MollifierConfig, mie_gradient
 from mirrorcoin.samplers import (
@@ -168,6 +169,24 @@ def test_a_failed_stack_names_the_run_that_failed():
     runs[0] = Run("msvgd", 0, StepperConfig("fixed_lr", lr=0.01), "calm")
     with pytest.raises(NumericalOverflow, match="^wild: exp overflow: .* at iteration 1$"):
         run_stack(runs, target=LogNormalOrthant(3), hooks={}, **OPTIONS)
+
+
+def test_a_non_finite_outcome_names_the_run_it_is_in(monkeypatch):
+    # only the second run's slice of the stack's outcome is NaN, at iteration 2
+    calls = []
+    direction = samplers.msvgd_direction
+
+    def nan_in_wild(*args):
+        calls.append(1)
+        c = direction(*args)
+        if len(calls) == 2:
+            c[1, 3, 0] = np.nan
+        return c
+
+    monkeypatch.setattr(samplers, "msvgd_direction", nan_in_wild)
+    runs = [Run("coin_msvgd", 0, name="calm"), Run("coin_msvgd", 1, name="wild")]
+    with pytest.raises(NumericalFailure, match="^wild: non-finite outcome at iteration 2$"):
+        run_stack(runs, target=DIRICHLET, hooks={}, **OPTIONS)
 
 
 def test_a_lone_run_failure_names_its_run():

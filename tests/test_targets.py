@@ -126,12 +126,23 @@ _X, _Y = np.ones((4, 3)), np.ones(4)
      "active set and signs must be nonempty and aligned"),
     (lambda: SelectiveLasso(_X, _Y, 1.0, [0, 1], [1.0]),
      "active set and signs must be nonempty and aligned"),
+    # finite parameters whose scale the target cannot represent
+    (lambda: QuadraticSimplex(np.eye(2), 1e-160), "1/sigma^2 must be finite"),
+    (lambda: QuadraticSimplex(np.eye(2), 1e-300), "1/sigma^2 must be finite"),
+    (lambda: SparseDirichlet(0.5, [1e308, 1e308]), "the sum of counts must be finite"),
 ], ids=["quadratic_non_square", "quadratic_not_2d", "quadratic_asymmetric",
-        "lasso_y_length", "lasso_x_not_2d", "lasso_empty_active", "lasso_misaligned_signs"])
+        "lasso_y_length", "lasso_x_not_2d", "lasso_empty_active", "lasso_misaligned_signs",
+        "quadratic_inverse_variance_overflows", "quadratic_variance_underflows",
+        "dirichlet_counts_sum_overflows"])
 def test_constructor_refusals(make, message):
     with pytest.raises(ValueError) as err:
         make()
     assert str(err.value) == message
+
+
+def test_scales_just_inside_what_a_target_represents():
+    assert QuadraticSimplex(np.eye(2), 1e-150).sigma == 1e-150      # 1/sigma^2 = 1e300
+    assert SparseDirichlet(0.5, [1e308, 7e307]).counts.sum() < np.inf
 
 
 class TestQuadraticSimplex:
