@@ -1,7 +1,8 @@
 """Coin-betting position updates for particle clouds.
 
-Both engines are steppers: ``step(y, c)`` takes the (N, d) positions ``y``
-and the "outcome" ``c`` computed there -- the negative gradient signal -- and
+Both engines are steppers: ``step(y, c)`` takes the positions ``y`` (an
+(N, d) cloud, or a (B, N, d) stack of clouds, each bet on as if alone) and
+the "outcome" ``c`` computed there -- the negative gradient signal -- and
 returns the next positions.  The caller owns the positions; an engine keeps
 only its start ``y0`` and its betting state, so a caller that moves ``y``
 between steps (a projection, say) bets from where the particles really are.

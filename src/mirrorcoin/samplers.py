@@ -23,6 +23,7 @@ metric split their rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -76,17 +77,24 @@ class StepperConfig:
 
 
 class _FixedLR:
-    def __init__(self, lr: float):
+    """y + lr c; with ``noise``, a generator per run, the unadjusted Langevin
+    step y + lr c + sqrt(2 lr) xi, each run's xi standard normal from its own."""
+
+    def __init__(self, lr, noise=()):
         self.lr = lr
+        self.noise = noise
 
     def step(self, y, c):
-        return y + self.lr * c
+        out = y + self.lr * c
+        for g, o, lr in zip(self.noise, out, self.lr):
+            o += np.sqrt(2.0 * lr) * g.standard_normal(o.shape)
+        return out
 
 
 class _RMSProp:
     """Per-coordinate second-moment scaling: nu <- 0.9 nu + 0.1 c^2."""
 
-    def __init__(self, lr: float, shape):
+    def __init__(self, lr, shape):
         self.lr = lr
         self.nu = np.zeros(shape)
 
@@ -95,31 +103,21 @@ class _RMSProp:
         return y + self.lr * c / np.sqrt(self.nu + 1e-8)
 
 
-class _Langevin:
-    """Unadjusted Langevin: y + lr c + sqrt(2 lr) xi, xi standard normal."""
+def make_stepper(steppers, z0: np.ndarray, noise=()):
+    """One engine for a stretch of runs whose ``steppers`` share kind and
+    guard, from their (b, N, d) start ``z0``; the gradient kinds take the
+    runs' rates as a (b, 1, 1) column, and ``noise`` (a generator per run)
+    makes fixed_lr mla's Langevin step.
 
-    def __init__(self, lr: float, rng: np.random.Generator):
-        self.lr = lr
-        self.rng = rng
-
-    def step(self, y, c):
-        return y + self.lr * c + np.sqrt(2.0 * self.lr) * self.rng.standard_normal(y.shape)
-
-
-def make_stepper(config: StepperConfig, y0: np.ndarray):
-    """The stepper ``config`` names, for positions that start at ``y0``.
-
-    Every stepper has ``step(y, c) -> y_next``: ``c`` is the outcome computed
+    Every engine has ``step(y, c) -> y_next``: ``c`` is the outcome computed
     at ``y``.  The caller owns the positions and may move them between steps
     (a projection, say); the next step starts from the ``y`` it is handed.
     """
-    if config.kind == "fixed_lr":
-        return _FixedLR(config.lr)
-    if config.kind == "rmsprop":
-        return _RMSProp(config.lr, np.shape(y0))
-    if config.kind == "coin_kt":
-        return KTCoin(y0)
-    return AdaptiveCoin(y0, config.guard)
+    kind = steppers[0].kind
+    if kind in COIN_STEPPERS:
+        return KTCoin(z0) if kind == "coin_kt" else AdaptiveCoin(z0, steppers[0].guard)
+    lr = np.array([s.lr for s in steppers])[:, None, None]
+    return _RMSProp(lr, np.shape(z0)) if kind == "rmsprop" else _FixedLR(lr, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +604,8 @@ def run_sampler(
     ``X`` once, and the direction takes that settled ``X`` rather than
     mapping the coordinates back again.  Each settled cloud, the first image
     of the drawn cloud's dual coordinates included, is checked once before a
-    direction reads it; one outside the open domain raises DomainViolation,
+    direction reads it, and a projected run's projected draw is checked even
+    when no iteration runs; one outside the open domain raises DomainViolation,
     and a non-finite outcome raises NumericalFailure.  A failure names the
     sampler and the iteration, as in a stack.
 
@@ -632,12 +631,15 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
     ``sampler``, ``seed`` and ``stepper``, which each :class:`Run` gives;
     each is given, none has a default.  They share one sampler family
     (msvgd with coin_msvgd, say).  Each run draws its cloud from its own
-    seed and keeps its own stepper engine.  Every array op acts on each
-    (N, d) slice as it would on that cloud alone, so each record holds the
-    same bits as that run's alone.  The first iteration at which an outcome
-    is not finite (NumericalFailure), or a settled cloud leaves the open
-    domain (or fails to map back), ends the stack, and its failure names the
-    first run, in stack order, that did.
+    seed.  Each stretch of consecutive runs whose steppers share kind and
+    guard has one engine, which steps that stretch's slice of the stack with
+    each run's own rate (and mla's noise from each run's seed).  Every array
+    op acts on each (N, d) slice as it would on that cloud alone, so each
+    record holds the same bits as that run's alone.  The first iteration at
+    which an outcome is not finite (NumericalFailure), or a settled cloud
+    leaves the open domain (or fails to map back), ends the stack, and its
+    failure names the first run, in stack order, that did; a projected
+    run's first cloud, the projection of its draw, is checked at iteration 0.
     """
     steppers, problems = [], []
     for run in runs:
@@ -676,7 +678,7 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
         def inside(x):
             return np.isfinite(x).all()
 
-        Z = X = project_to_domain(target, X)
+        Z = X
     else:
         md = mirrored_density(target)
         mmap = md.mmap
@@ -695,20 +697,7 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
         inside = mmap.inside
         Z = mmap.primal_to_dual(X)
 
-    # each run keeps its own engine, which steps the run's (N, d) slice
-    engines = [_Langevin(stepper.lr, substream(run.seed, "mla_noise")) if base == "mla"
-               else make_stepper(stepper, z0)
-               for run, stepper, z0 in zip(runs, steppers, Z)]
-
-    def step(z, c):
-        # into a new stack: np.stack costs a lone run more than this
-        out = np.empty_like(z)
-        for e, o, zb, cb in zip(engines, out, z, c):
-            o[...] = e.step(zb, cb)
-        return out
-
     records = [RunRecord() for _ in runs]
-    t0 = time.perf_counter()
 
     def observe(it, x, z):
         if hooks and (it == 0 or it == n_iters or it % metric_every == 0):
@@ -747,6 +736,24 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
                     if not np.isfinite(cb).all())
         raise NumericalFailure(f"{name}: non-finite outcome at iteration {it}")
 
+    if projected:
+        # the projected draw is the first cloud a direction reads
+        Z, X = checked(Z, 0)
+
+    # one engine per stretch of consecutive runs whose steppers share kind
+    # and guard, stepping its slice of the stack
+    engines, start = [], 0
+    for _, stretch in itertools.groupby(steppers, lambda s: (s.kind, s.guard)):
+        stretch = list(stretch)
+        part = slice(start, start + len(stretch))
+        noise = [substream(run.seed, "mla_noise") for run in runs[part]] if base == "mla" else ()
+        engines.append((part, make_stepper(stretch, Z[part], noise)))
+        start = part.stop
+
+    def step(z, c):
+        return np.concatenate([engine.step(z[part], c[part]) for part, engine in engines])
+
+    t0 = time.perf_counter()
     with cores.run_pool():
         observe(0, X, Z)
         if not projected and n_iters:

@@ -38,6 +38,17 @@ def _check_finite(**params):
             raise ValueError(f"{name} must be finite")
 
 
+def _check_scale(name, value):
+    """Refuse a scale whose square or inverse square is not finite: the log
+    density and the score divide by the square."""
+    with np.errstate(over="ignore", divide="ignore"):
+        square = np.square(float(value))
+        if not np.isfinite(square):
+            raise ValueError(f"{name}^2 must be finite")
+        if not np.isfinite(1.0 / square):
+            raise ValueError(f"1/{name}^2 must be finite")
+
+
 class SparseDirichlet:
     """Dirichlet posterior from multinomial counts on the open simplex.
 
@@ -115,10 +126,7 @@ class QuadraticSimplex:
         _check_finite(sigma=sigma)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        with np.errstate(over="ignore", divide="ignore"):
-            if not np.isfinite(1.0 / np.square(float(sigma))):
-                # the log density and the score scale by 1/sigma^2
-                raise ValueError("1/sigma^2 must be finite")
+        _check_scale("sigma", sigma)
         self.A = A
         self.sigma = float(sigma)
         self.d = as_dimension(A.shape[0])
@@ -272,6 +280,7 @@ class LogNormalOrthant:
         _check_finite(mu=mu, sigma=sigma)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
+        _check_scale("sigma", sigma)
         self.d = as_dimension(d)
         self.mu = float(mu)
         self.sigma = float(sigma)
@@ -342,6 +351,7 @@ class SelectiveLasso:
         _check_finite(lam=lam, tau=tau, eps_ridge=eps_ridge)
         if lam <= 0 or tau <= 0 or eps_ridge <= 0:
             raise ValueError("lam, tau, eps_ridge must be positive")
+        _check_scale("tau", tau)
         if active.size == 0 or active.size != signs.size:
             raise ValueError("active set and signs must be nonempty and aligned")
         if not np.all(np.abs(signs) == 1.0):

@@ -121,11 +121,11 @@ class TestAdaptiveCoin:
 class TestDeterminismAndFactory:
     def test_bit_identical_replay(self):
         rng = np.random.default_rng(3)
-        outcomes = rng.normal(size=(30, 5, 2))
+        outcomes = rng.normal(size=(30, 1, 5, 2))
         for kind in ("coin_kt", "coin_adaptive"):
-            a = make_stepper(StepperConfig(kind), np.zeros((5, 2)))
-            b = make_stepper(StepperConfig(kind), np.zeros((5, 2)))
-            ya = yb = np.zeros((5, 2))
+            a = make_stepper([StepperConfig(kind)], np.zeros((1, 5, 2)))
+            b = make_stepper([StepperConfig(kind)], np.zeros((1, 5, 2)))
+            ya = yb = np.zeros((1, 5, 2))
             for c in outcomes:
                 ya = a.step(ya, c)
                 yb = b.step(yb, c)

@@ -1253,6 +1253,21 @@ class TestCli:
             "runtime failure: NumericalFailure: coin_msvgd: non-finite outcome at iteration 2\n")
         assert not (out / "particles_final.csv").exists()
 
+    @pytest.mark.parametrize("n_iters", [0, 2])
+    def test_projected_first_cloud_checked_at_iteration_zero(self, tmp_path, capsys, n_iters):
+        # the lognormal draw overflows to inf; its projection is the run's
+        # first cloud, checked even when no iteration runs
+        cfg = write_cfg(tmp_path, (
+            "target.kind = exp_orthant\ntarget.d = 2\ninit.mu = 1e200\n"
+            "sampler.kind = svgd_proj\nstepper.lr = 0.1\nsampler.n_particles = 5\n"
+            f"sampler.n_iters = {n_iters}\n"))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: DomainViolation: svgd_proj: particle left the open domain "
+            "at iteration 0\n")
+        assert not (out / "particles_final.csv").exists()
+
     def test_non_finite_outcome_in_a_sweep_names_its_job(self, tmp_path, capsys, monkeypatch):
         # one stack of three jobs; only the second job's outcome is NaN
         calls = []
@@ -1280,10 +1295,20 @@ class TestCli:
          "target: 1/sigma^2 must be finite"),
         ("target.kind = sparse_dirichlet\ntarget.counts = 1e308,1e308\n",
          "target: the sum of counts must be finite"),
-    ], ids=["bandwidth-inf", "sigma-1e-300", "counts-sum-overflow"])
+        ("target.kind = quadratic_simplex\ntarget.d = 2\ntarget.sigma = 1e200\n",
+         "target: sigma^2 must be finite"),
+        ("target.kind = lognormal_orthant\ntarget.d = 2\ntarget.sigma = 1e200\n",
+         "target: sigma^2 must be finite"),
+        ("target.kind = lognormal_orthant\ntarget.d = 2\ntarget.sigma = 1e-308\n",
+         "target: 1/sigma^2 must be finite"),
+        ("target.kind = selective_lasso\ntarget.n = 10\ntarget.p = 2\ntarget.q = 1\n"
+         "target.tau = 1e200\n", "target: tau^2 must be finite"),
+    ], ids=["bandwidth-inf", "sigma-1e-300", "counts-sum-overflow", "quadratic-sigma-1e200",
+            "lognormal-sigma-1e200", "lognormal-sigma-1e-308", "lasso-tau-1e200"])
     def test_unrepresentable_value_exit_one(self, tmp_path, capsys, config, message):
-        # each ran to exit 0 with NaN outcomes; now each is refused up front,
-        # beside the config's other problems
+        # each ran to exit 0 with NaN outcomes or failed on a bare
+        # OverflowError; now each is refused up front, beside the config's
+        # other problems
         cfg = write_cfg(tmp_path, config + (
             "sampler.kind = coin_msvgd\nsampler.n_particles = 5\nsampler.n_iters = 3\n"
             "metrics.names = ksd\nbogus.key = 1\n"))

@@ -16,7 +16,6 @@ from mirrorcoin.samplers import (
     SAMPLERS,
     InitSpec,
     StepperConfig,
-    _Langevin,
     check_run,
     draw_init,
     hermite_features,
@@ -132,24 +131,24 @@ class TestSteppers:
                                 f"{' or '.join(stepper_kinds(sampler))}, got {kind!r}"]
 
     def test_fixed_lr_step(self):
-        y = np.zeros((2, 2))
-        s = make_stepper(StepperConfig("fixed_lr", lr=0.5), y)
-        out = s.step(y, np.ones((2, 2)))
+        y = np.zeros((1, 2, 2))
+        s = make_stepper([StepperConfig("fixed_lr", lr=0.5)], y)
+        out = s.step(y, np.ones((1, 2, 2)))
         assert np.allclose(out, 0.5)
 
     def test_rmsprop_first_step_hand_value(self):
         # nu = 0.1 c^2, update = lr c / sqrt(0.1 c^2 + 1e-8)
-        y = np.zeros((1, 1))
-        s = make_stepper(StepperConfig("rmsprop", lr=0.2), y)
-        c = np.array([[4.0]])
+        y = np.zeros((1, 1, 1))
+        s = make_stepper([StepperConfig("rmsprop", lr=0.2)], y)
+        c = np.array([[[4.0]]])
         out = s.step(y, c)
         expect = 0.2 * 4.0 / np.sqrt(0.1 * 16.0 + 1e-8)
         assert np.allclose(out, expect)
 
     def test_coin_stepper_first_update_matches_engine(self):
-        y0 = np.zeros((3, 2))
-        s = make_stepper(StepperConfig("coin_kt"), y0)
-        c = np.array([[1.0, -2.0], [0.5, 0.0], [3.0, 3.0]])
+        y0 = np.zeros((1, 3, 2))
+        s = make_stepper([StepperConfig("coin_kt")], y0)
+        c = np.array([[[1.0, -2.0], [0.5, 0.0], [3.0, 3.0]]])
         out = s.step(y0, c)
         assert np.allclose(out, c / 2.0)
 
@@ -527,10 +526,8 @@ class TestRunLoop:
         md = mirrored_density(target)
         X0 = draw_init(InitSpec(), target, 8, substream(4, "init"))
         Y = md.mmap.primal_to_dual(X0)
-        if sampler == "mla":
-            engine = _Langevin(stepper.lr, substream(4, "mla_noise"))
-        else:
-            engine = make_stepper(stepper or sampler_stepper(sampler), Y)
+        engine = make_stepper([stepper or sampler_stepper(sampler)], Y[None],
+                              [substream(4, "mla_noise")] if sampler == "mla" else ())
         kernel_direction = {"msvgd": msvgd_direction,
                             "mksdd": mksdd_direction}.get(sampler.removeprefix("coin_"))
         for _ in range(6):
@@ -539,7 +536,7 @@ class TestRunLoop:
                 assert c.tobytes() == kernel_direction(Y, md, "imq", "median").tobytes()
             else:
                 c = dual_score(md, Y)
-            Y = engine.step(Y, c)
+            Y = engine.step(Y[None], c[None])[0]
         assert rec.y_final.tobytes() == Y.tobytes()
         assert rec.x_final.tobytes() == md.mmap.dual_to_primal(Y).tobytes()
 
@@ -554,11 +551,11 @@ class TestRunLoop:
                           n_iters=6, seed=4, stepper=stepper)
         X0 = draw_init(InitSpec(), target, 8, substream(4, "init"))
         X = project_to_domain(target, X0)
-        engine = make_stepper(stepper, X)
+        engine = make_stepper([stepper], X[None])
         projections_moved = 0
         for _ in range(6):
             c = svgd_direction(X, target, kernel.family, median_bandwidth(X))
-            stepped = engine.step(X, c)
+            stepped = engine.step(X[None], c[None])[0]
             X = project_to_domain(target, stepped)
             projections_moved += not np.array_equal(X, stepped)
         assert projections_moved > 0

@@ -1,6 +1,8 @@
 """Stacks of runs: a (B, N, d) array moves through every direction, and each
 run of a stack gets the bits it gets alone."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from mirrorcoin import samplers
 from mirrorcoin.errors import DomainViolation, NumericalFailure, NumericalOverflow
 from mirrorcoin.kernels import KernelConfig, median_h, sq_dists
 from mirrorcoin.mied import MOLLIFIERS, MollifierConfig, mie_gradient
+from mirrorcoin.rng import substream
 from mirrorcoin.samplers import (
     InitSpec,
     Run,
     StepperConfig,
+    make_stepper,
     mirrored_density,
     mksdd_direction,
     mlawgd_direction,
@@ -137,16 +141,21 @@ def mean_x1(x, y):
 @pytest.mark.parametrize("base,target", [
     ("msvgd", DIRICHLET), ("msvgd", ORTHANT), ("mksdd", DIRICHLET), ("mksdd", ORTHANT),
     ("mlawgd", LogNormalOrthant(1)), ("svgd_proj", DIRICHLET),
-    ("mied", UniformBox(-np.ones(2), np.ones(2))),
+    ("mied", UniformBox(-np.ones(2), np.ones(2))), ("mla", DIRICHLET), ("mla", ORTHANT),
 ])
 def test_each_run_of_a_stack_is_the_run_alone(base, target):
-    # rmsprop runs share an engine across a fixed_lr run, and the coin twin
-    # runs with both engines
-    runs = [Run(base, 0, StepperConfig("rmsprop", lr=0.05)),
-            Run(base, 1, StepperConfig("fixed_lr", lr=0.02)),
-            Run(base, 1, StepperConfig("rmsprop", lr=0.01)),
-            Run("coin_" + base, 0),
-            Run("coin_" + base, 2, StepperConfig("coin_kt"))]
+    # rmsprop runs on either side of a fixed_lr run, and the coin twin with
+    # both engines; mla's fixed_lr runs at two rates and two seeds share one
+    # engine, each drawing its noise from its own seed
+    if base == "mla":
+        runs = [Run("mla", seed, StepperConfig("fixed_lr", lr=lr))
+                for seed in (0, 1) for lr in (1e-3, 1e-2)]
+    else:
+        runs = [Run(base, 0, StepperConfig("rmsprop", lr=0.05)),
+                Run(base, 1, StepperConfig("fixed_lr", lr=0.02)),
+                Run(base, 1, StepperConfig("rmsprop", lr=0.01)),
+                Run("coin_" + base, 0),
+                Run("coin_" + base, 2, StepperConfig("coin_kt"))]
     records = run_stack(runs, target=target, hooks={"mean_x1": mean_x1}, **OPTIONS)
     for run, got in zip(runs, records):
         alone = run_sampler(target=target, sampler=run.sampler, seed=run.seed,
@@ -156,6 +165,51 @@ def test_each_run_of_a_stack_is_the_run_alone(base, target):
         if got.y_final is not None:
             assert np.array_equal(got.y_final, alone.y_final)
         assert [row[:3] for row in got.trace] == [row[:3] for row in alone.trace]
+
+
+def test_one_engine_per_stretch_of_a_stack(monkeypatch):
+    # a stretch is a longest run of consecutive steppers sharing kind and
+    # guard; the runs keep their order
+    stretches = []
+    monkeypatch.setattr(samplers, "make_stepper", lambda steppers, z0, noise=():
+                        stretches.append((steppers, z0.shape[0])) or make_stepper(steppers, z0))
+    kinds = [StepperConfig("rmsprop", lr=0.1), StepperConfig("rmsprop", lr=0.2),
+             StepperConfig("fixed_lr", lr=0.1), StepperConfig("rmsprop", lr=0.1),
+             StepperConfig("coin_adaptive"), StepperConfig("coin_adaptive"),
+             StepperConfig("coin_adaptive", guard=True), StepperConfig("coin_kt")]
+    runs = [Run("coin_msvgd" if s.kind.startswith("coin") else "msvgd", 0, s) for s in kinds]
+    run_stack(runs, target=DIRICHLET, hooks={}, **OPTIONS)
+    assert stretches == [(kinds[:2], 2), (kinds[2:3], 1), (kinds[3:4], 1), (kinds[4:6], 2),
+                         (kinds[6:7], 1), (kinds[7:], 1)]
+
+
+@pytest.mark.parametrize("stepper,mla", [
+    (StepperConfig("fixed_lr", lr=1.0), False), (StepperConfig("rmsprop", lr=1.0), False),
+    (StepperConfig("coin_kt"), False), (StepperConfig("coin_adaptive"), False),
+    (StepperConfig("coin_adaptive", guard=True), False), (StepperConfig("fixed_lr", lr=1.0), True),
+], ids=["fixed_lr", "rmsprop", "coin_kt", "coin_adaptive", "coin_adaptive-guard", "mla"])
+def test_one_engine_gives_each_slice_the_bits_of_a_lone_engine(stepper, mla):
+    # each run at its own rate and, for mla, with its own noise; the stack's
+    # engine steps a view of a wider stack, as in the run loop
+    rng = np.random.default_rng(11)
+    wide = rng.standard_normal((B + 1, N, 2))
+    z = wide[1:]
+    steppers = [replace(stepper, lr=stepper.lr and lr) for lr in (0.3, 0.05, 0.01)]
+
+    def noise(seeds):
+        return [substream(seed, "mla_noise") for seed in seeds] if mla else ()
+
+    engine = make_stepper(steppers, z, noise(range(B)))
+    alone = [make_stepper([s], z[b:b + 1], noise([b])) for b, s in enumerate(steppers)]
+    zs = [z[b:b + 1].copy() for b in range(B)]
+    for _ in range(6):
+        c = rng.standard_normal(z.shape)
+        wide[1:] = engine.step(z, c)
+        zs = [e.step(zb, c[b:b + 1]) for b, (e, zb) in enumerate(zip(alone, zs))]
+    for got, want in zip(z, zs):
+        assert want.shape == (1, N, 2)
+        assert got.tobytes() == want[0].tobytes()
+    assert not np.array_equal(z[0], z[1])
 
 
 def test_a_failed_stack_names_the_run_that_failed():

@@ -130,10 +130,17 @@ _X, _Y = np.ones((4, 3)), np.ones(4)
     (lambda: QuadraticSimplex(np.eye(2), 1e-160), "1/sigma^2 must be finite"),
     (lambda: QuadraticSimplex(np.eye(2), 1e-300), "1/sigma^2 must be finite"),
     (lambda: SparseDirichlet(0.5, [1e308, 1e308]), "the sum of counts must be finite"),
+    (lambda: QuadraticSimplex(np.eye(2), 1e200), "sigma^2 must be finite"),
+    (lambda: LogNormalOrthant(2, sigma=1e200), "sigma^2 must be finite"),
+    (lambda: LogNormalOrthant(2, sigma=1e-308), "1/sigma^2 must be finite"),
+    (lambda: SelectiveLasso(_X, _Y, 1.0, [0], [1.0], tau=1e200), "tau^2 must be finite"),
+    (lambda: SelectiveLasso(_X, _Y, 1.0, [0], [1.0], tau=1e-160), "1/tau^2 must be finite"),
 ], ids=["quadratic_non_square", "quadratic_not_2d", "quadratic_asymmetric",
         "lasso_y_length", "lasso_x_not_2d", "lasso_empty_active", "lasso_misaligned_signs",
         "quadratic_inverse_variance_overflows", "quadratic_variance_underflows",
-        "dirichlet_counts_sum_overflows"])
+        "dirichlet_counts_sum_overflows", "quadratic_variance_overflows",
+        "lognormal_variance_overflows", "lognormal_variance_underflows",
+        "lasso_variance_overflows", "lasso_variance_underflows"])
 def test_constructor_refusals(make, message):
     with pytest.raises(ValueError) as err:
         make()
@@ -143,6 +150,11 @@ def test_constructor_refusals(make, message):
 def test_scales_just_inside_what_a_target_represents():
     assert QuadraticSimplex(np.eye(2), 1e-150).sigma == 1e-150      # 1/sigma^2 = 1e300
     assert SparseDirichlet(0.5, [1e308, 7e307]).counts.sum() < np.inf
+    # sigma^2 = 1e300 and 1/sigma^2 = 1e300
+    assert QuadraticSimplex(np.eye(2), 1e150).sigma == 1e150
+    for sigma in (1e-150, 1e150):
+        assert LogNormalOrthant(2, sigma=sigma).sigma == sigma
+        assert SelectiveLasso(_X, _Y, 1.0, [0], [1.0], tau=sigma).tau == sigma
 
 
 class TestQuadraticSimplex:
