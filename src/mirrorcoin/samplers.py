@@ -606,8 +606,8 @@ def run_sampler(
     of the drawn cloud's dual coordinates included, is checked once before a
     direction reads it, and a projected run's projected draw is checked even
     when no iteration runs; one outside the open domain raises DomainViolation,
-    and a non-finite outcome raises NumericalFailure.  A failure names the
-    sampler and the iteration, as in a stack.
+    and a non-finite outcome or hook value raises NumericalFailure.  A failure
+    names the sampler and the iteration, as in a stack.
 
     ``stepper`` defaults to ``sampler_stepper(sampler)``, as in a config,
     so a gradient sampler still needs an lr; that default's problems and
@@ -636,10 +636,11 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
     each run's own rate (and mla's noise from each run's seed).  Every array
     op acts on each (N, d) slice as it would on that cloud alone, so each
     record holds the same bits as that run's alone.  The first iteration at
-    which an outcome is not finite (NumericalFailure), or a settled cloud
-    leaves the open domain (or fails to map back), ends the stack, and its
-    failure names the first run, in stack order, that did; a projected
-    run's first cloud, the projection of its draw, is checked at iteration 0.
+    which an outcome or a hook's value is not finite (NumericalFailure), or a
+    settled cloud leaves the open domain (or fails to map back), ends the
+    stack, and its failure names the first run, in stack order, that did; a
+    projected run's first cloud, the projection of its draw, is checked at
+    iteration 0.
     """
     steppers, problems = [], []
     for run in runs:
@@ -702,9 +703,14 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
     def observe(it, x, z):
         if hooks and (it == 0 or it == n_iters or it % metric_every == 0):
             ms = (time.perf_counter() - t0) * 1e3
-            for record, xb, zb in zip(records, x, z):
+            for run, record, xb, zb in zip(runs, records, x, z):
                 for name, fn in hooks.items():
-                    record.trace.append((it, name, float(fn(xb, None if projected else zb)), ms))
+                    value = float(fn(xb, None if projected else zb))
+                    if not math.isfinite(value):
+                        # a metric that overflows fails its run, as an outcome does
+                        raise NumericalFailure(f"{run.name or run.sampler}: non-finite "
+                                               f"{name} at iteration {it}")
+                    record.trace.append((it, name, value, ms))
 
     def checked(z, it):
         # the loop's interior check, one per settled stack; the directions
@@ -737,7 +743,8 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
         raise NumericalFailure(f"{name}: non-finite outcome at iteration {it}")
 
     if projected:
-        # the projected draw is the first cloud a direction reads
+        # the projected draw is the run's first cloud, checked even when no
+        # iteration runs
         Z, X = checked(Z, 0)
 
     # one engine per stretch of consecutive runs whose steppers share kind

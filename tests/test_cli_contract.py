@@ -119,6 +119,10 @@ def values(path, column=None):
 @example("target.kind = lognormal_orthant\ntarget.d = 2\ntarget.sigma = 1e-308\n"
          "sampler.kind = coin_msvgd\nsampler.n_particles = 3\nsampler.n_iters = 0\n"
          "metrics.names = ksd\n")
+# a box whose squared distances overflow makes the energy NaN
+@example("target.kind = uniform_box\ntarget.d = 2\ntarget.lo = -1e308\n"
+         "sampler.kind = svgd_proj\nstepper.lr = 0.1\nsampler.n_particles = 3\n"
+         "sampler.n_iters = 2\nkernel.bandwidth = 0.5\nmetrics.names = energy\n")
 # a projected run's draw overflows to inf before any iteration
 @example("target.kind = exp_orthant\ntarget.d = 2\ninit.mu = 1e200\n"
          "sampler.kind = svgd_proj\nstepper.lr = 0.1\nsampler.n_particles = 3\n"

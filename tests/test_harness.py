@@ -1268,6 +1268,19 @@ class TestCli:
             "at iteration 0\n")
         assert not (out / "particles_final.csv").exists()
 
+    def test_non_finite_metric_names_the_run_exit_two(self, tmp_path, capsys):
+        # the box is finite, but its points' distances overflow the energy
+        # sums at a fixed bandwidth, where the direction stays finite
+        cfg = write_cfg(tmp_path, (
+            "target.kind = uniform_box\ntarget.d = 2\ntarget.lo = -1e308\n"
+            "sampler.kind = svgd_proj\nstepper.lr = 0.1\nsampler.n_particles = 3\n"
+            "sampler.n_iters = 2\nkernel.bandwidth = 0.5\nmetrics.names = energy\n"))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: NumericalFailure: svgd_proj: non-finite energy at iteration 0\n")
+        assert not (out / "trace.csv").exists()
+
     def test_non_finite_outcome_in_a_sweep_names_its_job(self, tmp_path, capsys, monkeypatch):
         # one stack of three jobs; only the second job's outcome is NaN
         calls = []

@@ -243,6 +243,20 @@ def test_a_non_finite_outcome_names_the_run_it_is_in(monkeypatch):
         run_stack(runs, target=DIRICHLET, hooks={}, **OPTIONS)
 
 
+def test_a_non_finite_metric_names_the_run_it_is_in():
+    # the hook is called run by run at iterations 0, 2, ...; its fourth call
+    # is the second run's at iteration 2
+    calls = []
+
+    def nan_in_wild(x, y):
+        calls.append(1)
+        return np.nan if len(calls) == 4 else mean_x1(x, y)
+
+    runs = [Run("coin_msvgd", 0, name="calm"), Run("coin_msvgd", 1, name="wild")]
+    with pytest.raises(NumericalFailure, match="^wild: non-finite m at iteration 2$"):
+        run_stack(runs, target=DIRICHLET, hooks={"m": nan_in_wild}, **OPTIONS)
+
+
 def test_a_lone_run_failure_names_its_run():
     # run_sampler is a stack of one, so its failure reads as a stack's does
     with pytest.raises(NumericalOverflow, match="^msvgd: exp overflow: .* at iteration 1$"):
