@@ -5,10 +5,6 @@ class DomainViolation(ValueError):
     """A primal point sits on or outside the boundary of its domain."""
 
 
-class NumericalOverflow(FloatingPointError):
-    """An intermediate quantity left the representable float64 range."""
-
-
 class NumericalFailure(RuntimeError):
     """A computation produced NaN/Inf where a finite value is required."""
 

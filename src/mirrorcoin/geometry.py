@@ -28,7 +28,10 @@ against phi itself (acceptance criterion 01).
 Only the entry points check that a primal cloud is in the open domain
 (DomainViolation): ``primal_to_dual``, ``assert_interior``, the run loop
 (:func:`mirrorcoin.samplers.run_stack`), and the calls that map a dual
-cloud back themselves.  Every other map method trusts its ``x``.
+cloud back themselves.  Every other map method trusts its ``x``, and
+``dual_to_primal`` trusts its ``y``: a NaN, infinite or overflowing dual
+point gives an image outside the open domain, which the caller's check
+refuses.
 
 All operations act on the last axis of their inputs and broadcast over any
 leading axes.  They are pure functions of their arguments: no instance state
@@ -39,14 +42,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainViolation, NumericalFailure, NumericalOverflow
+from .errors import DomainViolation
 
 # Margin for strict interiority.  Points closer to the boundary than this are
 # treated as boundary contact and rejected.
 INTERIOR_TOL = 1e-12
-
-# exp() overflows float64 just above this argument.
-_EXP_MAX = 709.0
 
 
 def as_dimension(d) -> int:
@@ -152,13 +152,12 @@ class EntropicSimplexMap(_MirrorMap):
         """Inverse gradient: x_k = exp(y_k) / (1 + sum_j exp(y_j)).
 
         Evaluated with a max-shift so arbitrarily large positive or negative
-        dual coordinates never overflow.  The result can touch the boundary
-        in floating point for extreme inputs; callers who need interiority
-        must check it.
+        dual coordinates never overflow.  ``y`` is trusted: the result can
+        touch the boundary in floating point for extreme inputs, and is NaN
+        where ``y`` holds a NaN or +inf; callers who need interiority must
+        check it.
         """
         y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y)):
-            raise NumericalFailure("non-finite dual point")
         shift = np.maximum(y.max(axis=-1, keepdims=True), 0.0)
         e = np.exp(y - shift)
         denom = np.exp(-shift) + e.sum(axis=-1, keepdims=True)
@@ -177,18 +176,13 @@ class PositiveOrthantMap(_MirrorMap):
 
     def _rest(self, x: np.ndarray) -> np.ndarray:
         # 1 rather than 1 - sigma sum(x): a sum of coordinates as large as
-        # exp(_EXP_MAX) overflows, and 0 * inf is NaN
+        # exp(709) overflows, and 0 * inf is NaN
         return np.ones(x.shape[:-1])
 
     def dual_to_primal(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y)):
-            raise NumericalFailure("non-finite dual point")
-        if np.any(y > _EXP_MAX):
-            raise NumericalOverflow(
-                f"exp overflow: dual coordinate above {_EXP_MAX}"
-            )
-        return np.exp(y)
+        """x = exp(y), inf where exp overflows (y above about 709.78); ``y``
+        is trusted, and callers who need interiority must check x."""
+        return np.exp(np.asarray(y, dtype=float))
 
     hessian_inverse_apply = _MirrorMap.hessian_inverse_apply
     d_inv_hessian_contract = _MirrorMap.d_inv_hessian_contract

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import cores
 from .coin import AdaptiveCoin, KTCoin
-from .errors import ConfigError, DomainViolation, NumericalFailure, NumericalOverflow
+from .errors import ConfigError, DomainViolation, NumericalFailure
 from .geometry import INTERIOR_TOL, make_map
 from .kernels import KernelConfig, pair_sum, radial_profile, sq_dists
 from .mied import MollifierConfig, mie_gradient
@@ -602,11 +602,12 @@ def run_sampler(
 
     Each iteration settles the stepped coordinates into a primal cloud
     ``X`` once, and the direction takes that settled ``X`` rather than
-    mapping the coordinates back again.  Each settled cloud, the first image
-    of the drawn cloud's dual coordinates included, is checked once before a
-    direction reads it, and a projected run's projected draw is checked even
-    when no iteration runs; one outside the open domain raises DomainViolation,
-    and a non-finite outcome or hook value raises NumericalFailure.  A failure
+    mapping the coordinates back again.  Each cloud is checked once: the
+    draw at iteration 0, even when no iteration runs (by ``primal_to_dual``,
+    or as its projection for a projected run), and each settled cloud, the
+    first image of the draw's dual coordinates included, before a direction
+    reads it.  One outside the open domain raises DomainViolation, and a
+    non-finite outcome or hook value raises NumericalFailure.  A failure
     names the sampler and the iteration, as in a stack.
 
     ``stepper`` defaults to ``sampler_stepper(sampler)``, as in a config,
@@ -637,10 +638,9 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
     op acts on each (N, d) slice as it would on that cloud alone, so each
     record holds the same bits as that run's alone.  The first iteration at
     which an outcome or a hook's value is not finite (NumericalFailure), or a
-    settled cloud leaves the open domain (or fails to map back), ends the
-    stack, and its failure names the first run, in stack order, that did; a
-    projected run's first cloud, the projection of its draw, is checked at
-    iteration 0.
+    cloud leaves the open domain (DomainViolation), ends the stack, and its
+    failure names the first run, in stack order, that did; a run's draw (a
+    projected run's projection of it) is checked at iteration 0.
     """
     steppers, problems = [], []
     for run in runs:
@@ -664,6 +664,12 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
 
     X = np.stack([draw_init(init, target, n_particles, substream(run.seed, "init"))
                   for run in runs])
+
+    def fail(error, ok, clouds, it, what):
+        # only a failed check works out which run failed: the first, in
+        # stack order, whose slice is not ok
+        name = next(run.name or run.sampler for run, cb in zip(runs, clouds) if not ok(cb))
+        raise error(f"{name}: {what} at iteration {it}") from None
 
     # Z is what the stepper moves; settle maps a stepped Z to (Z, X), and
     # direction(Z, X) is the outcome the stepper takes at the pair; inside(X)
@@ -696,7 +702,10 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
             return y, mmap.dual_to_primal(y)
 
         inside = mmap.inside
-        Z = mmap.primal_to_dual(X)
+        try:
+            Z = mmap.primal_to_dual(X)              # the drawn cloud's one check
+        except DomainViolation:
+            fail(DomainViolation, inside, X, 0, "particle left the open domain")
 
     records = [RunRecord() for _ in runs]
 
@@ -715,32 +724,17 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
     def checked(z, it):
         # the loop's interior check, one per settled stack; the directions
         # trust the X it passes
-        try:
-            settled = settle(z)
-            if inside(settled[1]):
-                return settled
-        except (NumericalFailure, NumericalOverflow):
-            pass
-        # only a failed check works out which run failed
-        for run, zb in zip(runs, z):
-            name = run.name or run.sampler
-            try:
-                if inside(settle(zb)[1]):
-                    continue
-            except (NumericalFailure, NumericalOverflow) as exc:
-                raise type(exc)(f"{name}: {exc} at iteration {it}") from None
-            raise DomainViolation(
-                f"{name}: particle left the open domain at iteration {it}"
-            )
+        settled = settle(z)
+        if not inside(settled[1]):
+            fail(DomainViolation, inside, settled[1], it, "particle left the open domain")
+        return settled
 
     def finite(c, it):
         # one check per stack's outcome: a stepper may read a non-finite one
         # as "no move" (AdaptiveCoin does), which no settled check would see
-        if np.isfinite(c).all():
-            return c
-        name = next(run.name or run.sampler for run, cb in zip(runs, c)
-                    if not np.isfinite(cb).all())
-        raise NumericalFailure(f"{name}: non-finite outcome at iteration {it}")
+        if not np.isfinite(c).all():
+            fail(NumericalFailure, lambda cb: np.isfinite(cb).all(), c, it, "non-finite outcome")
+        return c
 
     if projected:
         # the projected draw is the run's first cloud, checked even when no

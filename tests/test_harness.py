@@ -1225,14 +1225,16 @@ class TestCli:
         assert not (out / "particles_final.csv").exists()
 
     def test_numeric_failure_names_the_run_exit_two(self, tmp_path, capsys):
-        # a run is a stack of one, so its overflow is named as a stack's is
+        # a run is a stack of one, so its overflow is named as a stack's is:
+        # exp overflows to inf, outside the open orthant
         cfg = write_cfg(tmp_path, (
             "seed = 0\ntarget.kind = lognormal_orthant\ntarget.d = 3\nsampler.kind = msvgd\n"
             "sampler.n_particles = 6\nsampler.n_iters = 5\n"
             "stepper.kind = rmsprop\nstepper.lr = 1e3\n"))
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert re.fullmatch(r"runtime failure: NumericalOverflow: msvgd: exp overflow: "
-                            r".* at iteration 1\n", capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            "runtime failure: DomainViolation: msvgd: particle left the open domain "
+            "at iteration 1\n")
 
     def test_non_finite_outcome_names_the_run_exit_two(self, tmp_path, capsys, monkeypatch):
         # the coin stepper would take a NaN outcome for "no move" and the
@@ -1265,6 +1267,26 @@ class TestCli:
         assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "runtime failure: DomainViolation: svgd_proj: particle left the open domain "
+            "at iteration 0\n")
+        assert not (out / "particles_final.csv").exists()
+
+    @pytest.mark.parametrize("n_iters", [0, 2])
+    @pytest.mark.parametrize("sampler,config", [
+        ("coin_msvgd", "target.kind = exp_orthant\ntarget.d = 2\ninit.mu = 1e200\n"),
+        ("coin_mksdd", "target.kind = sparse_dirichlet\ntarget.counts = 5,3,1\n"
+                       "init.alpha = 1e-200\n"),
+    ], ids=["orthant-inf", "simplex-on-the-boundary"])
+    def test_mirrored_draw_checked_at_iteration_zero(self, tmp_path, capsys, sampler, config,
+                                                     n_iters):
+        # the lognormal draw overflows to inf, and the dirichlet draw puts
+        # its mass on a vertex; primal_to_dual's check of the draw names the run
+        cfg = write_cfg(tmp_path, config + (
+            f"sampler.kind = {sampler}\nsampler.n_particles = 5\n"
+            f"sampler.n_iters = {n_iters}\n"))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"runtime failure: DomainViolation: {sampler}: particle left the open domain "
             "at iteration 0\n")
         assert not (out / "particles_final.csv").exists()
 
