@@ -56,6 +56,17 @@ def as_dimension(d) -> int:
     return int(d)
 
 
+def check_scale(name, value):
+    """Refuse a scale whose square or inverse square is not finite: the
+    densities, kernels and mollifiers that take it divide by the square."""
+    with np.errstate(over="ignore", divide="ignore"):
+        square = np.square(float(value))
+        if not np.isfinite(square):
+            raise ValueError(f"{name}^2 must be finite")
+        if not np.isfinite(1.0 / square):
+            raise ValueError(f"1/{name}^2 must be finite")
+
+
 class _OpenDomain:
     """The interior check; each map defines ``domain``, ``d`` and ``inside``."""
 

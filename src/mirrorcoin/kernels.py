@@ -23,6 +23,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError
+from .geometry import check_scale
 
 FAMILIES = ("imq", "rbf")
 
@@ -50,6 +51,11 @@ class KernelConfig:
                 problems.append(f"unknown bandwidth rule {self.bandwidth!r}")
         elif not 0 < self.bandwidth < math.inf:
             problems.append("bandwidth must be positive and finite")
+        else:
+            try:
+                check_scale("bandwidth", self.bandwidth)
+            except ValueError as exc:
+                problems.append(str(exc))
         if problems:
             raise ConfigError(problems)
 
@@ -128,9 +134,17 @@ def radial_profile(family: str, r2: np.ndarray, h: float | str, order: int = 3):
         f = np.exp(-r2 / h2)
         out = (f, -f / h2)
         if order == 3:
-            out += (f / h2**2, -f / h2**3)
+            out += (f / _c_pow(h2, 2), -f / _c_pow(h2, 3))
         return out
     raise ValueError(f"unknown kernel family {family!r}")
+
+
+def _c_pow(h2, k):
+    """h2 ** k taken by C's pow value by value, as on a Python float, but as a
+    numpy float, which overflows to inf where a Python float raises.  numpy's
+    array power rounds some values differently, so a stack's column of h^2
+    goes through the same pow as a lone run's float and keeps its bits."""
+    return np.reshape([np.float64(v) ** k for v in np.ravel(h2).tolist()], np.shape(h2))
 
 
 def pair_sum(c: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from scipy.spatial.distance import cdist
 
 from . import cores
 from .errors import ConfigError
+from .geometry import check_scale
 
 MOLLIFIERS = ("riesz", "gaussian", "laplace")
 
@@ -48,6 +49,11 @@ class MollifierConfig:
             problems.append(f"unknown mollifier {self.kind!r} (choices: {', '.join(MOLLIFIERS)})")
         if not self.eps > 0:
             problems.append("mollifier eps must be positive")
+        else:
+            try:
+                check_scale("mollifier eps", self.eps)
+            except ValueError as exc:
+                problems.append(str(exc))
         if self.s is not None:
             if self.kind != "riesz":
                 problems.append("exponent s only applies to the riesz mollifier")

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .errors import ConfigError, Unsupported
-from .geometry import as_dimension
+from .geometry import as_dimension, check_scale
 from .rng import substream
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -36,17 +36,6 @@ def _check_finite(**params):
     for name, value in params.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
-
-
-def _check_scale(name, value):
-    """Refuse a scale whose square or inverse square is not finite: the log
-    density and the score divide by the square."""
-    with np.errstate(over="ignore", divide="ignore"):
-        square = np.square(float(value))
-        if not np.isfinite(square):
-            raise ValueError(f"{name}^2 must be finite")
-        if not np.isfinite(1.0 / square):
-            raise ValueError(f"1/{name}^2 must be finite")
 
 
 class SparseDirichlet:
@@ -126,7 +115,7 @@ class QuadraticSimplex:
         _check_finite(sigma=sigma)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        _check_scale("sigma", sigma)
+        check_scale("sigma", sigma)
         self.A = A
         self.sigma = float(sigma)
         self.d = as_dimension(A.shape[0])
@@ -280,7 +269,7 @@ class LogNormalOrthant:
         _check_finite(mu=mu, sigma=sigma)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        _check_scale("sigma", sigma)
+        check_scale("sigma", sigma)
         self.d = as_dimension(d)
         self.mu = float(mu)
         self.sigma = float(sigma)
@@ -351,7 +340,7 @@ class SelectiveLasso:
         _check_finite(lam=lam, tau=tau, eps_ridge=eps_ridge)
         if lam <= 0 or tau <= 0 or eps_ridge <= 0:
             raise ValueError("lam, tau, eps_ridge must be positive")
-        _check_scale("tau", tau)
+        check_scale("tau", tau)
         if active.size == 0 or active.size != signs.size:
             raise ValueError("active set and signs must be nonempty and aligned")
         if not np.all(np.abs(signs) == 1.0):

@@ -127,6 +127,22 @@ def values(path, column=None):
 @example("target.kind = exp_orthant\ntarget.d = 2\ninit.mu = 1e200\n"
          "sampler.kind = svgd_proj\nstepper.lr = 0.1\nsampler.n_particles = 3\n"
          "sampler.n_iters = 0\n")
+# a mirrored run's draw leaves the open domain: it overflows to inf, or the
+# dirichlet puts every particle on a vertex
+@example("target.kind = exp_orthant\ntarget.d = 2\ninit.mu = 1e200\n"
+         "sampler.kind = coin_msvgd\nsampler.n_particles = 5\nsampler.n_iters = 2\n")
+@example("target.kind = sparse_dirichlet\ntarget.counts = 5,3,1\ninit.alpha = 1e-200\n"
+         "sampler.kind = coin_mksdd\nsampler.n_particles = 5\nsampler.n_iters = 2\n")
+# a kernel bandwidth or mollifier eps whose square underflows to 0
+@example("target.kind = sparse_dirichlet\ntarget.counts = 5,3,1\nsampler.kind = mksdd\n"
+         "stepper.lr = 0.1\nsampler.n_particles = 5\nsampler.n_iters = 1\n"
+         "kernel.bandwidth = 5e-324\n")
+@example("target.kind = uniform_box\ntarget.d = 2\nsampler.kind = coin_mied\n"
+         "sampler.n_particles = 5\nsampler.n_iters = 2\nmollifier.eps = 1e-170\n")
+# the rbf profile's h^4 and h^6 overflow
+@example("target.kind = sparse_dirichlet\ntarget.counts = 5,3,1\nsampler.kind = coin_mksdd\n"
+         "sampler.n_particles = 5\nsampler.n_iters = 2\nkernel.family = rbf\n"
+         "kernel.bandwidth = 1e154\nmetrics.names = ksd\n")
 def test_sample_exits_0_1_or_2_and_writes_finite_values_on_0(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "cfg.txt")

@@ -1338,12 +1338,17 @@ class TestCli:
          "target: 1/sigma^2 must be finite"),
         ("target.kind = selective_lasso\ntarget.n = 10\ntarget.p = 2\ntarget.q = 1\n"
          "target.tau = 1e200\n", "target: tau^2 must be finite"),
+        ("target.kind = exp_orthant\ntarget.d = 2\nkernel.bandwidth = 5e-324\n",
+         "kernel: 1/bandwidth^2 must be finite"),
+        ("target.kind = exp_orthant\ntarget.d = 2\nmollifier.eps = 1e-170\n",
+         "mollifier: 1/mollifier eps^2 must be finite"),
     ], ids=["bandwidth-inf", "sigma-1e-300", "counts-sum-overflow", "quadratic-sigma-1e200",
-            "lognormal-sigma-1e200", "lognormal-sigma-1e-308", "lasso-tau-1e200"])
+            "lognormal-sigma-1e200", "lognormal-sigma-1e-308", "lasso-tau-1e200",
+            "bandwidth-5e-324", "eps-1e-170"])
     def test_unrepresentable_value_exit_one(self, tmp_path, capsys, config, message):
         # each ran to exit 0 with NaN outcomes or failed on a bare
-        # OverflowError; now each is refused up front, beside the config's
-        # other problems
+        # OverflowError or ZeroDivisionError; now each is refused up front,
+        # beside the config's other problems
         cfg = write_cfg(tmp_path, config + (
             "sampler.kind = coin_msvgd\nsampler.n_particles = 5\nsampler.n_iters = 3\n"
             "metrics.names = ksd\nbogus.key = 1\n"))

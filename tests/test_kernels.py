@@ -200,6 +200,26 @@ class TestKernelConfig:
                 KernelConfig("imq", bandwidth)
             assert err.value.violations == ["bandwidth must be positive and finite"]
 
+    def test_rejects_a_bandwidth_whose_square_is_not_finite(self):
+        # the profiles divide by h^2; the scale rule is the targets' own
+        for bandwidth, message in ((5e-324, "1/bandwidth^2 must be finite"),
+                                   (1e-200, "1/bandwidth^2 must be finite"),
+                                   (1e200, "bandwidth^2 must be finite")):
+            with pytest.raises(ConfigError) as err:
+                KernelConfig("imq", bandwidth)
+            assert err.value.violations == [message]
+        for bandwidth in (1e-150, 1e150):
+            assert KernelConfig("rbf", bandwidth).bandwidth == bandwidth
+
+    def test_rbf_powers_of_a_large_bandwidth_overflow_to_inf(self):
+        # h^4 and h^6 overflow at h = 1e154, where a Python float raises;
+        # their terms vanish, and f and f1 keep their values
+        r2 = np.array([[0.0, 2.0], [2.0, 0.0]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            f, f1, f2, f3 = radial_profile("rbf", r2, 1e154)
+        assert np.array_equal(f, np.ones((2, 2))) and np.all(f1 == -1e-308)
+        assert np.all(f2 == 0.0) and np.all(f3 == 0.0)
+
 
 class TestMirroredKernel:
     @pytest.mark.parametrize(

@@ -28,6 +28,17 @@ class TestMollifierConfig:
         with pytest.raises(ConfigError):
             MollifierConfig(kind="riesz", s=-1.0)
 
+    def test_rejects_an_eps_whose_square_is_not_finite(self):
+        # the mollifiers divide by eps^2; the scale rule is the targets' own
+        for eps, message in ((1e-170, "1/mollifier eps^2 must be finite"),
+                             (1.4e154, "mollifier eps^2 must be finite"),
+                             (np.inf, "mollifier eps^2 must be finite")):
+            with pytest.raises(ConfigError) as err:
+                MollifierConfig(eps=eps)
+            assert err.value.violations == [message]
+        for eps in (1e-150, 1e150):
+            assert MollifierConfig(eps=eps).eps == eps
+
 
 class TestLogEnergy:
     def test_single_particle_riesz_hand_value(self):

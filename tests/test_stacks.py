@@ -167,6 +167,17 @@ def test_each_run_of_a_stack_is_the_run_alone(base, target):
         assert [row[:3] for row in got.trace] == [row[:3] for row in alone.trace]
 
 
+@pytest.mark.parametrize("target", [DIRICHLET, ORTHANT], ids=["simplex", "orthant"])
+def test_an_rbf_ksd_descent_stack_keeps_each_run_alone(target):
+    # a stack's median h^2 is a column and a lone run's a float; the rbf
+    # profile raises both to its powers through the same pow
+    options = {**OPTIONS, "kernel": KernelConfig("rbf"), "n_particles": 20, "n_iters": 30}
+    runs = [Run("coin_mksdd", seed) for seed in range(4)]
+    for run, got in zip(runs, run_stack(runs, target=target, hooks={}, **options)):
+        alone = run_sampler(target=target, sampler=run.sampler, seed=run.seed, **options)
+        assert got.y_final.tobytes() == alone.y_final.tobytes()
+
+
 def test_one_engine_per_stretch_of_a_stack(monkeypatch):
     # a stretch is a longest run of consecutive steppers sharing kind and
     # guard; the runs keep their order
