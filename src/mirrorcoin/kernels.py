@@ -141,10 +141,12 @@ def radial_profile(family: str, r2: np.ndarray, h: float | str, order: int = 3):
 
 def _c_pow(h2, k):
     """h2 ** k taken by C's pow value by value, as on a Python float, but as a
-    numpy float, which overflows to inf where a Python float raises.  numpy's
-    array power rounds some values differently, so a stack's column of h^2
-    goes through the same pow as a lone run's float and keeps its bits."""
-    return np.reshape([np.float64(v) ** k for v in np.ravel(h2).tolist()], np.shape(h2))
+    numpy float, which overflows to inf where a Python float raises; a term
+    divided by it is then 0, within the smallest subnormals of its value.
+    numpy's array power rounds some values differently, so a stack's column
+    of h^2 goes through the same pow as a lone run's float and keeps its bits."""
+    with np.errstate(over="ignore"):
+        return np.reshape([np.float64(v) ** k for v in np.ravel(h2).tolist()], np.shape(h2))
 
 
 def pair_sum(c: np.ndarray, X: np.ndarray) -> np.ndarray:
