@@ -22,10 +22,9 @@ scale tracking: running maximum ``L``, absolute-sum ``G``, and clipped reward
 
     y = y0 + sum_c / (G + L) * (1 + R / L)
 
-per coordinate (optionally with the denominator clamped to at least
-``100 L``).  Its very first step therefore moves each coordinate by exactly
-sign(c)/2 (1/100 with the clamp).  Coordinates that have seen only zero
-outcomes stay at ``y0``.
+per coordinate.  Its very first step therefore moves each coordinate by
+exactly sign(c)/2.  Coordinates that have seen only zero outcomes stay at
+``y0``.
 """
 
 from __future__ import annotations
@@ -50,10 +49,9 @@ class KTCoin:
 
 
 class AdaptiveCoin:
-    def __init__(self, y0: np.ndarray, guard: bool = False):
+    def __init__(self, y0: np.ndarray):
         y0 = np.array(y0, dtype=float)
         self.y0 = y0
-        self.guard = bool(guard)
         self._sum_c = np.zeros_like(y0)
         self.L = np.zeros_like(y0)
         self.G = np.zeros_like(y0)
@@ -65,11 +63,8 @@ class AdaptiveCoin:
         self.G += np.abs(c)
         np.maximum(self.R + c * (y - self.y0), 0.0, out=self.R)
         self._sum_c = self._sum_c + c
-        denom = self.G + self.L
-        if self.guard:
-            denom = np.maximum(denom, 100.0 * self.L)
         seen = self.L > 0.0
-        safe_denom = np.where(seen, denom, 1.0)
+        safe_denom = np.where(seen, self.G + self.L, 1.0)
         safe_L = np.where(seen, self.L, 1.0)
         move = np.where(seen, self._sum_c / safe_denom * (1.0 + self.R / safe_L), 0.0)
         return self.y0 + move

@@ -48,11 +48,17 @@ from .errors import DomainViolation
 # treated as boundary contact and rejected.
 INTERIOR_TOL = 1e-12
 
+# The largest count numpy can index: a dimension or a number of particles
+# or draws above it is refused before any array is made.
+MAX_COUNT = int(np.iinfo(np.intp).max)
+
 
 def as_dimension(d) -> int:
-    """``d`` as the dimension of a domain, which must be at least 1."""
+    """``d`` as the dimension of a domain, from 1 to MAX_COUNT."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    if d > MAX_COUNT:
+        raise ValueError(f"dimension must be <= {MAX_COUNT}")
     return int(d)
 
 

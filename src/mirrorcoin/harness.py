@@ -27,6 +27,7 @@ import numpy as np
 from . import cores
 from . import metrics as metrics_mod
 from .errors import ConfigError
+from .geometry import MAX_COUNT
 from .kernels import KernelConfig
 from .mied import MollifierConfig
 from .rng import substream
@@ -99,15 +100,8 @@ def _converter(parse, expected: str):
     return convert
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in ("true", "false"):
-        raise ValueError(text)
-    return text.lower() == "true"
-
-
 as_int = _converter(int, "an integer")
 as_float = _converter(float, "a number")
-as_bool = _converter(_parse_bool, "true or false")
 as_floats = _converter(lambda text: [float(v) for v in text.split(",") if v.strip()],
                        "comma-separated numbers")
 as_ints = _converter(lambda text: [int(v) for v in text.split(",") if v.strip()],
@@ -145,9 +139,11 @@ class _Reader:
             return None
         return value
 
-    def at_least(self, got, key, low):
+    def within(self, got, key, low, high=None):
         if got is not None and got < low:
             self.problems.append(f"{key} must be >= {low}")
+        elif got is not None and high is not None and got > high:
+            self.problems.append(f"{key} must be <= {high}")
         return got
 
     def leftover_check(self, prefix=""):
@@ -171,7 +167,7 @@ TARGETS = {
 }
 # every kind takes target.seed; it draws the instance of a synthetic kind
 TARGET_SHARED = {"seed": as_int}
-STEPPER = {"kind": str, "lr": as_float, "guard": as_bool}
+STEPPER = {"kind": str, "lr": as_float}
 KERNEL = {"family": str, "bandwidth": lambda text: text if text == "median" else as_float(text)}
 MOLLIFIER = {"kind": str, "eps": as_float, "s": as_float}
 SWEEP = {"lrs": as_floats, "seeds": as_ints}
@@ -292,8 +288,8 @@ def build_plan(raw: dict, sweep=False) -> RunPlan:
                          if n.strip() not in ("", "none"))
     problems += [f"metrics.names: unknown metric {name!r} (choices: {', '.join(METRIC_NAMES)})"
                  for name in metric_names if name not in METRIC_NAMES]
-    gt_n = r.at_least(r.get("metrics.ground_truth_n", as_int, 1000),
-                      "metrics.ground_truth_n", 1)
+    gt_n = r.within(r.get("metrics.ground_truth_n", as_int, 1000),
+                    "metrics.ground_truth_n", 1, MAX_COUNT)
     sweep_metric = r.get("sweep.metric", default="energy", choices=("energy", "ksd"))
 
     r.leftover_check()
@@ -516,8 +512,8 @@ def build_target_only(raw: dict, n=None):
     """
     problems: list = []
     r = _Reader({**raw, "--n": n}, problems)
-    seed = r.at_least(r.get("seed", as_int, 0), "seed", 0)
-    r.at_least(r.get("--n", as_int), "--n", 1)
+    seed = r.within(r.get("seed", as_int, 0), "seed", 0)
+    r.within(r.get("--n", as_int), "--n", 1, MAX_COUNT)
     target = _build(r, "target", TARGETS, TARGET_SHARED)
     r.leftover_check("target.")
     if n is not None and target is not None and target.no_ground_truth:

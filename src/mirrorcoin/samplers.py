@@ -33,7 +33,7 @@ import numpy as np
 from . import cores
 from .coin import AdaptiveCoin, KTCoin
 from .errors import ConfigError, DomainViolation, NumericalFailure
-from .geometry import INTERIOR_TOL, make_map
+from .geometry import INTERIOR_TOL, MAX_COUNT, make_map
 from .kernels import KernelConfig, pair_sum, radial_profile, sq_dists
 from .mied import MollifierConfig, mie_gradient
 from .rng import substream
@@ -56,7 +56,6 @@ SAMPLERS = MIRRORED_SAMPLERS + PROJECTED_SAMPLERS + ("mied", "coin_mied")
 class StepperConfig:
     kind: str  # no default: a sampler's is the first of its stepper_kinds
     lr: float | None = None
-    guard: bool = False
 
     def __post_init__(self):
         problems = []
@@ -70,8 +69,6 @@ class StepperConfig:
                 )
         elif self.lr is None or not self.lr > 0:
             problems.append(f"stepper {self.kind!r} requires a positive lr")
-        if self.guard and self.kind != "coin_adaptive":
-            problems.append("guard is only meaningful for coin_adaptive")
         if problems:
             raise ConfigError(problems)
 
@@ -104,10 +101,10 @@ class _RMSProp:
 
 
 def make_stepper(steppers, z0: np.ndarray, noise=()):
-    """One engine for a stretch of runs whose ``steppers`` share kind and
-    guard, from their (b, N, d) start ``z0``; the gradient kinds take the
-    runs' rates as a (b, 1, 1) column, and ``noise`` (a generator per run)
-    makes fixed_lr mla's Langevin step.
+    """One engine for a stretch of runs whose ``steppers`` share a kind,
+    from their (b, N, d) start ``z0``; the gradient kinds take the runs'
+    rates as a (b, 1, 1) column, and ``noise`` (a generator per run) makes
+    fixed_lr mla's Langevin step.
 
     Every engine has ``step(y, c) -> y_next``: ``c`` is the outcome computed
     at ``y``.  The caller owns the positions and may move them between steps
@@ -115,7 +112,7 @@ def make_stepper(steppers, z0: np.ndarray, noise=()):
     """
     kind = steppers[0].kind
     if kind in COIN_STEPPERS:
-        return KTCoin(z0) if kind == "coin_kt" else AdaptiveCoin(z0, steppers[0].guard)
+        return KTCoin(z0) if kind == "coin_kt" else AdaptiveCoin(z0)
     lr = np.array([s.lr for s in steppers])[:, None, None]
     return _RMSProp(lr, np.shape(z0)) if kind == "rmsprop" else _FixedLR(lr, noise)
 
@@ -514,13 +511,17 @@ def check_run(target, sampler, stepper, init, *, seed, n_particles, n_iters,
               metric_every, spectral_terms) -> list:
     """Every reason ``sampler`` cannot run on ``target`` as configured: the
     integers ``seed``, ``n_particles``, ``n_iters``, ``metric_every`` and
-    ``spectral_terms`` below their bounds (named by their config keys), then
-    the sampler's own rules.  An argument given as None (it failed to parse)
-    skips the checks that need it."""
+    ``spectral_terms`` below their bounds and the two counts above MAX_COUNT
+    (named by their config keys), then the sampler's own rules.  An
+    argument given as None (it failed to parse) skips the checks that need
+    it."""
     problems = [f"{key} must be >= {low}" for key, value, low in (
         ("seed", seed, 0), ("sampler.n_particles", n_particles, 1),
         ("sampler.n_iters", n_iters, 0), ("sampler.metric_every", metric_every, 1),
         ("spectral.terms", spectral_terms, 1)) if value is not None and value < low]
+    problems += [f"{key} must be <= {MAX_COUNT}" for key, value in (
+        ("sampler.n_particles", n_particles), ("spectral.terms", spectral_terms))
+        if value is not None and value > MAX_COUNT]
     if sampler is None:
         return problems
     if sampler not in SAMPLERS:
@@ -632,9 +633,9 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
     ``sampler``, ``seed`` and ``stepper``, which each :class:`Run` gives;
     each is given, none has a default.  They share one sampler family
     (msvgd with coin_msvgd, say).  Each run draws its cloud from its own
-    seed.  Each stretch of consecutive runs whose steppers share kind and
-    guard has one engine, which steps that stretch's slice of the stack with
-    each run's own rate (and mla's noise from each run's seed).  Every array
+    seed.  Each stretch of consecutive runs whose steppers share a kind has
+    one engine, which steps that stretch's slice of the stack with each
+    run's own rate (and mla's noise from each run's seed).  Every array
     op acts on each (N, d) slice as it would on that cloud alone, so each
     record holds the same bits as that run's alone.  The first iteration at
     which an outcome or a hook's value is not finite (NumericalFailure), or a
@@ -741,10 +742,10 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
         # iteration runs
         Z, X = checked(Z, 0)
 
-    # one engine per stretch of consecutive runs whose steppers share kind
-    # and guard, stepping its slice of the stack
+    # one engine per stretch of consecutive runs whose steppers share a
+    # kind, stepping its slice of the stack
     engines, start = [], 0
-    for _, stretch in itertools.groupby(steppers, lambda s: (s.kind, s.guard)):
+    for _, stretch in itertools.groupby(steppers, lambda s: s.kind):
         stretch = list(stretch)
         part = slice(start, start + len(stretch))
         noise = [substream(run.seed, "mla_noise") for run in runs[part]] if base == "mla" else ()

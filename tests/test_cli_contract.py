@@ -77,7 +77,6 @@ RUN_KEYS = {
     "sampler.metric_every": ints("1", "2"),
     "stepper.kind": st.sampled_from(GRAD_STEPPERS + COIN_STEPPERS),
     "stepper.lr": floats("0.01", "0.1"),
-    "stepper.guard": st.sampled_from(("true", "false")),
     "kernel.family": st.sampled_from(("imq", "rbf")),
     "kernel.bandwidth": floats("median", "0.5"),
     "mollifier.kind": st.sampled_from(("riesz", "gaussian", "laplace")),
@@ -143,6 +142,12 @@ def values(path, column=None):
 @example("target.kind = sparse_dirichlet\ntarget.counts = 5,3,1\nsampler.kind = coin_mksdd\n"
          "sampler.n_particles = 5\nsampler.n_iters = 2\nkernel.family = rbf\n"
          "kernel.bandwidth = 1e154\nmetrics.names = ksd\n")
+# a count numpy cannot index: the target's dimension, the ground truth's size
+@example("target.kind = exp_orthant\ntarget.d = 100000000000000000000\n"
+         "sampler.kind = coin_msvgd\nsampler.n_particles = 3\nsampler.n_iters = 1\n")
+@example("target.kind = quadratic_simplex\ntarget.d = 2\nsampler.kind = mla\n"
+         "stepper.lr = 0.1\nsampler.n_particles = 5\nsampler.n_iters = 1\n"
+         "metrics.names = energy,ksd,mean_x1\nmetrics.ground_truth_n = 100000000000000000000\n")
 def test_sample_exits_0_1_or_2_and_writes_finite_values_on_0(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "cfg.txt")

@@ -229,7 +229,7 @@ class TestBuildPlan:
         del raw["sampler.kind"]
         if sampler:
             raw["sampler.kind"] = sampler
-        raw.update({"stepper.lr": "0.1", "stepper.guard": "true"})
+        raw["stepper.lr"] = "0.1"
         with pytest.raises(ConfigError) as err:
             build_plan(raw)
         assert len(err.value.violations) == 1
@@ -700,12 +700,13 @@ class TestRunSweep:
     def test_sweep_without_a_grid_keeps_its_other_stepper_problems(self, tmp_path):
         # the stand-in lr leaves out only the problem the grid would fix
         raw = {**read_config(write_cfg(tmp_path, SWEEP_CONFIG)), "sampler.kind": "hmc",
-               "stepper.guard": "true", "sweep.seeds": "0"}
+               "stepper.kind": "adam", "sweep.seeds": "0"}
         with pytest.raises(ConfigError) as err:
             run_sweep(raw, str(tmp_path / "s"))
         assert err.value.violations[:2] == [
             "sweep needs sweep.lrs in the config or --lrs",
-            "stepper: guard is only meaningful for coin_adaptive"]
+            "stepper: unknown stepper kind 'adam' (choices: fixed_lr, rmsprop, coin_kt, "
+            "coin_adaptive)"]
 
     @pytest.mark.parametrize("sampler,target", [
         ("msvgd", {"target.kind": "sparse_dirichlet", "target.counts": "3,1"}),
@@ -885,20 +886,14 @@ class TestCli:
         assert "configuration error" in err
         assert "sampler.kind" in err
 
-    def test_guard_with_kt_coin_exit_one(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, SAMPLE_CONFIG + "stepper.kind = coin_kt\nstepper.guard = true\n")
+    def test_guard_is_an_unknown_key_exit_one(self, tmp_path, capsys):
+        # a coin stepper has no setting but its kind
+        cfg = write_cfg(tmp_path, SAMPLE_CONFIG + "stepper.guard = true\nspectral.terms = 0\n")
         out = str(tmp_path / "o")
         assert main(["sample", "--config", cfg, "--out", out]) == 1
-        assert "  - stepper: guard is only meaningful for coin_adaptive\n" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
-    def test_malformed_boolean_exit_one(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, SAMPLE_CONFIG + "stepper.guard = yes\n")
-        out = str(tmp_path / "o")
-        assert main(["sample", "--config", cfg, "--out", out]) == 1
-        err = capsys.readouterr().err
-        assert err == ("configuration error:\n"
-                       "  - stepper.guard: expected true or false, got 'yes'\n")
+        assert capsys.readouterr().err == ("configuration error:\n"
+                                           "  - unknown key 'stepper.guard'\n"
+                                           "  - spectral.terms must be >= 1\n")
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command,argv,message", [
@@ -1058,6 +1053,41 @@ class TestCli:
         assert code == 1
         assert "target: dimension must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "o"))
+
+    @pytest.mark.parametrize("kind", ["exp_orthant", "quadratic_simplex"])
+    @pytest.mark.parametrize("key,message", [
+        ("target.d", "target: dimension"), ("sampler.n_particles", "sampler.n_particles"),
+        ("metrics.ground_truth_n", "metrics.ground_truth_n"),
+        ("spectral.terms", "spectral.terms")])
+    def test_count_numpy_cannot_index_exit_one(self, tmp_path, capsys, kind, key, message):
+        # refused by its key, beside the config's other problems, before
+        # numpy's own error, which names neither the key nor the run
+        keys = {"target.kind": kind, "target.d": "2", "sampler.kind": "coin_msvgd",
+                "sampler.n_particles": "3", "sampler.n_iters": "1", "metrics.names": "energy",
+                key: "100000000000000000000", "bogus.key": "1"}
+        cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "configuration error:"
+        assert sorted(err[1:]) == [f"  - {message} must be <= {np.iinfo(np.intp).max}",
+                                   "  - unknown key 'bogus.key'"]
+        assert not out.exists()
+
+    def test_ground_truth_count_numpy_cannot_index_exit_one(self, tmp_path, capsys):
+        # one more than the bound is refused by name; the bound itself is a
+        # size numpy can index but no host can allocate, a runtime failure
+        cfg = write_cfg(tmp_path, "target.kind = exp_orthant\ntarget.d = 2\ntarget.bogus = 1\n")
+        out = tmp_path / "o"
+        most = np.iinfo(np.intp).max
+        assert main(["ground-truth", "--config", cfg, "--out", str(out),
+                     "--n", str(most + 1)]) == 1
+        assert capsys.readouterr().err == (f"configuration error:\n  - --n must be <= {most}\n"
+                                           "  - unknown key 'target.bogus'\n")
+        cfg = write_cfg(tmp_path, "target.kind = exp_orthant\ntarget.d = 2\n")
+        assert main(["ground-truth", "--config", cfg, "--out", str(out), "--n", str(most)]) == 2
+        assert capsys.readouterr().err.startswith("runtime failure: ValueError: ")
+        assert not (out / "ground_truth.csv").exists()
 
     @pytest.mark.parametrize("kind,values,message", [
         pytest.param(kind, {key: f"4,{value},1" if key == "counts" else value},

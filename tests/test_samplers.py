@@ -87,17 +87,6 @@ class TestSteppers:
         with pytest.raises(ConfigError):
             StepperConfig("adam", lr=0.1)
 
-    def test_guard_only_for_coin(self):
-        with pytest.raises(ConfigError):
-            StepperConfig("fixed_lr", lr=0.1, guard=True)
-        StepperConfig("coin_adaptive", guard=True)  # fine
-
-    @pytest.mark.parametrize("kind,lr", [("coin_kt", None), ("rmsprop", 0.1)])
-    def test_guard_refused_for_every_kind_but_adaptive_coin(self, kind, lr):
-        with pytest.raises(ConfigError) as err:
-            StepperConfig(kind, lr=lr, guard=True)
-        assert err.value.violations == ["guard is only meaningful for coin_adaptive"]
-
     @pytest.mark.parametrize("sampler,kind", [
         ("coin_msvgd", "coin_adaptive"), ("coin_mied", "coin_adaptive"),
         ("mla", "fixed_lr"), ("msvgd", "rmsprop"), ("svgd_proj", "rmsprop")])

@@ -179,15 +179,15 @@ def test_an_rbf_ksd_descent_stack_keeps_each_run_alone(target):
 
 
 def test_one_engine_per_stretch_of_a_stack(monkeypatch):
-    # a stretch is a longest run of consecutive steppers sharing kind and
-    # guard; the runs keep their order
+    # a stretch is a longest run of consecutive steppers of one kind; the
+    # runs keep their order
     stretches = []
     monkeypatch.setattr(samplers, "make_stepper", lambda steppers, z0, noise=():
                         stretches.append((steppers, z0.shape[0])) or make_stepper(steppers, z0))
     kinds = [StepperConfig("rmsprop", lr=0.1), StepperConfig("rmsprop", lr=0.2),
              StepperConfig("fixed_lr", lr=0.1), StepperConfig("rmsprop", lr=0.1),
              StepperConfig("coin_adaptive"), StepperConfig("coin_adaptive"),
-             StepperConfig("coin_adaptive", guard=True), StepperConfig("coin_kt")]
+             StepperConfig("coin_kt"), StepperConfig("coin_adaptive")]
     runs = [Run("coin_msvgd" if s.kind.startswith("coin") else "msvgd", 0, s) for s in kinds]
     run_stack(runs, target=DIRICHLET, hooks={}, **OPTIONS)
     assert stretches == [(kinds[:2], 2), (kinds[2:3], 1), (kinds[3:4], 1), (kinds[4:6], 2),
@@ -197,8 +197,8 @@ def test_one_engine_per_stretch_of_a_stack(monkeypatch):
 @pytest.mark.parametrize("stepper,mla", [
     (StepperConfig("fixed_lr", lr=1.0), False), (StepperConfig("rmsprop", lr=1.0), False),
     (StepperConfig("coin_kt"), False), (StepperConfig("coin_adaptive"), False),
-    (StepperConfig("coin_adaptive", guard=True), False), (StepperConfig("fixed_lr", lr=1.0), True),
-], ids=["fixed_lr", "rmsprop", "coin_kt", "coin_adaptive", "coin_adaptive-guard", "mla"])
+    (StepperConfig("fixed_lr", lr=1.0), True),
+], ids=["fixed_lr", "rmsprop", "coin_kt", "coin_adaptive", "mla"])
 def test_one_engine_gives_each_slice_the_bits_of_a_lone_engine(stepper, mla):
     # each run at its own rate and, for mla, with its own noise; the stack's
     # engine steps a view of a wider stack, as in the run loop
