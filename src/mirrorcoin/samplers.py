@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cores
-from .coin import AdaptiveCoin, KTCoin
+from .coin import AdaptiveCoin
 from .errors import ConfigError, DomainViolation, NumericalFailure
 from .geometry import INTERIOR_TOL, MAX_COUNT, make_map
 from .kernels import KernelConfig, pair_sum, radial_profile, sq_dists
@@ -40,7 +40,7 @@ from .rng import substream
 from .targets import LogNormalOrthant, MirroredDensity
 
 GRAD_STEPPERS = ("fixed_lr", "rmsprop")
-COIN_STEPPERS = ("coin_kt", "coin_adaptive")
+COIN_STEPPERS = ("coin_adaptive",)
 
 MIRRORED_SAMPLERS = ("msvgd", "coin_msvgd", "mksdd", "coin_mksdd",
                      "mlawgd", "coin_mlawgd", "mla")
@@ -89,7 +89,9 @@ class _FixedLR:
 
 
 class _RMSProp:
-    """Per-coordinate second-moment scaling: nu <- 0.9 nu + 0.1 c^2."""
+    """Per-coordinate second-moment scaling: nu <- 0.9 nu + 0.1 c^2.  A
+    coordinate whose nu overflows would never move again, so it steps to
+    nan, which the run loop reports."""
 
     def __init__(self, lr, shape):
         self.lr = lr
@@ -97,14 +99,16 @@ class _RMSProp:
 
     def step(self, y, c):
         self.nu = 0.9 * self.nu + 0.1 * c * c
-        return y + self.lr * c / np.sqrt(self.nu + 1e-8)
+        nu = np.where(np.isinf(self.nu), np.nan, self.nu)
+        return y + self.lr * c / np.sqrt(nu + 1e-8)
 
 
 def make_stepper(steppers, z0: np.ndarray, noise=()):
     """One engine for a stretch of runs whose ``steppers`` share a kind,
-    from their (b, N, d) start ``z0``; the gradient kinds take the runs'
-    rates as a (b, 1, 1) column, and ``noise`` (a generator per run) makes
-    fixed_lr mla's Langevin step.
+    from their (b, N, d) start ``z0``: the coin kind bets with
+    :class:`~mirrorcoin.coin.AdaptiveCoin`, which takes no setting; the
+    gradient kinds take the runs' rates as a (b, 1, 1) column, and
+    ``noise`` (a generator per run) makes fixed_lr mla's Langevin step.
 
     Every engine has ``step(y, c) -> y_next``: ``c`` is the outcome computed
     at ``y``.  The caller owns the positions and may move them between steps
@@ -112,7 +116,7 @@ def make_stepper(steppers, z0: np.ndarray, noise=()):
     """
     kind = steppers[0].kind
     if kind in COIN_STEPPERS:
-        return KTCoin(z0) if kind == "coin_kt" else AdaptiveCoin(z0)
+        return AdaptiveCoin(z0)
     lr = np.array([s.lr for s in steppers])[:, None, None]
     return _RMSProp(lr, np.shape(z0)) if kind == "rmsprop" else _FixedLR(lr, noise)
 
@@ -491,10 +495,10 @@ def max_stack(sampler, n_particles, d):
 
 def stepper_kinds(sampler) -> tuple:
     """The stepper kinds ``sampler`` takes, its default first: a coin
-    sampler bets (coin_adaptive or coin_kt), mla takes fixed steps, and
-    every other sampler takes rmsprop or fixed_lr."""
+    sampler bets (coin_adaptive, which takes no setting), mla takes fixed
+    steps, and every other sampler takes rmsprop or fixed_lr."""
     if sampler.startswith("coin_"):
-        return ("coin_adaptive", "coin_kt")
+        return COIN_STEPPERS
     return ("fixed_lr",) if sampler == "mla" else ("rmsprop", "fixed_lr")
 
 
@@ -724,9 +728,12 @@ def run_stack(runs, *, target, n_particles, n_iters, kernel, mollifier,
 
     def checked(z, it):
         # the loop's interior check, one per settled stack; the directions
-        # trust the X it passes
+        # trust the X it passes.  Only a failed check asks whether a step
+        # was nan (one rmsprop could not take), which no settled cloud passes
         settled = settle(z)
         if not inside(settled[1]):
+            if np.isnan(z).any():
+                fail(NumericalFailure, lambda zb: not np.isnan(zb).any(), z, it, "non-finite step")
             fail(DomainViolation, inside, settled[1], it, "particle left the open domain")
         return settled
 

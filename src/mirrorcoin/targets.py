@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .errors import ConfigError, Unsupported
-from .geometry import as_dimension, check_scale
+from .geometry import MAX_COUNT, as_dimension, check_scale
 from .rng import substream
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -380,6 +380,10 @@ class SelectiveLasso:
     def from_config(cls, n, p, q, seed=0, **options):  # options: lam, tau, eps_ridge
         if n < 1:
             raise ValueError(f"target.n must be >= 1 observations, got {n}")
+        too_many = [f"target.{key} must be <= {MAX_COUNT}"
+                    for key, count in (("n", n), ("p", p), ("q", q)) if count > MAX_COUNT]
+        if too_many:
+            raise ConfigError(too_many)
         return cls.synthetic(substream(seed, "target_synth"), n=n, p=p, q=q, **options)
 
     # -- internals --------------------------------------------------------

@@ -15,7 +15,7 @@ import time
 import numpy as np
 from scipy import integrate
 
-from mirrorcoin.coin import AdaptiveCoin, KTCoin
+from mirrorcoin.coin import AdaptiveCoin
 from mirrorcoin.geometry import EntropicSimplexMap, PositiveOrthantMap
 from mirrorcoin.metrics import energy_distance, ksd_vstat
 from mirrorcoin.mied import MollifierConfig
@@ -206,9 +206,6 @@ class TestCoinEngine:
         y0 = rng.normal(size=(4, 3))
         c0 = rng.normal(size=(4, 3))
 
-        kt_first = KTCoin(y0).step(y0, c0)
-        ok_kt = np.allclose(kt_first, y0 + c0 / 2.0, rtol=0, atol=1e-15)
-
         ad_first = AdaptiveCoin(y0).step(y0, c0)
         ok_ad = np.allclose(ad_first - y0, np.sign(c0) / 2.0, rtol=0, atol=1e-15)
 
@@ -234,10 +231,10 @@ class TestCoinEngine:
         ok_det = runs[0].tobytes() == runs[1].tobytes()
 
         elapsed = time.perf_counter() - t0
-        ok = ok_kt and ok_ad and ok_mono and ok_det and elapsed < 1.0
+        ok = ok_ad and ok_mono and ok_det and elapsed < 1.0
         _report(
             3, "coin engine first-step rules, monotone stats, determinism", ok,
-            f"kt_half={ok_kt} adaptive_half={ok_ad} "
+            f"adaptive_half={ok_ad} "
             f"monotone_LG_R={ok_mono} bit_det={ok_det} {elapsed:.2f}s<1s",
         )
 

@@ -285,7 +285,7 @@ class TestBuildPlan:
         ({"stepper.kind": "adam", "stepper.lr": "x"},
          ["stepper.lr: expected a number, got 'x'",
           "stepper: unknown stepper kind 'adam' "
-          "(choices: fixed_lr, rmsprop, coin_kt, coin_adaptive)"]),
+          "(choices: fixed_lr, rmsprop, coin_adaptive)"]),
         ({"stepper.lr": "0.1", "kernel.family": "gauss", "kernel.bandwidth": "y"},
          ["kernel.bandwidth: expected a number, got 'y'",
           "kernel: unknown kernel family 'gauss' (choices: imq, rbf)"]),
@@ -662,7 +662,7 @@ class TestRunSweep:
         assert not os.path.exists(out)
 
     def test_sweep_coin_stepper_is_an_unknown_key(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, SWEEP_CONFIG + "sweep.coin_stepper = coin_kt\n")
+        cfg = write_cfg(tmp_path, SWEEP_CONFIG + "sweep.coin_stepper = coin_adaptive\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
                      "--lrs", "0.1", "--seeds", "0", "--workers", "1"]) == 1
         assert "unknown key 'sweep.coin_stepper'" in capsys.readouterr().err
@@ -705,8 +705,7 @@ class TestRunSweep:
             run_sweep(raw, str(tmp_path / "s"))
         assert err.value.violations[:2] == [
             "sweep needs sweep.lrs in the config or --lrs",
-            "stepper: unknown stepper kind 'adam' (choices: fixed_lr, rmsprop, coin_kt, "
-            "coin_adaptive)"]
+            "stepper: unknown stepper kind 'adam' (choices: fixed_lr, rmsprop, coin_adaptive)"]
 
     @pytest.mark.parametrize("sampler,target", [
         ("msvgd", {"target.kind": "sparse_dirichlet", "target.counts": "3,1"}),
@@ -1074,6 +1073,35 @@ class TestCli:
                                    "  - unknown key 'bogus.key'"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["target.n", "target.p", "target.q"])
+    def test_lasso_size_numpy_cannot_index_exit_one(self, tmp_path, capsys, key):
+        # as the count above: refused by its key, before numpy's own error
+        keys = {"target.kind": "selective_lasso", "target.n": "10", "target.p": "3",
+                "target.q": "1", "sampler.kind": "coin_msvgd", "sampler.n_particles": "3",
+                "sampler.n_iters": "1", key: "100000000000000000000", "bogus.key": "1"}
+        cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "configuration error:"
+        assert sorted(err[1:]) == [f"  - target: {key} must be <= {np.iinfo(np.intp).max}",
+                                   "  - unknown key 'bogus.key'"]
+        assert not out.exists()
+
+    def test_kt_stepper_is_an_unknown_kind_exit_one(self, tmp_path, capsys):
+        # the KT bettor is gone: its kind is refused beside the config's
+        # other problems
+        cfg = write_cfg(tmp_path, SAMPLE_CONFIG + "stepper.kind = coin_kt\nbogus.key = 1\n")
+        out = tmp_path / "o"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "configuration error:"
+        assert sorted(err[1:]) == [
+            "  - stepper: unknown stepper kind 'coin_kt' (choices: fixed_lr, rmsprop, "
+            "coin_adaptive)",
+            "  - unknown key 'bogus.key'"]
+        assert not out.exists()
+
     def test_ground_truth_count_numpy_cannot_index_exit_one(self, tmp_path, capsys):
         # one more than the bound is refused by name; the bound itself is a
         # size numpy can index but no host can allocate, a runtime failure
@@ -1318,6 +1346,19 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"runtime failure: DomainViolation: {sampler}: particle left the open domain "
             "at iteration 0\n")
+        assert not (out / "particles_final.csv").exists()
+
+    def test_overflowed_rmsprop_step_names_the_run_exit_two(self, tmp_path, capsys):
+        # the first outcome's square overflows rmsprop's second moment; its
+        # coordinate would never move again, and the run would exit 0
+        cfg = write_cfg(tmp_path, (
+            "target.kind = sparse_dirichlet\ntarget.counts = 1e200,5,5,1\n"
+            "sampler.kind = svgd_proj\nstepper.kind = rmsprop\nstepper.lr = 0.1\n"
+            "sampler.n_particles = 5\nsampler.n_iters = 3\n"))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: NumericalFailure: svgd_proj: non-finite step at iteration 1\n")
         assert not (out / "particles_final.csv").exists()
 
     def test_non_finite_metric_names_the_run_exit_two(self, tmp_path, capsys):

@@ -70,6 +70,7 @@ STALE_LAYERS = {
     "mirrorcoin.geometry.PositiveOrthantMap.is_interior",
     "mirrorcoin.mied.run_mied",
     "mirrorcoin.mied.TanhBox.to_x",
+    "mirrorcoin.coin.KTCoin.step",
 }
 
 

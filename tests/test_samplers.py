@@ -74,8 +74,6 @@ class TestSteppers:
     def test_coin_rejects_lr(self):
         with pytest.raises(ConfigError):
             StepperConfig("coin_adaptive", lr=0.1)
-        with pytest.raises(ConfigError):
-            StepperConfig("coin_kt", lr=1.0)
 
     def test_grad_requires_positive_lr(self):
         with pytest.raises(ConfigError):
@@ -94,7 +92,7 @@ class TestSteppers:
         assert stepper_kinds(sampler)[0] == kind
         lr = None if kind == "coin_adaptive" else 0.1
         assert sampler_stepper(sampler, lr=lr) == StepperConfig(kind, lr=lr)
-        assert sampler_stepper(sampler, "coin_kt") == StepperConfig("coin_kt")
+        assert sampler_stepper(sampler, "fixed_lr", lr=0.1) == StepperConfig("fixed_lr", lr=0.1)
 
     def test_no_stepper_without_kind_or_known_sampler(self):
         assert sampler_stepper(None) is None
@@ -105,7 +103,7 @@ class TestSteppers:
         # coin twins bet, mla takes fixed steps, the rest rmsprop or fixed_lr
         for sampler in SAMPLERS:
             assert stepper_kinds(sampler) == (
-                ("coin_adaptive", "coin_kt") if sampler.startswith("coin_")
+                ("coin_adaptive",) if sampler.startswith("coin_")
                 else ("fixed_lr",) if sampler == "mla" else ("rmsprop", "fixed_lr")), sampler
 
     @pytest.mark.parametrize("kind", GRAD_STEPPERS + COIN_STEPPERS)
@@ -136,10 +134,10 @@ class TestSteppers:
 
     def test_coin_stepper_first_update_matches_engine(self):
         y0 = np.zeros((1, 3, 2))
-        s = make_stepper([StepperConfig("coin_kt")], y0)
+        s = make_stepper([StepperConfig("coin_adaptive")], y0)
         c = np.array([[[1.0, -2.0], [0.5, 0.0], [3.0, 3.0]]])
         out = s.step(y0, c)
-        assert np.allclose(out, c / 2.0)
+        assert np.array_equal(out, np.sign(c) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -478,23 +476,6 @@ class TestRunLoop:
                           hooks={"m": lambda x, y: 0.0}, metric_every=3)
         assert [t[0] for t in rec.trace] == [0, 3, 6, 7]
 
-    def test_coin_kt_first_iteration_half_direction(self):
-        target = self.target()
-        mmap = EntropicSimplexMap(2)
-        rec = run_sampler(target=target, sampler="coin_msvgd", n_particles=6,
-                          n_iters=1, seed=9,
-                          stepper=StepperConfig("coin_kt"))
-        # replay by hand
-        from mirrorcoin.rng import substream
-        rng = substream(9, "init")
-        X0 = draw_init(InitSpec(), target, 6, rng)
-        Y0 = mmap.primal_to_dual(X0)
-        md = MirroredDensity(target, mmap)
-        # "median" is the bandwidth of the primal image the direction sees
-        c = msvgd_direction(Y0, md, "imq", median_bandwidth(mmap.dual_to_primal(Y0)))
-        assert np.array_equal(c, msvgd_direction(Y0, md, "imq", "median"))
-        assert np.array_equal(rec.y_final, Y0 + c / 2.0)
-
     @pytest.mark.parametrize("sampler,stepper", [
         ("coin_msvgd", None),
         ("msvgd", StepperConfig("rmsprop", lr=0.05)),
@@ -529,9 +510,7 @@ class TestRunLoop:
         assert rec.y_final.tobytes() == Y.tobytes()
         assert rec.x_final.tobytes() == md.mmap.dual_to_primal(Y).tobytes()
 
-    @pytest.mark.parametrize("stepper", [StepperConfig("coin_adaptive"),
-                                         StepperConfig("coin_kt")],
-                             ids=["adaptive", "kt"])
+    @pytest.mark.parametrize("stepper", [StepperConfig("coin_adaptive")], ids=["adaptive"])
     def test_projected_coin_replay_bets_from_projected_cloud(self, stepper):
         # the engine is handed the projected cloud, not its own last output;
         # a replay through make_stepper and project_to_domain matches bit for bit
